@@ -40,10 +40,9 @@ print("  -> hits the spurious ANOVA, misses the embedded TIGAR\n")
 
 dictionary = frozenset({"anova", "we", "ran", "on", "the", "assay", "binds", "today"})
 policy = filtered_policy(dictionary, min_name_length=4)
-filtered = filter_names(refset, policy)
-print(f"filtered names (dictionary + length>=4): {sorted(filtered.names)}")
+print(f"filtered names (dictionary + length>=4): {sorted(filter_names(refset, policy).names)}")
 print("filtered, case-insensitive, partial search:")
-for m in find_matches(corpus, filtered, policy):
+for m in find_matches(corpus, refset, policy):
     print(f"  sentence {m.sentence}, tokens [{m.first},{m.last}]: {m.name}")
 print("  -> no false positive, and the compound is matched\n")
 
@@ -56,7 +55,7 @@ p, r = audit_matcher(m_exact, gold, tags)
 print(f"exact search      : P={100 * p:5.2f} R={100 * r:5.2f}  ({len(m_exact)} matches)")
 
 policy = filtered_policy(dictionary, 4)
-m_filt = find_matches(gold, filter_names(refset, policy), policy)
+m_filt = find_matches(gold, refset, policy)
 p, r = audit_matcher(m_filt, gold, tags)
 print(f"filtered + partial: P={100 * p:5.2f} R={100 * r:5.2f}  ({len(m_filt)} matches)")
 print("\nfiltering trades recall on ambiguous names for near-perfect precision,")

@@ -10,7 +10,6 @@ from weakner import (
     TagSet,
     TrainConfig,
     evaluate_model,
-    filter_names,
     filtered_policy,
     finalize,
     find_matches,
@@ -31,7 +30,7 @@ print(f"{len(seed)} labeled seed sentences, {len(corpus)} unlabeled, {len(test)}
 
 # -- high-precision pins from the filtered gazetteer ---------------------------
 policy = filtered_policy(dictionary, 4)
-pins = find_matches(corpus, filter_names(refset, policy), policy)
+pins = find_matches(corpus, refset, policy)
 print(f"{len(pins)} pinned mentions in the corpus\n")
 
 # -- the iterative loop --------------------------------------------------------

@@ -40,7 +40,6 @@ class BootstrapConfig:
     iterations: int = 10
     round_train: TrainConfig = field(default_factory=TrainConfig)
     seed_train: TrainConfig | None = None
-    final_retrain: bool = True
     final_train: TrainConfig | None = None
     refset: ReferenceSet | None = None
     policy: MatchPolicy | None = None

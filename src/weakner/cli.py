@@ -30,7 +30,7 @@ from .metrics import evaluate_model
 from .refset import (
     MatchPolicy,
     audit_matcher,
-    filter_names,
+    filtered_policy,
     find_matches,
     load_dictionary,
     load_reference_set,
@@ -130,18 +130,13 @@ def _check_fraction(name, value):
         raise UsageError(f"--{name} must be strictly between 0 and 1, got {value}")
 
 
-def _build_policy(ns, allow_missing_dictionary=True):
+def _build_policy(ns):
     """Policy from --policy preset plus explicit flag overrides."""
     dictionary = load_dictionary(ns.dictionary) if ns.dictionary else None
     if ns.policy == "c2":
         if dictionary is None:
             raise UsageError("--policy c2 needs --dictionary")
-        base = MatchPolicy(
-            case_sensitive=False,
-            min_name_length=4,
-            dictionary_filter=dictionary,
-            allow_partial=True,
-        )
+        base = filtered_policy(dictionary)
     else:
         base = MatchPolicy(dictionary_filter=dictionary)
     changes = {}
@@ -185,7 +180,7 @@ def cmd_split(ns) -> int:
 def cmd_match(ns) -> int:
     tags = _tags(ns.entity_type)
     policy = _build_policy(ns)
-    refset = filter_names(load_reference_set(ns.refset, tags.entity_types[0]), policy)
+    refset = load_reference_set(ns.refset, tags.entity_types[0])
     corpus = read_conll(ns.corpus, tags, DatasetKind.CORPUS)
     matches = find_matches(corpus, refset, policy)
     os.makedirs(ns.out_dir, exist_ok=True)
@@ -207,7 +202,7 @@ def cmd_bootstrap(ns) -> int:
     seed = read_conll(ns.seed, tags)
     corpus = read_conll(ns.corpus, tags, DatasetKind.CORPUS)
     policy = _build_policy(ns)
-    refset = filter_names(load_reference_set(ns.refset, tags.entity_types[0]), policy)
+    refset = load_reference_set(ns.refset, tags.entity_types[0])
     heldout = read_conll(ns.heldout, tags) if ns.heldout else None
 
     seed_epochs = ns.seed_epochs if ns.seed_epochs is not None else ns.epochs
@@ -215,7 +210,6 @@ def cmd_bootstrap(ns) -> int:
         iterations=ns.iterations,
         round_train=_train_cfg(ns, ns.epochs, Objective.MARGINAL),
         seed_train=_train_cfg(ns, seed_epochs, Objective.MARGINAL),
-        final_retrain=not ns.no_final,
         final_train=_train_cfg(ns, ns.final_epochs, Objective.SEQUENCE),
         refset=refset,
         policy=policy,
@@ -226,7 +220,7 @@ def cmd_bootstrap(ns) -> int:
         seed, corpus, tags, cfg, pins=pins, heldout=heldout, checkpoint_dir=ns.out_dir
     )
     model.save(os.path.join(ns.out_dir, "final_soft.model"))
-    if cfg.final_retrain:
+    if not ns.no_final:
         crf_model = finalize(model, seed, corpus, tags, cfg, pins=pins)
         crf_model.save(os.path.join(ns.out_dir, "final_crf.model"))
     last = trace.rows[-1]

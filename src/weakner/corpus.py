@@ -148,6 +148,8 @@ class SoftLabeling:
         self.provenance = np.asarray(self.provenance, dtype=np.int8)
         if self.dist.ndim != 2 or len(self.provenance) != len(self.dist):
             raise WeaknerError("soft labeling shape mismatch")
+        if not np.isfinite(self.dist).all():
+            raise WeaknerError("non-finite probability in soft labeling")
         if len(self.dist) and (self.dist < -1e-12).any():
             raise WeaknerError("negative probability in soft labeling")
         if len(self.dist):

@@ -27,7 +27,6 @@ from .refset import (
     ReferenceSet,
     audit_matcher,
     exact_policy,
-    filter_names,
     filtered_policy,
     find_matches,
 )
@@ -134,7 +133,7 @@ def _pins_for(cond, corpus, corpus_gold, tags, refset, dictionary, cfg):
         pins = find_matches(corpus, refset, exact_policy())
     elif cond.ref_policy == "c2":
         policy = filtered_policy(dictionary, cfg.min_name_length)
-        pins = find_matches(corpus, filter_names(refset, policy), policy)
+        pins = find_matches(corpus, refset, policy)
     elif cond.ref_policy is None:
         pins = []
     else:
@@ -159,18 +158,15 @@ def run_condition(
 ) -> GridRow:
     eval_mode = "soft" if cond.output == "softmax" else "hard"
 
-    if cond.true_labels == "100%":
-        objective = Objective.MARGINAL if cond.output == "softmax" else Objective.SEQUENCE
-        model = train(train_gold, tags, cfg.train_cfg(cfg.full_epochs, objective))
-        return GridRow(cond, None, evaluate_model(model, test, mode=eval_mode), model=model)
-
-    if cond.true_labels == "one_per_sentence":
-        masked, _ = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
-        data = Dataset(
-            list(seed_ds.sentences) + list(masked.sentences),
-            list(seed_ds.labels) + list(masked.labels),
-            seed_ds.kind,
-        )
+    if cond.true_labels in ("100%", "one_per_sentence"):
+        data = train_gold
+        if cond.true_labels == "one_per_sentence":
+            masked, _ = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
+            data = Dataset(
+                list(seed_ds.sentences) + list(masked.sentences),
+                list(seed_ds.labels) + list(masked.labels),
+                seed_ds.kind,
+            )
         objective = Objective.MARGINAL if cond.output == "softmax" else Objective.SEQUENCE
         model = train(data, tags, cfg.train_cfg(cfg.full_epochs, objective))
         return GridRow(cond, None, evaluate_model(model, test, mode=eval_mode), model=model)

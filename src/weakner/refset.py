@@ -9,8 +9,9 @@ typically used against text:
   slash-delimited components equals a name under case folding, so a name
   like TIGAR is found inside "Flag-tagged-TIGAR".
 
-Filtering (dictionary words out, short names out) happens before matching
-and is what turns a noisy gazetteer into a usable one.
+Filtering (dictionary words out, short names out) is part of the policy
+and is applied to the names before every search; it is what turns a noisy
+gazetteer into a usable one.
 """
 
 from __future__ import annotations
@@ -154,12 +155,14 @@ def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
     Partial mode additionally matches a single token when one of its
     hyphen/slash components equals a name under case folding.
 
-    Overlaps resolve leftmost-longest; ties go to the longer matched name,
-    then the lexicographically smaller one. Deterministic.
+    Only names the policy keeps are searched (see filter_names). Overlaps
+    resolve leftmost-longest; ties go to the longer matched name, then the
+    lexicographically smaller one. Deterministic.
     """
-    exact = _name_index(refset.names, policy.case_sensitive)
-    partial = _name_index(refset.names, case_sensitive=False) if policy.allow_partial else {}
-    max_window = max((name.count(" ") + 1 for name in refset.names), default=1)
+    names = filter_names(refset, policy).names
+    exact = _name_index(names, policy.case_sensitive)
+    partial = _name_index(names, case_sensitive=False) if policy.allow_partial else {}
+    max_window = max((name.count(" ") + 1 for name in names), default=1)
 
     matches = []
     for s, sent in enumerate(corpus.sentences):

@@ -113,6 +113,15 @@ class TrainConfig:
             raise WeaknerError("l2 must be >= 0")
 
 
+def _segment_sum(index, values, size):
+    """out[j] = sum of the rows values[r] with index[r] == j, added in row
+    order; rows of out that no index names are zero."""
+    out = np.empty((size, values.shape[1]))
+    for t in range(values.shape[1]):
+        out[:, t] = np.bincount(index, weights=values[:, t], minlength=size)
+    return out
+
+
 class TaggerModel:
     """Emission + transition weights over a frozen-on-predict feature index."""
 
@@ -138,35 +147,39 @@ class TaggerModel:
 
     # -- feature plumbing ---------------------------------------------------
 
+    def _feature_rows(self, sentence: Sentence, grow: bool = False):
+        """Known feature ids of a sentence, flattened: (ids, pos), where ids[r]
+        is a feature id and pos[r] the token position it fires at.
+
+        Unknown feature strings are skipped, or with grow=True given the
+        next free ids in first-seen order (weights are not extended here).
+        """
+        index = self.feature_index
+        ids, pos = [], []
+        for i, feats in enumerate(self.extractor.features(sentence)):
+            if grow:
+                row = [index.setdefault(f, len(index)) for f in feats]
+            else:
+                row = [index[f] for f in feats if f in index]
+            ids.extend(row)
+            pos.extend([i] * len(row))
+        return np.asarray(ids, dtype=np.intp), np.asarray(pos, dtype=np.intp)
+
     def _grow_features(self, sentences):
-        """Assign ids to unseen feature strings; extend weight rows with zeros."""
-        for sent in sentences:
-            for feats in self.extractor.features(sent):
-                for f in feats:
-                    if f not in self.feature_index:
-                        self.feature_index[f] = len(self.feature_index)
+        """Assign ids to unseen feature strings and extend weight rows with
+        zeros; returns every sentence's (ids, pos) feature rows."""
+        rows = [self._feature_rows(sent, grow=True) for sent in sentences]
         n_new = len(self.feature_index) - len(self.weights)
         if n_new:
             self.weights = np.vstack(
                 [self.weights, np.zeros((n_new, len(self.tags)))]
             )
-
-    def _feature_ids(self, sentence: Sentence):
-        """Known feature ids per position (unknown features are ignored)."""
-        index = self.feature_index
-        return [
-            [index[f] for f in feats if f in index]
-            for feats in self.extractor.features(sentence)
-        ]
+        return rows
 
     def emissions(self, sentence: Sentence) -> np.ndarray:
         """Per-token emission score rows (n_tokens, n_tags)."""
-        ids = self._feature_ids(sentence)
-        E = np.zeros((len(ids), len(self.tags)))
-        for i, row in enumerate(ids):
-            if row:
-                E[i] = self.weights[row].sum(axis=0)
-        return E
+        ids, pos = self._feature_rows(sentence)
+        return _segment_sum(pos, self.weights[ids], len(sentence))
 
     # -- inference ----------------------------------------------------------
 
@@ -355,27 +368,20 @@ def _sequence_loss_grad(E, T, y):
 class _Prepared:
     """Per-sentence tensors fixed across epochs: feature rows and targets."""
 
-    __slots__ = (
-        "rows", "seg_starts", "pos_of_row", "uids", "inv", "target", "n", "dense",
-    )
+    __slots__ = ("ids", "pos", "n", "uids", "inv", "target")
 
-    def __init__(self, model, sentence, target):
-        ids = model._feature_ids(sentence)
-        self.n = len(ids)
-        flat, pos = [], []
-        for i, row in enumerate(ids):
-            flat.extend(row)
-            pos.extend([i] * len(row))
-        self.rows = np.asarray(flat, dtype=np.intp)
-        self.pos_of_row = np.asarray(pos, dtype=np.intp)
-        starts = np.zeros(self.n, dtype=np.intp)
-        for i in range(1, self.n):
-            starts[i] = starts[i - 1] + len(ids[i - 1])
-        self.seg_starts = starts
-        # reduceat needs every position to own at least one feature row
-        self.dense = all(ids)
-        self.uids, self.inv = np.unique(self.rows, return_inverse=True)
+    def __init__(self, rows, target):
+        self.ids, self.pos = rows
+        self.n = len(target)
+        self.uids, self.inv = np.unique(self.ids, return_inverse=True)
         self.target = target
+
+    def emissions(self, weights):
+        return _segment_sum(self.pos, weights[self.ids], self.n)
+
+    def weight_grad(self, gE):
+        """Gradient rows of the sentence's distinct features, in uids order."""
+        return _segment_sum(self.inv, gE[self.pos], len(self.uids))
 
 
 def _targets_for(labels, tags: TagSet, objective: Objective):
@@ -396,16 +402,6 @@ def _sentence_loss_grad(E, T, prep, objective: Objective):
     if objective is Objective.MARGINAL:
         return _marginal_loss_grad(E, T, prep.target)
     return _sequence_loss_grad(E, T, prep.target)
-
-
-def _emissions_from_prepared(weights, prep):
-    if len(prep.rows) == 0:
-        return np.zeros((prep.n, weights.shape[1]))
-    if prep.dense:
-        return np.add.reduceat(weights[prep.rows], prep.seg_starts, axis=0)
-    E = np.zeros((prep.n, weights.shape[1]))
-    np.add.at(E, prep.pos_of_row, weights[prep.rows])
-    return E
 
 
 def train(
@@ -440,31 +436,22 @@ def train(
     else:
         model = TaggerModel(tags)
 
-    model._grow_features(data.sentences)
+    rows = model._grow_features(data.sentences)
     prepared = [
-        _Prepared(model, sent, _targets_for(lab, tags, cfg.objective))
-        for sent, lab in zip(data.sentences, data.labels)
+        _Prepared(r, _targets_for(lab, tags, cfg.objective))
+        for r, lab in zip(rows, data.labels)
     ]
 
     W, T = model.weights, model.transitions
     n_sent = len(prepared)
-    n_tags = len(tags)
     for _ in range(cfg.epochs):
         epoch = model.epochs_trained
         rate = cfg.learning_rate / (1.0 + cfg.decay * epoch)
         order = np.random.default_rng([cfg.rng_seed, epoch]).permutation(n_sent)
         for si in order:
             prep = prepared[si]
-            E = _emissions_from_prepared(W, prep)
-            _, gE, gT = _sentence_loss_grad(E, T, prep, cfg.objective)
-            if len(prep.rows):
-                per_row = gE[prep.pos_of_row]
-                contrib = np.empty((len(prep.uids), n_tags))
-                for t in range(n_tags):
-                    contrib[:, t] = np.bincount(
-                        prep.inv, weights=per_row[:, t], minlength=len(prep.uids)
-                    )
-                W[prep.uids] -= rate * contrib
+            _, gE, gT = _sentence_loss_grad(prep.emissions(W), T, prep, cfg.objective)
+            W[prep.uids] -= rate * prep.weight_grad(gE)
             T -= rate * gT
         if cfg.l2 > 0.0:
             shrink = max(0.0, 1.0 - rate * cfg.l2)
@@ -485,12 +472,12 @@ def dataset_loss_and_gradient(model: TaggerModel, data: Dataset, cfg: TrainConfi
     gT = np.zeros_like(model.transitions)
     total = 0.0
     for sent, lab in zip(data.sentences, data.labels):
-        prep = _Prepared(model, sent, _targets_for(lab, model.tags, cfg.objective))
-        E = _emissions_from_prepared(model.weights, prep)
-        loss, gE, gTs = _sentence_loss_grad(E, model.transitions, prep, cfg.objective)
+        prep = _Prepared(model._feature_rows(sent), _targets_for(lab, model.tags, cfg.objective))
+        loss, gE, gTs = _sentence_loss_grad(
+            prep.emissions(model.weights), model.transitions, prep, cfg.objective
+        )
         total += loss
-        if len(prep.rows):
-            np.add.at(gW, prep.rows, gE[prep.pos_of_row])
+        gW[prep.uids] += prep.weight_grad(gE)
         gT += gTs
     if cfg.l2 > 0.0:
         total += 0.5 * cfg.l2 * (

@@ -21,7 +21,7 @@ from weakner.corpus import (
     sentence_from_texts,
 )
 from weakner.errors import ModelTagSetMismatch, WeaknerError
-from weakner.refset import MatchPolicy, RefMatch, ReferenceSet
+from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy
 from weakner.tagger import Objective, TaggerModel, TrainConfig, train
 
 PROT = TagSet(("PROT",))
@@ -210,6 +210,25 @@ class TestIterativeTrain:
         assert [(m.sentence, m.first, m.last) for m in pins] == [(1, 1, 1)]
         _, trace = iterative_train(seed, corpus, PROT, cfg)
         assert trace.rows[1].pinned_tokens == 1
+
+    def test_refset_config_pins_apply_policy_filters(self):
+        # the config's refset is unfiltered: the policy itself must drop the
+        # dictionary word ANOVA and the too-short AB
+        corpus = Dataset(
+            [
+                sentence_from_texts(["we", "ran", "ANOVA", "on", "AB"]),
+                sentence_from_texts(["the", "Flag-tagged-TIGAR", "construct"]),
+            ],
+            [None, None],
+            DatasetKind.CORPUS,
+        )
+        cfg = quick_cfg(
+            1,
+            refset=ReferenceSet(frozenset({"ANOVA", "AB", "TIGAR"}), "PROT"),
+            policy=filtered_policy({"anova"}, 4),
+        )
+        pins = compute_pins(corpus, cfg)
+        assert [(m.sentence, m.first, m.last, m.name) for m in pins] == [(1, 1, 1, "TIGAR")]
 
 
 class TestFinalize:

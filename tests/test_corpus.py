@@ -30,6 +30,7 @@ from weakner.errors import (
     MalformedLine,
     OverlappingSpans,
     UnknownTag,
+    WeaknerError,
 )
 from weakner.tagger import harden
 
@@ -177,6 +178,15 @@ class TestSoftLabeling:
                 np.array([Provenance.REFERENCE], dtype=np.int8),
             )
 
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, np.nan, np.nan], [np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]],
+        ids=["all-nan", "partly-nan", "inf"],
+    )
+    def test_non_finite_rows_rejected(self, row):
+        with pytest.raises(WeaknerError, match="non-finite"):
+            SoftLabeling(np.array([[1.0, 0.0, 0.0], row]), np.full(2, Provenance.PREDICTED))
+
     def test_soften_examples(self):
         soft = soften([1, 0], PROT)
         assert np.array_equal(soft.dist, [[0, 1, 0], [1, 0, 0]])
@@ -292,6 +302,12 @@ class TestSoftTsvIo:
         for orig, re_read in zip(ds.labels, back.labels):
             assert np.array_equal(orig.dist, re_read.dist)
             assert np.array_equal(orig.provenance, re_read.provenance)
+
+    def test_nan_row_in_file_rejected(self, tmp_path):
+        path = tmp_path / "soft.tsv"
+        path.write_text("p53\tPREDICTED\tnan\t0.5\t0.5\n", encoding="utf-8")
+        with pytest.raises(WeaknerError, match="non-finite"):
+            read_soft_tsv(path, PROT)
 
     def test_rows_keep_summing_to_one(self, tmp_path):
         rng = np.random.default_rng(0)

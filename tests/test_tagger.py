@@ -306,6 +306,61 @@ class TestTraining:
             TrainConfig(l2=-1.0)
 
 
+def naive_emissions(model, sentence):
+    """Reference emissions: per position, add the weight rows of its known
+    features one at a time."""
+    E = np.zeros((len(sentence), len(model.tags)))
+    for i, feats in enumerate(model.extractor.features(sentence)):
+        for f in feats:
+            if f in model.feature_index:
+                E[i] += model.weights[model.feature_index[f]]
+    return E
+
+
+class TestEmissions:
+    def _p53_model(self):
+        data = Dataset([sentence_from_texts(["p53"])], [[1]], DatasetKind.SEED)
+        return train(data, PROT, TrainConfig(epochs=2))
+
+    def test_position_without_known_feature_gets_zero_row(self):
+        model = self._p53_model()
+        sent = sentence_from_texts(["a", "b", "c", "d", "e"])
+        E = model.emissions(sent)
+        # "c" and its +-2 neighbours never occur in training; every other
+        # position still sees a sentence-boundary feature
+        assert np.array_equal(E[2], np.zeros(len(PROT)))
+        assert all(E[i].any() for i in (0, 1, 3, 4))
+        soft = model.predict_soft(sent)
+        assert np.abs(soft.dist.sum(axis=1) - 1.0).max() < 1e-9
+        assert len(model.predict_hard(sent)) == 5
+
+    def test_matches_naive_per_position_sum(self):
+        rng = np.random.default_rng(46)
+        model = random_model(rng, TWO, [random_sentence(rng) for _ in range(5)])
+        p53 = self._p53_model()
+        unseen = sentence_from_texts(["a", "b", "c", "d", "e"])
+        for _ in range(20):
+            sent = random_sentence(rng, max_len=10)
+            assert np.array_equal(model.emissions(sent), naive_emissions(model, sent))
+        assert np.array_equal(p53.emissions(unseen), naive_emissions(p53, unseen))
+
+    def test_features_extracted_once_per_sentence_per_train_call(self, monkeypatch):
+        calls = []
+        original = FeatureExtractor.features
+
+        def counting(self, sentence):
+            calls.append(sentence)
+            return original(self, sentence)
+
+        monkeypatch.setattr(FeatureExtractor, "features", counting)
+        rng = np.random.default_rng(47)
+        data = _random_training_set(rng, PROT, n_sentences=7)
+        model = train(data, PROT, TrainConfig(epochs=3))
+        assert len(calls) == 7
+        train(data, PROT, TrainConfig(epochs=2), init=model)
+        assert len(calls) == 14
+
+
 class TestHarden:
     def test_argmax(self):
         soft = SoftLabeling(

@@ -1,0 +1,83 @@
+"""The benchmark's span tracer (perfbench/spans.py) run against the library.
+
+The tracer wraps library functions and methods by name, so a refactor that
+renames or re-binds one of them would silently break traced benchmark runs.
+These tests only import from perfbench/.
+"""
+
+import importlib
+import pathlib
+
+import pytest
+
+from weakner import bootstrap, tagger
+from weakner.corpus import Dataset, DatasetKind, TagSet, sentence_from_texts
+from weakner.refset import ReferenceSet, filtered_policy
+
+PROT = TagSet(("PROT",))
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    return importlib.import_module("spans")
+
+
+def _bindings(spans):
+    """(owner, attribute) -> current value, for every binding the tracer
+    patches; a wrapper left behind still names its original."""
+    out = {}
+    for _, fn, _ in spans.FUNCTIONS:
+        for module in spans._weakner_modules():
+            for attr, value in vars(module).items():
+                if value is fn or getattr(value, "__wrapped__", None) is fn:
+                    out[(module.__name__, attr)] = value
+    for _, cls, attr in spans.METHODS:
+        out[(cls.__name__, attr)] = vars(cls)[attr]
+    return out
+
+
+def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
+    seed = Dataset(
+        [sentence_from_texts(["p53", "binds", "MDM2"]), sentence_from_texts(["the", "assay"])],
+        [[1, 0, 1], [0, 0]],
+        DatasetKind.SEED,
+    )
+    corpus = Dataset(
+        [sentence_from_texts(["the", "Flag-tagged-TIGAR", "assay"])], [None], DatasetKind.CORPUS
+    )
+    cfg = bootstrap.BootstrapConfig(
+        iterations=1,
+        round_train=tagger.TrainConfig(epochs=2),
+        refset=ReferenceSet(frozenset({"TIGAR", "AB"}), "PROT"),
+        policy=filtered_policy({"assay"}, 4),
+    )
+    before = _bindings(spans)
+    train = bootstrap.train
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert bootstrap.train is not train and bootstrap.train.__wrapped__ is train
+        model, _ = bootstrap.iterative_train(seed, corpus, PROT, cfg, heldout=seed)
+        final = bootstrap.finalize(model, seed, corpus, PROT, cfg)
+        path = tmp_path / "final.model"
+        final.save(path)
+        loaded = tagger.TaggerModel.load(path)
+        tagger.predict_dataset_hard(loaded, corpus)
+    assert _bindings(spans) == before
+
+    counts = tracer.metrics()
+    assert counts["bootstrap.iterative_train.calls"] == 1
+    assert counts["bootstrap.finalize.calls"] == 1
+    assert counts["tagger.train.calls"] == 3                  # seed, round 1, final
+    assert counts["bootstrap.relabel.calls"] == 2             # round 1, finalize
+    assert counts["refset.find_matches.calls"] == 2
+    assert counts["refset.matches"] == 2
+    assert counts["bootstrap.pinned_tokens"] == 2
+    assert counts["metrics.evaluate_model.calls"] == 2        # M_0 and M_1
+    assert counts["tagger.save.calls"] == 1
+    assert counts["tagger.load.calls"] == 1
+    assert counts["tagger.predict_dataset_hard.calls"] == 1
+    for name in ("features", "emissions", "predict_soft", "predict_hard"):
+        assert counts[f"tagger.{name}.calls"] > 0
+    assert not tracer.check_nesting()
