@@ -41,7 +41,6 @@ from .tagger import (
     Objective,
     TaggerModel,
     TrainConfig,
-    dataset_loss,
     dataset_loss_and_gradient,
     harden,
     predict_dataset_hard,
@@ -51,7 +50,6 @@ from .tagger import (
 from .bootstrap import (
     BootstrapConfig,
     IterationTrace,
-    compute_pins,
     finalize,
     iterative_train,
     relabel,

@@ -4,8 +4,13 @@ The loop: train a first model on the labeled seed, then repeatedly
 (1) soft-label the unlabeled corpus with the current model, (2) overwrite
 the rows of every token covered by a reference match with a one-hot pin
 (score 1 on the B-/I- tag of the match), and (3) fine-tune the model on
-seed + relabeled corpus, resuming from the previous weights. Pins do not
-depend on the model, so matches are computed once and reused.
+seed + relabeled corpus, resuming from the previous weights.
+
+Pins do not depend on the model, so the caller finds them once (with
+``refset.find_matches``, or from gold spans) and passes the same list to
+every function here; this module never searches a reference set. Every
+pass of a model over a dataset goes through ``predict_dataset_soft`` /
+``predict_dataset_hard``.
 
 An optional final step hardens the last corpus labeling and retrains a
 fresh sequence-likelihood (CRF-style) model from scratch on it.
@@ -19,11 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Dataset, Provenance, SoftLabeling, TagSet
+from .corpus import Dataset, Provenance, TagSet
 from .errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
 from .metrics import EvalReport, evaluate_model
-from .refset import MatchPolicy, ReferenceSet, find_matches
-from .tagger import Objective, TaggerModel, TrainConfig, harden, train
+from .tagger import Objective, TaggerModel, TrainConfig, harden, predict_dataset_soft, train
 
 
 @dataclass
@@ -41,8 +45,6 @@ class BootstrapConfig:
     round_train: TrainConfig = field(default_factory=TrainConfig)
     seed_train: TrainConfig | None = None
     final_train: TrainConfig | None = None
-    refset: ReferenceSet | None = None
-    policy: MatchPolicy | None = None
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -95,50 +97,34 @@ class IterationTrace:
                 fh.write("\t".join(cols) + "\n")
 
 
-def compute_pins(corpus: Dataset, cfg: BootstrapConfig):
-    """Reference matches used as label pins; empty when no refset is set."""
-    if cfg.refset is None or len(cfg.refset) == 0:
-        return []
-    policy = cfg.policy if cfg.policy is not None else MatchPolicy()
-    return find_matches(corpus, cfg.refset, policy)
-
-
 def relabel(corpus: Dataset, model: TaggerModel, matches) -> Dataset:
     """Soft-label every corpus token with the model's marginals, then
     overwrite match-covered tokens with one-hot pins.
 
     The first token of a match span gets probability 1 on B-type, the rest
     on I-type; provenance flips to REFERENCE. Pins replace the predicted
-    row outright (no blending), so they are idempotent across iterations.
+    row outright (no blending), so they are idempotent across iterations;
+    where two matches overlap, the later one in `matches` wins.
     """
-    by_sentence = {}
+    tags = model.tags
     for m in matches:
-        if m.entity_type not in model.tags.entity_types:
+        if m.entity_type not in tags.entity_types:
             raise ModelTagSetMismatch(
-                f"match type {m.entity_type!r} not in model tags {model.tags.entity_types}"
+                f"match type {m.entity_type!r} not in model tags {tags.entity_types}"
             )
-        by_sentence.setdefault(m.sentence, []).append(m)
-
-    n_tags = len(model.tags)
-    labels = []
-    for s, sent in enumerate(corpus.sentences):
-        soft = model.predict_soft(sent)
-        dist, prov = soft.dist, soft.provenance
-        for m in by_sentence.get(s, ()):
-            if m.last >= len(sent):
-                raise WeaknerError(f"match {m} out of bounds")
-            for i in range(m.first, m.last + 1):
-                row = np.zeros(n_tags)
-                tag = (
-                    model.tags.b_index(m.entity_type)
-                    if i == m.first
-                    else model.tags.i_index(m.entity_type)
-                )
-                row[tag] = 1.0
-                dist[i] = row
-                prov[i] = Provenance.REFERENCE
-        labels.append(SoftLabeling(dist, prov))
-    return Dataset(list(corpus.sentences), labels, corpus.kind)
+    labeled = predict_dataset_soft(model, corpus)
+    for m in matches:
+        if not 0 <= m.sentence < len(labeled):
+            raise WeaknerError(f"match {m} out of bounds")
+        soft = labeled.labels[m.sentence]
+        if not 0 <= m.first <= m.last < len(soft):
+            raise WeaknerError(f"match {m} out of bounds")
+        span = slice(m.first, m.last + 1)
+        soft.dist[span] = 0.0
+        soft.dist[m.first, tags.b_index(m.entity_type)] = 1.0
+        soft.dist[m.first + 1:m.last + 1, tags.i_index(m.entity_type)] = 1.0
+        soft.provenance[span] = Provenance.REFERENCE
+    return labeled
 
 
 def _labeling_stats(labeled: Dataset):
@@ -177,23 +163,21 @@ def iterative_train(
     corpus: Dataset,
     tags: TagSet,
     cfg: BootstrapConfig,
-    pins=None,
+    pins,
     heldout: Dataset | None = None,
     checkpoint_dir=None,
 ):
     """Run the full iterative loop; returns (final model, trace).
 
-    pins: precomputed match list; when None they are derived from the
-    config's reference set and policy. heldout, when given, adds per-round
-    P/R/F1 (softmax-argmax output) to the trace. checkpoint_dir, when
-    given, receives one model file per round plus trace.tsv.
+    pins: the reference matches on `corpus` (an empty list gives classic
+    self-training). heldout, when given, adds per-round P/R/F1
+    (softmax-argmax output) to the trace. checkpoint_dir, when given,
+    receives one model file per round plus trace.tsv.
     """
     if len(seed) == 0:
         raise EmptyDataset("empty seed dataset")
     if not seed.is_fully_labeled():
         raise WeaknerError("seed dataset must be fully labeled")
-    if pins is None:
-        pins = compute_pins(corpus, cfg)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
 
@@ -234,12 +218,11 @@ def finalize(
     corpus: Dataset,
     tags: TagSet,
     cfg: BootstrapConfig,
-    pins=None,
+    pins,
 ) -> TaggerModel:
-    """Harden the final corpus labeling and train a fresh sequence-mode
-    model on seed + hardened corpus (the CRF-style finishing step)."""
-    if pins is None:
-        pins = compute_pins(corpus, cfg)
+    """Harden the final corpus labeling (with the same pins the loop used)
+    and train a fresh sequence-mode model on seed + hardened corpus (the
+    CRF-style finishing step)."""
     if len(corpus) == 0:
         return train(seed, tags, cfg.final_cfg(), init=None)
     labeled = relabel(corpus, model, pins)

@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .bootstrap import BootstrapConfig, compute_pins, finalize, iterative_train
+from .bootstrap import BootstrapConfig, finalize, iterative_train
 from .corpus import DatasetKind, TagSet, read_conll, split_seed, write_conll
 from .errors import SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
@@ -211,17 +211,15 @@ def cmd_bootstrap(ns) -> int:
         round_train=_train_cfg(ns, ns.epochs, Objective.MARGINAL),
         seed_train=_train_cfg(ns, seed_epochs, Objective.MARGINAL),
         final_train=_train_cfg(ns, ns.final_epochs, Objective.SEQUENCE),
-        refset=refset,
-        policy=policy,
     )
     os.makedirs(ns.out_dir, exist_ok=True)
-    pins = compute_pins(corpus, cfg)
+    pins = find_matches(corpus, refset, policy)
     model, trace = iterative_train(
-        seed, corpus, tags, cfg, pins=pins, heldout=heldout, checkpoint_dir=ns.out_dir
+        seed, corpus, tags, cfg, pins, heldout=heldout, checkpoint_dir=ns.out_dir
     )
     model.save(os.path.join(ns.out_dir, "final_soft.model"))
     if not ns.no_final:
-        crf_model = finalize(model, seed, corpus, tags, cfg, pins=pins)
+        crf_model = finalize(model, seed, corpus, tags, cfg, pins)
         crf_model.save(os.path.join(ns.out_dir, "final_crf.model"))
     last = trace.rows[-1]
     print(f"done: {len(trace)} checkpoints, {last.pinned_tokens} pinned tokens/round")

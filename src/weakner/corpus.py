@@ -298,18 +298,6 @@ def bio_encode(spans, n_tokens: int, tags: TagSet, sentence: int = 0):
     return labels
 
 
-def dataset_spans(dataset: Dataset, tags: TagSet):
-    """All entity spans of a hard-labeled dataset, in sentence order."""
-    spans = []
-    for s, labels in enumerate(dataset.labels):
-        if labels is None:
-            continue
-        if isinstance(labels, SoftLabeling):
-            raise WeaknerError("dataset_spans needs hard labels")
-        spans.extend(bio_decode(labels, tags, sentence=s))
-    return spans
-
-
 def soften(labels, tags: TagSet) -> SoftLabeling:
     """Turn a hard labeling into one-hot rows with SEED provenance."""
     n = len(labels)

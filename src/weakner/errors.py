@@ -52,3 +52,7 @@ class ModelTagSetMismatch(WeaknerError):
 
 class SpecInvalid(WeaknerError):
     """Synthetic-corpus parameters are out of range."""
+
+
+class TrainingDiverged(WeaknerError):
+    """Training left non-finite weights (the learning rate is too high)."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, bio_repair
 from .errors import WeaknerError
-from .tagger import TaggerModel, harden
+from .tagger import TaggerModel, harden, predict_dataset_hard, predict_dataset_soft
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,9 @@ def evaluate_model(model: TaggerModel, gold: Dataset, mode: str = "hard") -> Eva
     posterior marginals (the softmax-style output path).
     """
     if mode == "hard":
-        labels = [model.predict_hard(s) for s in gold.sentences]
+        pred = predict_dataset_hard(model, gold)
     elif mode == "soft":
-        labels = [harden(model.predict_soft(s), model.tags) for s in gold.sentences]
+        pred = predict_dataset_soft(model, gold)
     else:
         raise WeaknerError(f"unknown evaluation mode {mode!r}")
-    pred = Dataset(list(gold.sentences), labels, gold.kind)
     return score_datasets(pred, gold, model.tags)

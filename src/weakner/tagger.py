@@ -40,7 +40,8 @@ from .corpus import (
     TagSet,
     bio_repair,
 )
-from .errors import EmptyDataset, LabelLengthMismatch, ModelTagSetMismatch, WeaknerError
+from .errors import EmptyDataset, LabelLengthMismatch, ModelTagSetMismatch
+from .errors import TrainingDiverged, WeaknerError
 
 MODEL_FORMAT = "weakner-model"
 MODEL_VERSION = 1
@@ -111,6 +112,8 @@ class TrainConfig:
             raise WeaknerError("learning_rate must be > 0 and decay >= 0")
         if self.l2 < 0:
             raise WeaknerError("l2 must be >= 0")
+        if self.learning_rate * self.l2 >= 1.0:  # the decayed rate is never larger
+            raise WeaknerError("learning_rate * l2 must be < 1 (the L2 step would zero the model)")
 
 
 def _segment_sum(index, values, size):
@@ -245,6 +248,8 @@ class TaggerModel:
         flat = np.frombuffer(body, dtype="<f8")
         model.weights = flat[: n_feat * n_tag].reshape(n_feat, n_tag).copy()
         model.transitions = flat[n_feat * n_tag:].reshape(n_tag, n_tag).copy()
+        if not (np.isfinite(model.weights).all() and np.isfinite(model.transitions).all()):
+            raise WeaknerError(f"non-finite weights in model file: {path}")
         return model
 
 
@@ -454,9 +459,11 @@ def train(
             W[prep.uids] -= rate * prep.weight_grad(gE)
             T -= rate * gT
         if cfg.l2 > 0.0:
-            shrink = max(0.0, 1.0 - rate * cfg.l2)
+            shrink = 1.0 - rate * cfg.l2
             W *= shrink
             T *= shrink
+        if not (np.isfinite(W).all() and np.isfinite(T).all()):
+            raise TrainingDiverged(f"non-finite weights after epoch {epoch}; lower the rate")
         model.epochs_trained += 1
     return model
 
@@ -486,10 +493,6 @@ def dataset_loss_and_gradient(model: TaggerModel, data: Dataset, cfg: TrainConfi
         gW += cfg.l2 * model.weights
         gT += cfg.l2 * model.transitions
     return total, gW, gT
-
-
-def dataset_loss(model: TaggerModel, data: Dataset, cfg: TrainConfig) -> float:
-    return dataset_loss_and_gradient(model, data, cfg)[0]
 
 
 def harden(soft: SoftLabeling, tags: TagSet) -> HardLabeling:

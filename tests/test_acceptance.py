@@ -48,7 +48,6 @@ from weakner.tagger import (
     Objective,
     TaggerModel,
     TrainConfig,
-    dataset_loss,
     dataset_loss_and_gradient,
     train,
 )
@@ -149,9 +148,9 @@ def test_criterion_2_gradient_checks():
             j = int(rng.integers(arr.shape[1]))
             orig = arr[i, j]
             arr[i, j] = orig + h
-            up = dataset_loss(model, data, cfg)
+            up = dataset_loss_and_gradient(model, data, cfg)[0]
             arr[i, j] = orig - h
-            down = dataset_loss(model, data, cfg)
+            down = dataset_loss_and_gradient(model, data, cfg)[0]
             arr[i, j] = orig
             fd = (up - down) / (2 * h)
             rel = abs(grad[i, j] - fd) / max(1.0, abs(fd))
@@ -389,9 +388,8 @@ def test_criterion_7_degenerate_cases():
     )
 
     # K = 0 returns the seed-only model
-    k0_model, k0_trace = iterative_train(
-        seed, corpus, PROT, BootstrapConfig(iterations=0, round_train=TrainConfig(**kw))
-    )
+    k0_cfg = BootstrapConfig(iterations=0, round_train=TrainConfig(**kw))
+    k0_model, k0_trace = iterative_train(seed, corpus, PROT, k0_cfg, pins=[])
     k0 = (
         np.array_equal(k0_model.weights, model.weights)
         and np.array_equal(k0_model.transitions, model.transitions)
@@ -400,7 +398,7 @@ def test_criterion_7_degenerate_cases():
 
     # empty corpus: every round is a plain fine-tune on the seed
     empty = Dataset([], [], DatasetKind.CORPUS)
-    ec_model, _ = iterative_train(seed, empty, PROT, cfg)
+    ec_model, _ = iterative_train(seed, empty, PROT, cfg, pins=[])
     manual = train(seed, PROT, cfg.seed_cfg())
     for _ in range(cfg.iterations):
         manual = train(seed, PROT, cfg.round_train, init=manual)

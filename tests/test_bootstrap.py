@@ -6,13 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from weakner.bootstrap import (
-    BootstrapConfig,
-    compute_pins,
-    finalize,
-    iterative_train,
-    relabel,
-)
+from weakner.bootstrap import BootstrapConfig, finalize, iterative_train, relabel
 from weakner.corpus import (
     Dataset,
     DatasetKind,
@@ -21,7 +15,7 @@ from weakner.corpus import (
     sentence_from_texts,
 )
 from weakner.errors import ModelTagSetMismatch, WeaknerError
-from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy
+from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy, find_matches
 from weakner.tagger import Objective, TaggerModel, TrainConfig, train
 
 PROT = TagSet(("PROT",))
@@ -46,13 +40,9 @@ def tiny_corpus():
     return Dataset(sents, [None] * 3, DatasetKind.CORPUS)
 
 
-def quick_cfg(iterations=2, **kw):
+def quick_cfg(iterations=2):
     train_kw = dict(epochs=2, learning_rate=0.2, decay=0.1, l2=1e-4, rng_seed=0)
-    return BootstrapConfig(
-        iterations=iterations,
-        round_train=TrainConfig(**train_kw),
-        **kw,
-    )
+    return BootstrapConfig(iterations=iterations, round_train=TrainConfig(**train_kw))
 
 
 class TestRelabel:
@@ -100,6 +90,25 @@ class TestRelabel:
         with pytest.raises(ModelTagSetMismatch):
             relabel(tiny_corpus(), model, [RefMatch(0, 0, 0, "x", "CELL")])
 
+    def test_pin_past_sentence_end_rejected(self):
+        model = self._model()
+        with pytest.raises(WeaknerError):
+            relabel(tiny_corpus(), model, [RefMatch(2, 1, 2, "here x", "PROT")])
+
+    def test_pin_in_missing_sentence_rejected(self):
+        model = self._model()
+        for sentence in (3, -1):
+            with pytest.raises(WeaknerError):
+                relabel(tiny_corpus(), model, [RefMatch(sentence, 0, 0, "x", "PROT")])
+
+    def test_overlapping_pins_later_match_wins(self):
+        model = self._model()
+        pins = [RefMatch(0, 0, 1, "MDM2 binds", "PROT"), RefMatch(0, 1, 2, "binds p53", "PROT")]
+        soft = relabel(tiny_corpus(), model, pins).labels[0]
+        assert soft.dist[:3].tolist() == [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert soft.provenance[:3].tolist() == [Provenance.REFERENCE] * 3
+        assert soft.provenance[3] == Provenance.PREDICTED
+
     def test_corpus_input_not_mutated(self):
         model = self._model()
         corpus = tiny_corpus()
@@ -111,14 +120,14 @@ class TestIterativeTrain:
     def test_k_zero_returns_seed_model(self):
         seed = tiny_seed()
         cfg = quick_cfg(iterations=0)
-        model, trace = iterative_train(seed, tiny_corpus(), PROT, cfg)
+        model, trace = iterative_train(seed, tiny_corpus(), PROT, cfg, pins=[])
         direct = train(seed, PROT, cfg.seed_cfg())
         assert np.array_equal(model.weights, direct.weights)
         assert np.array_equal(model.transitions, direct.transitions)
         assert len(trace) == 1
 
     def test_trace_length_is_k_plus_one(self):
-        model, trace = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(3))
+        model, trace = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(3), pins=[])
         assert len(trace) == 4
         assert [r.iteration for r in trace.rows] == [0, 1, 2, 3]
         assert math.isnan(trace.rows[0].mean_entropy)
@@ -128,7 +137,7 @@ class TestIterativeTrain:
         seed = tiny_seed()
         empty = Dataset([], [], DatasetKind.CORPUS)
         cfg = quick_cfg(iterations=2)
-        model, trace = iterative_train(seed, empty, PROT, cfg)
+        model, trace = iterative_train(seed, empty, PROT, cfg, pins=[])
         manual = train(seed, PROT, cfg.seed_cfg())
         for _ in range(2):
             manual = train(seed, PROT, cfg.round_train, init=manual)
@@ -138,7 +147,7 @@ class TestIterativeTrain:
     def test_seed_labels_never_modified(self):
         seed = tiny_seed()
         before = [list(lab) for lab in seed.labels]
-        iterative_train(seed, tiny_corpus(), PROT, quick_cfg(2))
+        iterative_train(seed, tiny_corpus(), PROT, quick_cfg(2), pins=[])
         assert [list(lab) for lab in seed.labels] == before
 
     def test_pins_counted_and_one_hot_every_iteration(self):
@@ -156,24 +165,23 @@ class TestIterativeTrain:
 
     def test_empty_refset_is_classic_self_training(self):
         seed, corpus = tiny_seed(), tiny_corpus()
-        cfg_none = quick_cfg(2)                      # no refset at all
-        cfg_empty = quick_cfg(2, refset=None, policy=MatchPolicy())
-        a, _ = iterative_train(seed, corpus, PROT, cfg_none)
-        b, _ = iterative_train(seed, corpus, PROT, cfg_empty)
+        empty = ReferenceSet(frozenset(), "PROT")
+        pins = find_matches(corpus, empty, MatchPolicy())
+        assert pins == []
+        a, _ = iterative_train(seed, corpus, PROT, quick_cfg(2), pins=[])
+        b, _ = iterative_train(seed, corpus, PROT, quick_cfg(2), pins=pins)
         assert np.array_equal(a.weights, b.weights)
-        # and pins computed from a config with no refset are empty
-        assert compute_pins(corpus, cfg_none) == []
 
     def test_deterministic(self):
-        a, _ = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(2))
-        b, _ = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(2))
+        a, _ = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(2), pins=[])
+        b, _ = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(2), pins=[])
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.transitions, b.transitions)
 
     def test_checkpoints_written(self, tmp_path):
         out = tmp_path / "run"
         model, trace = iterative_train(
-            tiny_seed(), tiny_corpus(), PROT, quick_cfg(2), checkpoint_dir=str(out)
+            tiny_seed(), tiny_corpus(), PROT, quick_cfg(2), pins=[], checkpoint_dir=str(out)
         )
         files = sorted(os.listdir(out))
         assert files == [
@@ -190,29 +198,24 @@ class TestIterativeTrain:
 
     def test_heldout_reports_in_trace(self):
         model, trace = iterative_train(
-            tiny_seed(), tiny_corpus(), PROT, quick_cfg(1), heldout=tiny_seed()
+            tiny_seed(), tiny_corpus(), PROT, quick_cfg(1), pins=[], heldout=tiny_seed()
         )
         assert all(r.report is not None for r in trace.rows)
 
     def test_unlabeled_seed_rejected(self):
         bad = Dataset([sentence_from_texts(["a"])], [None], DatasetKind.SEED)
         with pytest.raises(WeaknerError):
-            iterative_train(bad, tiny_corpus(), PROT, quick_cfg(1))
+            iterative_train(bad, tiny_corpus(), PROT, quick_cfg(1), pins=[])
 
     def test_refset_config_pins(self):
         seed, corpus = tiny_seed(), tiny_corpus()
-        cfg = quick_cfg(
-            1,
-            refset=ReferenceSet(frozenset({"TIGAR"}), "PROT"),
-            policy=MatchPolicy(),
-        )
-        pins = compute_pins(corpus, cfg)
+        pins = find_matches(corpus, ReferenceSet(frozenset({"TIGAR"}), "PROT"), MatchPolicy())
         assert [(m.sentence, m.first, m.last) for m in pins] == [(1, 1, 1)]
-        _, trace = iterative_train(seed, corpus, PROT, cfg)
+        _, trace = iterative_train(seed, corpus, PROT, quick_cfg(1), pins=pins)
         assert trace.rows[1].pinned_tokens == 1
 
     def test_refset_config_pins_apply_policy_filters(self):
-        # the config's refset is unfiltered: the policy itself must drop the
+        # the refset is unfiltered: the policy itself must drop the
         # dictionary word ANOVA and the too-short AB
         corpus = Dataset(
             [
@@ -222,12 +225,11 @@ class TestIterativeTrain:
             [None, None],
             DatasetKind.CORPUS,
         )
-        cfg = quick_cfg(
-            1,
-            refset=ReferenceSet(frozenset({"ANOVA", "AB", "TIGAR"}), "PROT"),
-            policy=filtered_policy({"anova"}, 4),
+        pins = find_matches(
+            corpus,
+            ReferenceSet(frozenset({"ANOVA", "AB", "TIGAR"}), "PROT"),
+            filtered_policy({"anova"}, 4),
         )
-        pins = compute_pins(corpus, cfg)
         assert [(m.sentence, m.first, m.last, m.name) for m in pins] == [(1, 1, 1, "TIGAR")]
 
 
@@ -236,8 +238,8 @@ class TestFinalize:
         seed = tiny_seed()
         empty = Dataset([], [], DatasetKind.CORPUS)
         cfg = quick_cfg(1)
-        base, _ = iterative_train(seed, empty, PROT, cfg)
-        final = finalize(base, seed, empty, PROT, cfg)
+        base, _ = iterative_train(seed, empty, PROT, cfg, pins=[])
+        final = finalize(base, seed, empty, PROT, cfg, pins=[])
         direct = train(seed, PROT, cfg.final_cfg())
         assert np.array_equal(final.weights, direct.weights)
         assert cfg.final_cfg().objective is Objective.SEQUENCE
@@ -245,16 +247,16 @@ class TestFinalize:
     def test_fresh_model_not_resumed(self):
         seed, corpus = tiny_seed(), tiny_corpus()
         cfg = quick_cfg(1)
-        base, _ = iterative_train(seed, corpus, PROT, cfg)
-        final = finalize(base, seed, corpus, PROT, cfg)
+        base, _ = iterative_train(seed, corpus, PROT, cfg, pins=[])
+        final = finalize(base, seed, corpus, PROT, cfg, pins=[])
         assert final.epochs_trained == cfg.final_cfg().epochs
 
     def test_deterministic(self):
         seed, corpus = tiny_seed(), tiny_corpus()
         cfg = quick_cfg(1)
-        base, _ = iterative_train(seed, corpus, PROT, cfg)
-        a = finalize(base, seed, corpus, PROT, cfg)
-        b = finalize(base, seed, corpus, PROT, cfg)
+        base, _ = iterative_train(seed, corpus, PROT, cfg, pins=[])
+        a = finalize(base, seed, corpus, PROT, cfg, pins=[])
+        b = finalize(base, seed, corpus, PROT, cfg, pins=[])
         assert np.array_equal(a.weights, b.weights)
 
 

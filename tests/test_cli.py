@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from weakner.cli import main
@@ -226,6 +227,15 @@ class TestPredictAndEval:
         rc = main([
             "eval", "--model", str(boot_dir / "final_soft.model"), "--data", str(bad),
         ])
+        assert rc == 2
+
+
+    def test_eval_non_finite_model_is_data_error(self, boot_dir, split_dir, tmp_path):
+        model = TaggerModel.load(boot_dir / "final_soft.model")
+        model.weights[:] = np.nan
+        path = tmp_path / "nan.model"
+        model.save(path)
+        rc = main(["eval", "--model", str(path), "--data", str(split_dir / "gold.conll")])
         assert rc == 2
 
 

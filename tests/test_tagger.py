@@ -15,13 +15,13 @@ from weakner.corpus import (
     sentence_from_texts,
     soften,
 )
-from weakner.errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
+from weakner.errors import EmptyDataset, ModelTagSetMismatch, TrainingDiverged, WeaknerError
+from weakner.synthetic import SyntheticSpec, generate_synthetic
 from weakner.tagger import (
     FeatureExtractor,
     Objective,
     TaggerModel,
     TrainConfig,
-    dataset_loss,
     dataset_loss_and_gradient,
     harden,
     train,
@@ -139,9 +139,9 @@ def finite_difference(model, data, cfg, h=1e-6, n_probes=12, seed=0):
             j = int(rng.integers(model.weights.shape[1]))
             orig = model.weights[i, j]
             model.weights[i, j] = orig + h
-            up = dataset_loss(model, data, cfg)
+            up = dataset_loss_and_gradient(model, data, cfg)[0]
             model.weights[i, j] = orig - h
-            down = dataset_loss(model, data, cfg)
+            down = dataset_loss_and_gradient(model, data, cfg)[0]
             model.weights[i, j] = orig
             checks.append(((up - down) / (2 * h), gW[i, j]))
         else:
@@ -149,9 +149,9 @@ def finite_difference(model, data, cfg, h=1e-6, n_probes=12, seed=0):
             j = int(rng.integers(model.transitions.shape[1]))
             orig = model.transitions[i, j]
             model.transitions[i, j] = orig + h
-            up = dataset_loss(model, data, cfg)
+            up = dataset_loss_and_gradient(model, data, cfg)[0]
             model.transitions[i, j] = orig - h
-            down = dataset_loss(model, data, cfg)
+            down = dataset_loss_and_gradient(model, data, cfg)[0]
             model.transitions[i, j] = orig
             checks.append(((up - down) / (2 * h), gT[i, j]))
     return checks
@@ -199,7 +199,7 @@ class TestTraining:
         losses = []
         for _ in range(15):
             model = train(data, PROT, cfg, init=model)
-            losses.append(dataset_loss(model, data, cfg))
+            losses.append(dataset_loss_and_gradient(model, data, cfg)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_sequence_mode_loss_decreases(self):
@@ -212,7 +212,7 @@ class TestTraining:
         losses = []
         for _ in range(15):
             model = train(data, PROT, cfg, init=model)
-            losses.append(dataset_loss(model, data, cfg))
+            losses.append(dataset_loss_and_gradient(model, data, cfg)[0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_resume_identity_as_rate_vanishes(self):
@@ -230,7 +230,8 @@ class TestTraining:
         cfg = TrainConfig(epochs=4, learning_rate=0.2, rng_seed=0)
         base = train(data, PROT, cfg)
         tuned = train(data, PROT, TrainConfig(epochs=1, learning_rate=0.05, rng_seed=0), init=base)
-        assert dataset_loss(tuned, data, cfg) <= dataset_loss(base, data, cfg)
+        tuned_loss = dataset_loss_and_gradient(tuned, data, cfg)[0]
+        assert tuned_loss <= dataset_loss_and_gradient(base, data, cfg)[0]
         # a bounded step, not a restart
         assert np.abs(tuned.weights - base.weights).max() < 1.0
         assert base.weights.shape[0] <= tuned.weights.shape[0]
@@ -304,6 +305,20 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(WeaknerError):
             TrainConfig(l2=-1.0)
+
+    def test_l2_step_that_zeroes_the_model_rejected(self):
+        # one decay step with rate * l2 >= 1 would wipe every weight
+        with pytest.raises(WeaknerError):
+            TrainConfig(epochs=2, learning_rate=1e6)
+        with pytest.raises(WeaknerError):
+            TrainConfig(learning_rate=2.0, l2=0.5)
+        TrainConfig(learning_rate=1e6, l2=0.0)
+
+    def test_diverging_training_raises(self):
+        gold, _, _ = generate_synthetic(SyntheticSpec(n_sentences=60, rng_seed=0))
+        cfg = TrainConfig(epochs=2, learning_rate=1e200, l2=0.0)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+            train(gold, PROT, cfg)
 
 
 def naive_emissions(model, sentence):
@@ -420,6 +435,16 @@ class TestSerialization:
         model.save(path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
+        with pytest.raises(WeaknerError):
+            TaggerModel.load(path)
+
+    def test_non_finite_weights_rejected(self, tmp_path):
+        rng = np.random.default_rng(14)
+        data = _random_training_set(rng, PROT, n_sentences=2)
+        model = train(data, PROT, TrainConfig(epochs=1))
+        model.weights[:] = np.nan
+        path = tmp_path / "m.model"
+        model.save(path)
         with pytest.raises(WeaknerError):
             TaggerModel.load(path)
 

@@ -10,9 +10,8 @@ import pathlib
 
 import pytest
 
-from weakner import bootstrap, tagger
+from weakner import bootstrap, refset, tagger
 from weakner.corpus import Dataset, DatasetKind, TagSet, sentence_from_texts
-from weakner.refset import ReferenceSet, filtered_policy
 
 PROT = TagSet(("PROT",))
 
@@ -47,19 +46,19 @@ def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
     corpus = Dataset(
         [sentence_from_texts(["the", "Flag-tagged-TIGAR", "assay"])], [None], DatasetKind.CORPUS
     )
-    cfg = bootstrap.BootstrapConfig(
-        iterations=1,
-        round_train=tagger.TrainConfig(epochs=2),
-        refset=ReferenceSet(frozenset({"TIGAR", "AB"}), "PROT"),
-        policy=filtered_policy({"assay"}, 4),
-    )
+    cfg = bootstrap.BootstrapConfig(iterations=1, round_train=tagger.TrainConfig(epochs=2))
     before = _bindings(spans)
     train = bootstrap.train
     tracer = spans.Tracer()
     with tracer.installed():
         assert bootstrap.train is not train and bootstrap.train.__wrapped__ is train
-        model, _ = bootstrap.iterative_train(seed, corpus, PROT, cfg, heldout=seed)
-        final = bootstrap.finalize(model, seed, corpus, PROT, cfg)
+        pins = refset.find_matches(
+            corpus,
+            refset.ReferenceSet(frozenset({"TIGAR", "AB"}), "PROT"),
+            refset.filtered_policy({"assay"}, 4),
+        )
+        model, _ = bootstrap.iterative_train(seed, corpus, PROT, cfg, pins, heldout=seed)
+        final = bootstrap.finalize(model, seed, corpus, PROT, cfg, pins)
         path = tmp_path / "final.model"
         final.save(path)
         loaded = tagger.TaggerModel.load(path)
@@ -71,8 +70,8 @@ def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
     assert counts["bootstrap.finalize.calls"] == 1
     assert counts["tagger.train.calls"] == 3                  # seed, round 1, final
     assert counts["bootstrap.relabel.calls"] == 2             # round 1, finalize
-    assert counts["refset.find_matches.calls"] == 2
-    assert counts["refset.matches"] == 2
+    assert counts["refset.find_matches.calls"] == 1
+    assert counts["refset.matches"] == 1
     assert counts["bootstrap.pinned_tokens"] == 2
     assert counts["metrics.evaluate_model.calls"] == 2        # M_0 and M_1
     assert counts["tagger.save.calls"] == 1
