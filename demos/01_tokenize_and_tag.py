@@ -45,14 +45,14 @@ model = train(data, tags, TrainConfig(epochs=20, learning_rate=0.3, rng_seed=0))
 
 # -- soft mode: per-token posterior marginals --------------------------------
 probe = tokenize("MDM2 binds TIGAR.")
-soft = model.predict_soft(probe)
+soft = model.predict_soft([probe])[0]
 print(f"\nmarginals for {probe.texts()}:")
 with np.printoptions(precision=3, suppress=True):
     for tok, row in zip(probe.tokens, soft.dist):
         print(f"  {tok.text:8} {row}")
 
 # -- hard mode: Viterbi decoding ---------------------------------------------
-hard = model.predict_hard(probe)
+hard = model.predict_hard([probe])[0]
 print("\nViterbi tags:", [tags.tags[t] for t in hard])
 print("entity spans:", bio_decode(hard, tags))
 

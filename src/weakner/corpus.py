@@ -360,6 +360,16 @@ def sentence_from_texts(texts):
     return Sentence(tuple(toks), " ".join(texts))
 
 
+def text_lines(path):
+    """The lines of a UTF-8 text file, BOM stripped; bytes that are not UTF-8
+    raise WeaknerError naming the file."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as e:
+            raise WeaknerError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def read_conll(path, tags: TagSet, kind: DatasetKind = DatasetKind.SEED) -> Dataset:
     """Read a two-column (token, tag) file, blank lines separating sentences."""
     sentences, labels = [], []
@@ -372,17 +382,16 @@ def read_conll(path, tags: TagSet, kind: DatasetKind = DatasetKind.SEED) -> Data
             cur_toks.clear()
             cur_tags.clear()
 
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise MalformedLine(path, line_no, f"expected 2 columns, got {len(cols)}")
-            cur_toks.append(cols[0])
-            cur_tags.append(tags.index(cols[1]))
+    for line_no, line in enumerate(text_lines(path), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            flush()
+            continue
+        cols = line.split()
+        if len(cols) != 2:
+            raise MalformedLine(path, line_no, f"expected 2 columns, got {len(cols)}")
+        cur_toks.append(cols[0])
+        cur_tags.append(tags.index(cols[1]))
     flush()
     return Dataset(sentences, labels, kind)
 
@@ -433,23 +442,22 @@ def read_soft_tsv(path, tags: TagSet, kind: DatasetKind = DatasetKind.CORPUS) ->
             cur_rows.clear()
             cur_prov.clear()
 
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 + n_tags:
-                raise MalformedLine(path, line_no, f"expected {2 + n_tags} columns, got {len(cols)}")
-            cur_toks.append(cols[0])
-            try:
-                cur_prov.append(Provenance[cols[1]].value)
-            except KeyError:
-                raise MalformedLine(path, line_no, f"bad provenance {cols[1]!r}") from None
-            try:
-                cur_rows.append([float(x) for x in cols[2:]])
-            except ValueError:
-                raise MalformedLine(path, line_no, "bad probability value") from None
+    for line_no, line in enumerate(text_lines(path), start=1):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            flush()
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2 + n_tags:
+            raise MalformedLine(path, line_no, f"expected {2 + n_tags} columns, got {len(cols)}")
+        cur_toks.append(cols[0])
+        try:
+            cur_prov.append(Provenance[cols[1]].value)
+        except KeyError:
+            raise MalformedLine(path, line_no, f"bad provenance {cols[1]!r}") from None
+        try:
+            cur_rows.append([float(x) for x in cols[2:]])
+        except ValueError:
+            raise MalformedLine(path, line_no, "bad probability value") from None
     flush()
     return Dataset(sentences, labels, kind)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import Dataset, EntitySpan, SoftLabeling, TagSet, bio_decode
+from .corpus import Dataset, EntitySpan, SoftLabeling, TagSet, bio_decode, text_lines
 from .errors import EmptyReferenceSet, WeaknerError
 
 _COMPONENT_SPLIT = re.compile(r"[-/]")
@@ -100,12 +100,7 @@ class RefMatch:
 
 def load_reference_set(path, entity_type: str) -> ReferenceSet:
     """Load one surface form per line; blank lines skipped, BOM stripped."""
-    names = set()
-    with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            name = line.strip()
-            if name:
-                names.add(name)
+    names = {line.strip() for line in text_lines(path)} - {""}
     if not names:
         raise EmptyReferenceSet(f"no names in {path}")
     return ReferenceSet(frozenset(names), entity_type)
@@ -113,8 +108,7 @@ def load_reference_set(path, entity_type: str) -> ReferenceSet:
 
 def load_dictionary(path) -> frozenset:
     """Load a word list, one word per line, lowercased."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
+    return frozenset(line.strip().lower() for line in text_lines(path) if line.strip())
 
 
 def filter_names(refset: ReferenceSet, policy: MatchPolicy) -> ReferenceSet:

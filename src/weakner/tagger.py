@@ -12,6 +12,11 @@ of token windows. Two inference modes are exposed:
 * hard: the single most probable sequence via Viterbi decoding, the
   CRF-style output.
 
+Both take a list of sentences and return one labeling per sentence, in
+input order. Sentences of equal length share one dynamic program: their
+emissions are stacked position-major into an (n, B, k) array, so the
+per-position work is one numpy call per length, not per sentence.
+
 Two training objectives are supported, both optimized by per-sentence SGD
 with an inverse-time learning-rate decay and L2 regularization:
 
@@ -186,19 +191,36 @@ class TaggerModel:
 
     # -- inference ----------------------------------------------------------
 
-    def predict_soft(self, sentence: Sentence) -> SoftLabeling:
-        """Posterior tag marginals per token, provenance PREDICTED."""
-        E = self.emissions(sentence)
-        alpha, beta, log_z = _forward_backward(E, self.transitions)
-        mu = np.exp(alpha + beta - log_z)
-        mu /= mu.sum(axis=1, keepdims=True)
-        prov = np.full(len(mu), Provenance.PREDICTED, dtype=np.int8)
-        return SoftLabeling(mu, prov)
+    def _length_batches(self, sentences):
+        """(indices, E) per sentence length, lengths in first-seen order: E is
+        the emissions of the sentences at those indices, stacked (n, B, k)."""
+        groups = {}
+        for i, sentence in enumerate(sentences):
+            groups.setdefault(len(sentence), []).append(i)
+        for group in groups.values():
+            yield group, np.stack([self.emissions(sentences[i]) for i in group], axis=1)
 
-    def predict_hard(self, sentence: Sentence) -> HardLabeling:
-        """Viterbi decode; ties broken by lower tag index."""
-        E = self.emissions(sentence)
-        return _viterbi(E, self.transitions)
+    def predict_soft(self, sentences) -> list:
+        """Posterior tag marginals per token of each sentence, in input order;
+        provenance PREDICTED. One forward-backward runs per sentence length."""
+        out = [None] * len(sentences)
+        for group, E in self._length_batches(sentences):
+            alpha, beta, log_z = _forward_backward(E, self.transitions)
+            mu = np.exp(alpha + beta - log_z[:, None])
+            mu /= mu.sum(axis=-1, keepdims=True)
+            mu = np.ascontiguousarray(mu.transpose(1, 0, 2))   # sentence-major
+            for i, dist in zip(group, mu):
+                out[i] = SoftLabeling(dist, np.full(len(dist), Provenance.PREDICTED, dtype=np.int8))
+        return out
+
+    def predict_hard(self, sentences) -> list:
+        """Viterbi decode of each sentence, in input order; ties broken by
+        lower tag index. One Viterbi pass runs per sentence length."""
+        out = [None] * len(sentences)
+        for group, E in self._length_batches(sentences):
+            for i, path in zip(group, _viterbi(E, self.transitions).T.tolist()):
+                out[i] = path
+        return out
 
     def sequence_score(self, sentence: Sentence, labels) -> float:
         """Joint (unnormalized) score of one tag sequence."""
@@ -235,12 +257,20 @@ class TaggerModel:
         with open(path, "rb") as fh:
             blob = fh.read()
         head, _, body = blob.partition(b"\n")
-        header = json.loads(head.decode("utf-8"))
-        if header.get("format") != MODEL_FORMAT or header.get("version") != MODEL_VERSION:
-            raise WeaknerError(f"not a version-{MODEL_VERSION} model file: {path}")
-        model = cls(TagSet(tuple(header["entity_types"])), header["window"])
-        model.epochs_trained = header["epochs_trained"]
-        model.feature_index = {f: i for i, f in enumerate(header["features"])}
+        try:
+            header = json.loads(head.decode("utf-8"))
+            if not isinstance(header, dict) or (header.get("format"), header.get("version")) != (
+                MODEL_FORMAT, MODEL_VERSION
+            ):
+                raise WeaknerError(f"not a version-{MODEL_VERSION} model file: {path}")
+            window = header["window"]
+            if type(window) is not int or window < 0:
+                raise WeaknerError(f"bad feature window {window!r} in model file: {path}")
+            model = cls(TagSet(tuple(header["entity_types"])), window)
+            model.epochs_trained = header["epochs_trained"]
+            model.feature_index = {f: i for i, f in enumerate(header["features"])}
+        except (ValueError, KeyError, TypeError) as e:
+            raise WeaknerError(f"unreadable model header in {path}: {e!r}") from None
         n_feat, n_tag = len(model.feature_index), len(model.tags)
         need = (n_feat + n_tag) * n_tag * 8
         if len(body) != need:
@@ -263,32 +293,35 @@ def _logsumexp(x, axis):
 
 
 def _forward_backward(E, T):
-    """Log-space alpha, beta and the log partition function."""
-    n, k = E.shape
-    alpha = np.empty((n, k))
-    beta = np.zeros((n, k))
+    """Log-space alpha, beta and the log partition function of one sentence,
+    E (n, k), or of equal-length sentences stacked position-major, E (n, B, k)."""
+    alpha = np.empty_like(E)
+    beta = np.zeros_like(E)
     alpha[0] = E[0]
-    for i in range(1, n):
-        alpha[i] = E[i] + _logsumexp(alpha[i - 1][:, None] + T, axis=0)
-    for i in range(n - 2, -1, -1):
-        beta[i] = _logsumexp(T + (E[i + 1] + beta[i + 1])[None, :], axis=1)
-    log_z = float(_logsumexp(alpha[-1], axis=0))
+    for i in range(1, len(E)):
+        alpha[i] = E[i] + _logsumexp(alpha[i - 1][..., :, None] + T, axis=-2)
+    for i in range(len(E) - 2, -1, -1):
+        beta[i] = _logsumexp(T + (E[i + 1] + beta[i + 1])[..., None, :], axis=-1)
+    log_z = _logsumexp(alpha[-1], axis=-1)
     return alpha, beta, log_z
 
 
 def _viterbi(E, T):
-    n, k = E.shape
+    """Best tag paths (n, B) of equal-length sentences E (n, B, k); the
+    first max, i.e. the lowest previous tag, wins ties."""
+    n, b, k = E.shape
     delta = E[0]
-    back = np.zeros((n, k), dtype=np.intp)
+    back = np.zeros((n, b, k), dtype=np.intp)
     for i in range(1, n):
-        scores = delta[:, None] + T
-        back[i] = scores.argmax(axis=0)           # first max = lowest prev tag
-        delta = E[i] + scores.max(axis=0)
-    path = [int(delta.argmax())]
+        scores = delta[:, :, None] + T
+        back[i] = scores.argmax(axis=1)
+        delta = E[i] + scores.max(axis=1)
+    paths = np.empty((n, b), dtype=np.intp)
+    paths[-1] = delta.argmax(axis=1)
+    batch = np.arange(b)
     for i in range(n - 1, 0, -1):
-        path.append(int(back[i, path[-1]]))
-    path.reverse()
-    return path
+        paths[i - 1] = back[i, batch, paths[i]]
+    return paths
 
 
 def _pairwise_marginals(E, T, alpha, beta, log_z):
@@ -503,10 +536,8 @@ def harden(soft: SoftLabeling, tags: TagSet) -> HardLabeling:
 
 def predict_dataset_soft(model: TaggerModel, data: Dataset) -> Dataset:
     """Model marginals for every sentence (labels of `data` are ignored)."""
-    labels = [model.predict_soft(s) for s in data.sentences]
-    return Dataset(list(data.sentences), labels, data.kind)
+    return Dataset(list(data.sentences), model.predict_soft(data.sentences), data.kind)
 
 
 def predict_dataset_hard(model: TaggerModel, data: Dataset) -> Dataset:
-    labels = [model.predict_hard(s) for s in data.sentences]
-    return Dataset(list(data.sentences), labels, data.kind)
+    return Dataset(list(data.sentences), model.predict_hard(data.sentences), data.kind)

@@ -102,9 +102,9 @@ def test_criterion_1_inference_oracles():
         model = _random_model(rng, tags, [sent])
         E = model.emissions(sent)
         marginals, best = _enumerate(E, model.transitions)
-        soft = model.predict_soft(sent)
+        soft = model.predict_soft([sent])[0]
         worst = max(worst, float(np.abs(soft.dist - marginals).max()))
-        assert model.predict_hard(sent) == best
+        assert model.predict_hard([sent])[0] == best
     elapsed = time.perf_counter() - t0
     _report(
         1,
@@ -383,7 +383,7 @@ def test_criterion_7_degenerate_cases():
     model = train(seed, PROT, cfg.seed_cfg())
     relabeled = relabel(corpus, model, [])
     self_training = all(
-        np.array_equal(soft.dist, model.predict_soft(sent).dist)
+        np.array_equal(soft.dist, model.predict_soft([sent])[0].dist)
         for sent, soft in zip(corpus.sentences, relabeled.labels)
     )
 

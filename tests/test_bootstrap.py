@@ -54,9 +54,20 @@ class TestRelabel:
         corpus = tiny_corpus()
         out = relabel(corpus, model, [])
         for sent, soft in zip(corpus.sentences, out.labels):
-            expected = model.predict_soft(sent)
+            expected = model.predict_soft([sent])[0]
             assert np.array_equal(soft.dist, expected.dist)
             assert all(p == Provenance.PREDICTED for p in soft.provenance)
+
+    def test_pin_leaves_equal_length_sentence_untouched(self):
+        model = self._model()
+        a = sentence_from_texts(["MDM2", "binds", "p53"])
+        b = sentence_from_texts(["the", "TIGAR", "assay"])
+        corpus = Dataset([a, b], [None, None], DatasetKind.CORPUS)
+        out = relabel(corpus, model, [RefMatch(0, 0, 2, "MDM2 binds p53", "PROT")])
+        assert list(out.labels[0].provenance) == [Provenance.REFERENCE] * 3
+        expected = model.predict_soft([b])[0]
+        assert out.labels[1].dist.tobytes() == expected.dist.tobytes()
+        assert list(out.labels[1].provenance) == [Provenance.PREDICTED] * 3
 
     def test_two_token_match_pinned_b_then_i(self):
         model = self._model()
@@ -74,7 +85,7 @@ class TestRelabel:
         # drive the model to near-certainty on p53 = B-PROT, then pin it
         sent = sentence_from_texts(["p53"])
         model.weights[model.feature_index["w=p53"], 1] += 50.0
-        assert model.predict_soft(sent).dist[0, 1] > 0.99
+        assert model.predict_soft([sent])[0].dist[0, 1] > 0.99
         corpus = Dataset([sent], [None], DatasetKind.CORPUS)
         out = relabel(corpus, model, [RefMatch(0, 0, 0, "p53", "PROT")])
         assert out.labels[0].dist[0, 1] == 1.0  # exactly one, not a blend

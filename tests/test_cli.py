@@ -1,5 +1,6 @@
 """End-to-end subcommand tests: files written, exit codes, determinism."""
 
+import json
 import os
 
 import numpy as np
@@ -139,6 +140,19 @@ class TestMatch:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("which", ["refset", "dictionary"])
+    def test_non_utf8_word_list_is_data_error(self, synth_dir, split_dir, tmp_path, which):
+        files = {"refset": synth_dir / "refset.txt", "dictionary": synth_dir / "dictionary.txt"}
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(files[which].read_bytes() + "Gr\u00fcn\n".encode("latin-1"))
+        files[which] = bad
+        rc = main([
+            "match", "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(files["refset"]), "--dictionary", str(files["dictionary"]),
+            "--policy", "c2", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+
 
 @pytest.fixture(scope="module")
 def boot_dir(synth_dir, split_dir, tmp_path_factory):
@@ -229,6 +243,32 @@ class TestPredictAndEval:
         ])
         assert rc == 2
 
+    def test_predict_non_utf8_input_is_data_error(self, boot_dir, split_dir, tmp_path):
+        bad = tmp_path / "latin1.conll"
+        bad.write_bytes((split_dir / "corpus.conll").read_bytes() + "\nGr\u00fcn\tO\n".encode("latin-1"))
+        rc = main([
+            "predict", "--model", str(boot_dir / "final_soft.model"),
+            "--input", str(bad), "--out", str(tmp_path / "pred.conll"),
+        ])
+        assert rc == 2
+
+    @pytest.mark.parametrize("damage", ["not_json", "no_entity_types", "not_utf8", "negative_window"])
+    def test_eval_corrupt_model_header_is_data_error(self, boot_dir, split_dir, tmp_path, damage):
+        head, _, body = (boot_dir / "final_soft.model").read_bytes().partition(b"\n")
+        header = json.loads(head)
+        if damage == "no_entity_types":
+            del header["entity_types"]
+        elif damage == "negative_window":
+            header["window"] = -3       # would load and silently drop the neighbour features
+        head = json.dumps(header).encode("utf-8")
+        if damage == "not_json":
+            head = b"weakner-model v1"
+        elif damage == "not_utf8":
+            head = head.replace(b"weakner-model", b"weakner-mod\xe9l")
+        path = tmp_path / "corrupt.model"
+        path.write_bytes(head + b"\n" + body)
+        rc = main(["eval", "--model", str(path), "--data", str(split_dir / "gold.conll")])
+        assert rc == 2
 
     def test_eval_non_finite_model_is_data_error(self, boot_dir, split_dir, tmp_path):
         model = TaggerModel.load(boot_dir / "final_soft.model")

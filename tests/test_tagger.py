@@ -81,7 +81,7 @@ class TestInferenceOracles:
             tags = TWO if rng.random() < 0.5 else PROT
             sent = random_sentence(rng)
             model = random_model(rng, tags, [sent])
-            soft = model.predict_soft(sent)
+            soft = model.predict_soft([sent])[0]
             expected = enumerate_posteriors(model, sent)
             assert np.abs(soft.dist - expected).max() < 1e-9
             assert np.abs(soft.dist.sum(axis=1) - 1.0).max() < 1e-9
@@ -93,7 +93,7 @@ class TestInferenceOracles:
             tags = TWO if rng.random() < 0.5 else PROT
             sent = random_sentence(rng)
             model = random_model(rng, tags, [sent])
-            got = model.predict_hard(sent)
+            got = model.predict_hard([sent])[0]
             expected, best_score = enumerate_argmax(model, sent)
             assert got == expected
             assert model.sequence_score(sent, got) == pytest.approx(best_score)
@@ -101,19 +101,19 @@ class TestInferenceOracles:
     def test_zero_weights_uniform_marginals(self):
         sent = sentence_from_texts(["a", "b", "c"])
         model = TaggerModel(PROT)
-        soft = model.predict_soft(sent)
+        soft = model.predict_soft([sent])[0]
         assert np.allclose(soft.dist, 1.0 / 3.0)
 
     def test_zero_weights_decode_all_outside(self):
         sent = sentence_from_texts(["a", "b", "c", "d", "e", "f"])
         model = TaggerModel(TWO)
-        assert model.predict_hard(sent) == [0] * 6
+        assert model.predict_hard([sent])[0] == [0] * 6
 
     def test_viterbi_beats_random_sequences(self):
         rng = np.random.default_rng(44)
         sent = random_sentence(rng, max_len=12)
         model = random_model(rng, TWO, [sent])
-        decoded = model.predict_hard(sent)
+        decoded = model.predict_hard([sent])[0]
         best = model.sequence_score(sent, decoded)
         k = len(model.tags)
         for _ in range(1000):
@@ -124,8 +124,30 @@ class TestInferenceOracles:
         rng = np.random.default_rng(45)
         sent = random_sentence(rng, max_len=6)
         model = random_model(rng, TWO, [sent], scale=3.0)
-        soft = model.predict_soft(sent)
+        soft = model.predict_soft([sent])[0]
         assert np.abs(soft.dist.sum(axis=1) - 1.0).max() < 1e-9
+
+    def test_batched_prediction_equals_one_sentence_at_a_time(self):
+        rng = np.random.default_rng(46)
+        lengths = [3, 1, 84, 3, 7, 1, 84, 12, 7, 91, 3, 1]
+        sents = [
+            sentence_from_texts([VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(n)])
+            for n in lengths
+        ]
+        for tags in (PROT, TWO):
+            model = random_model(rng, tags, sents, scale=2.0)
+            soft = model.predict_soft(sents)
+            hard = model.predict_hard(sents)
+            assert len(soft) == len(hard) == len(sents)
+            for sent, got_soft, got_hard in zip(sents, soft, hard):
+                one = model.predict_soft([sent])[0]
+                assert got_soft.dist.flags.c_contiguous
+                assert got_soft.dist.tobytes() == one.dist.tobytes()
+                assert got_soft.provenance.tobytes() == one.provenance.tobytes()
+                assert got_hard == model.predict_hard([sent])[0]
+                assert all(type(t) is int for t in got_hard)
+        assert model.predict_soft([]) == []
+        assert model.predict_hard([]) == []
 
 
 def finite_difference(model, data, cfg, h=1e-6, n_probes=12, seed=0):
@@ -270,7 +292,7 @@ class TestTraining:
         model = TaggerModel(PROT)
         model._grow_features([sent])
         model.weights[model.feature_index["w=p53"], PROT.b_index("PROT")] = 5.0
-        assert model.predict_hard(sent) == [1, 0]
+        assert model.predict_hard([sent])[0] == [1, 0]
 
     def test_mixed_hard_and_soft_labels(self):
         sents = [sentence_from_texts(["p53", "x1"]), sentence_from_texts(["TIGAR"])]
@@ -345,9 +367,9 @@ class TestEmissions:
         # position still sees a sentence-boundary feature
         assert np.array_equal(E[2], np.zeros(len(PROT)))
         assert all(E[i].any() for i in (0, 1, 3, 4))
-        soft = model.predict_soft(sent)
+        soft = model.predict_soft([sent])[0]
         assert np.abs(soft.dist.sum(axis=1) - 1.0).max() < 1e-9
-        assert len(model.predict_hard(sent)) == 5
+        assert len(model.predict_hard([sent])[0]) == 5
 
     def test_matches_naive_per_position_sum(self):
         rng = np.random.default_rng(46)
@@ -477,5 +499,5 @@ class TestFeatureExtractor:
     def test_unknown_features_ignored_at_prediction(self):
         data = Dataset([sentence_from_texts(["p53"])], [[1]], DatasetKind.SEED)
         model = train(data, PROT, TrainConfig(epochs=2))
-        out = model.predict_soft(sentence_from_texts(["neverseen", "tokens"]))
+        out = model.predict_soft([sentence_from_texts(["neverseen", "tokens"])])[0]
         assert np.abs(out.dist.sum(axis=1) - 1.0).max() < 1e-9

@@ -77,6 +77,8 @@ def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
     assert counts["tagger.save.calls"] == 1
     assert counts["tagger.load.calls"] == 1
     assert counts["tagger.predict_dataset_hard.calls"] == 1
-    for name in ("features", "emissions", "predict_soft", "predict_hard"):
+    assert counts["tagger.predict_soft.calls"] == 4           # 2 relabels, 2 soft evaluations
+    assert counts["tagger.predict_hard.calls"] == 1
+    for name in ("features", "emissions"):
         assert counts[f"tagger.{name}.calls"] > 0
     assert not tracer.check_nesting()
