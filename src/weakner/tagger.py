@@ -46,7 +46,7 @@ from .corpus import (
     bio_repair,
 )
 from .errors import EmptyDataset, LabelLengthMismatch, ModelTagSetMismatch
-from .errors import TrainingDiverged, WeaknerError
+from .errors import TrainingDiverged, UnknownTag, WeaknerError
 
 MODEL_FORMAT = "weakner-model"
 MODEL_VERSION = 1
@@ -287,22 +287,18 @@ class TaggerModel:
 # Log-space dynamic programs
 # ---------------------------------------------------------------------------
 
-def _logsumexp(x, axis):
-    m = x.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
 def _forward_backward(E, T):
     """Log-space alpha, beta and the log partition function of one sentence,
-    E (n, k), or of equal-length sentences stacked position-major, E (n, B, k)."""
+    E (n, k), or of equal-length sentences stacked position-major, E (n, B, k).
+    Each log-sum-exp over tags is one np.logaddexp.reduce call."""
     alpha = np.empty_like(E)
     beta = np.zeros_like(E)
     alpha[0] = E[0]
     for i in range(1, len(E)):
-        alpha[i] = E[i] + _logsumexp(alpha[i - 1][..., :, None] + T, axis=-2)
+        alpha[i] = E[i] + np.logaddexp.reduce(alpha[i - 1][..., :, None] + T, axis=-2)
     for i in range(len(E) - 2, -1, -1):
-        beta[i] = _logsumexp(T + (E[i + 1] + beta[i + 1])[..., None, :], axis=-1)
-    log_z = _logsumexp(alpha[-1], axis=-1)
+        beta[i] = np.logaddexp.reduce(T + (E[i + 1] + beta[i + 1])[..., None, :], axis=-1)
+    log_z = np.logaddexp.reduce(alpha[-1], axis=-1)
     return alpha, beta, log_z
 
 
@@ -326,13 +322,7 @@ def _viterbi(E, T):
 
 def _pairwise_marginals(E, T, alpha, beta, log_z):
     """xi[i][s, t] = P(y_i = s, y_{i+1} = t | x), for i = 0 .. n-2."""
-    n, k = E.shape
-    xi = np.empty((max(n - 1, 0), k, k))
-    for i in range(n - 1):
-        xi[i] = np.exp(
-            alpha[i][:, None] + T + (E[i + 1] + beta[i + 1])[None, :] - log_z
-        )
-    return xi
+    return np.exp(alpha[:-1, :, None] + T + (E[1:] + beta[1:])[:, None, :] - log_z)
 
 
 # ---------------------------------------------------------------------------
@@ -344,58 +334,48 @@ def _marginal_loss_grad(E, T, q):
 
     The gradient is reverse-mode differentiation through the log-space
     forward and backward recursions, so it matches finite differences of
-    the loss to machine precision.
+    the loss to machine precision. The local derivatives of both recursions
+    are built for all positions at once; only the two adjoint recurrences
+    run per position, one matrix-vector product each.
     """
-    n, k = E.shape
+    n = len(E)
     alpha, beta, log_z = _forward_backward(E, T)
-    log_mu = alpha + beta - log_z
-    loss = -(q * log_mu).sum()
-
-    ga = -q.copy()
-    gb = -q.copy()
-    gE = np.zeros_like(E)
-    gT = np.zeros_like(T)
+    loss = -(q * (alpha + beta - log_z)).sum()
 
     # d loss / d log_z = sum(q); log_z = logsumexp(alpha[n-1])
+    ga = -q
     ga[n - 1] += q.sum() * np.exp(alpha[n - 1] - log_z)
-
-    # alpha recursion: alpha[i] = E[i] + lse_s(alpha[i-1][s] + T[s, t])
+    # alpha recursion: alpha[i] = E[i] + lse_s(alpha[i-1][s] + T[s, t]);
+    # back[i-1][s, t] = P(prev = s | cur = t, prefix), columns sum to 1
+    back = np.exp(alpha[:-1, :, None] + T - (alpha[1:] - E[1:])[:, None, :])
     for i in range(n - 1, 0, -1):
-        # soft backpointers: P(prev = s | cur = t, prefix), columns sum to 1
-        back = np.exp(alpha[i - 1][:, None] + T - (alpha[i] - E[i])[None, :])
-        gE[i] += ga[i]
-        gT += back * ga[i][None, :]
-        ga[i - 1] += back @ ga[i]
-    gE[0] += ga[0]
+        ga[i - 1] += back[i - 1] @ ga[i]
 
-    # beta recursion: beta[i][s] = lse_t(T[s, t] + E[i+1][t] + beta[i+1][t])
+    # beta recursion: beta[i][s] = lse_t(T[s, t] + E[i+1][t] + beta[i+1][t]);
+    # fwd[i][s, t] = P(next = t | cur = s, suffix), rows sum to 1
+    gb = -q
+    fwd = np.exp(T + (E[1:] + beta[1:])[:, None, :] - beta[:-1, :, None])
     for i in range(n - 1):
-        fwd = np.exp(T + (E[i + 1] + beta[i + 1])[None, :] - beta[i][:, None])
-        gT += fwd * gb[i][:, None]
-        down = fwd.T @ gb[i]
-        gE[i + 1] += down
-        gb[i + 1] += down
+        gb[i + 1] += gb[i] @ fwd[i]
 
+    # E[i] enters alpha[i] directly and beta[i-1] through fwd[i-1]; the
+    # latter's adjoint is what gb[i] gained on top of its initial -q[i]
+    gE = ga + (gb + q)
+    gT = (back * ga[1:, None, :]).sum(axis=0) + (fwd * gb[:-1, :, None]).sum(axis=0)
     return loss, gE, gT
 
 
 def _sequence_loss_grad(E, T, y):
     """Negative conditional log-likelihood of the tag sequence y, plus the
     classic expected-minus-empirical sufficient-statistics gradient."""
-    n, k = E.shape
-    y = np.asarray(y)
+    n = len(E)
     alpha, beta, log_z = _forward_backward(E, T)
-    score = E[np.arange(n), y].sum()
-    if n > 1:
-        score += T[y[:-1], y[1:]].sum()
-    loss = log_z - score
+    loss = log_z - (E[np.arange(n), y].sum() + T[y[:-1], y[1:]].sum())
 
     gE = np.exp(alpha + beta - log_z)
     gE[np.arange(n), y] -= 1.0
-    gT = np.zeros_like(T)
-    if n > 1:
-        gT = _pairwise_marginals(E, T, alpha, beta, log_z).sum(axis=0)
-        np.subtract.at(gT, (y[:-1], y[1:]), 1.0)
+    gT = _pairwise_marginals(E, T, alpha, beta, log_z).sum(axis=0)
+    np.subtract.at(gT, (y[:-1], y[1:]), 1.0)
     return loss, gE, gT
 
 
@@ -423,17 +403,25 @@ class _Prepared:
 
 
 def _targets_for(labels, tags: TagSet, objective: Objective):
+    """Training targets of one labeling: soft rows (n, k) for MARGINAL, a
+    tag-index array for SEQUENCE. Rejects rows or tags outside the tag set."""
     if labels is None:
         raise EmptyDataset("training requires labels on every sentence")
-    if objective is Objective.MARGINAL:
-        if isinstance(labels, SoftLabeling):
-            return labels.dist
-        dist = np.zeros((len(labels), len(tags)))
-        dist[np.arange(len(labels)), labels] = 1.0
-        return dist
+    k = len(tags)
     if isinstance(labels, SoftLabeling):
-        return harden(labels, tags)
-    return list(labels)
+        if labels.dist.shape[1] != k:
+            raise ModelTagSetMismatch(f"soft label rows of width {labels.dist.shape[1]} for {k} tags")
+        if objective is Objective.MARGINAL:
+            return labels.dist
+        labels = harden(labels, tags)
+    y = np.asarray(labels, dtype=np.intp)
+    if len(y) and not 0 <= y.min() <= y.max() < k:
+        raise UnknownTag(f"tag index outside 0..{k - 1}")
+    if objective is Objective.SEQUENCE:
+        return y
+    dist = np.zeros((len(y), k))
+    dist[np.arange(len(y)), y] = 1.0
+    return dist
 
 
 def _sentence_loss_grad(E, T, prep, objective: Objective):

@@ -15,13 +15,22 @@ from weakner.corpus import (
     sentence_from_texts,
     soften,
 )
-from weakner.errors import EmptyDataset, ModelTagSetMismatch, TrainingDiverged, WeaknerError
+from weakner.errors import (
+    EmptyDataset,
+    ModelTagSetMismatch,
+    TrainingDiverged,
+    UnknownTag,
+    WeaknerError,
+)
 from weakner.synthetic import SyntheticSpec, generate_synthetic
 from weakner.tagger import (
     FeatureExtractor,
     Objective,
     TaggerModel,
     TrainConfig,
+    _forward_backward,
+    _marginal_loss_grad,
+    _sequence_loss_grad,
     dataset_loss_and_gradient,
     harden,
     train,
@@ -179,11 +188,11 @@ def finite_difference(model, data, cfg, h=1e-6, n_probes=12, seed=0):
     return checks
 
 
-def _random_training_set(rng, tags, n_sentences=5, soft_targets=False):
+def _random_training_set(rng, tags, n_sentences=5, soft_targets=False, max_len=6):
     sents, labels = [], []
     k = len(tags)
     for _ in range(n_sentences):
-        sent = random_sentence(rng)
+        sent = random_sentence(rng, max_len)
         if soft_targets:
             dist = rng.dirichlet(np.ones(k), size=len(sent))
             lab = SoftLabeling(dist, np.full(len(sent), Provenance.PREDICTED, dtype=np.int8))
@@ -198,15 +207,143 @@ class TestGradients:
     @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
     def test_matches_finite_differences(self, objective):
         rng = np.random.default_rng(7)
-        for trial in range(6):
+        for trial in range(9):
             tags = TWO if trial % 2 else PROT
             data = _random_training_set(
-                rng, tags, soft_targets=(objective is Objective.MARGINAL and trial % 3 == 0)
+                rng, tags, soft_targets=(objective is Objective.MARGINAL and trial % 3 == 0),
+                max_len=6 if trial < 6 else 40,
             )
             model = random_model(rng, tags, data.sentences, scale=0.5)
             cfg = TrainConfig(objective=objective, l2=1e-3 if trial % 2 else 0.0)
             for fd, analytic in finite_difference(model, data, cfg, seed=trial):
                 assert analytic == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+
+# Reference kernels: the log-space recursions written one position at a time
+# with a max-shifted log-sum-exp, and the gradients accumulated per position.
+
+def ref_logsumexp(x, axis):
+    m = x.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def ref_forward_backward(E, T):
+    alpha = np.empty_like(E)
+    beta = np.zeros_like(E)
+    alpha[0] = E[0]
+    for i in range(1, len(E)):
+        alpha[i] = E[i] + ref_logsumexp(alpha[i - 1][..., :, None] + T, axis=-2)
+    for i in range(len(E) - 2, -1, -1):
+        beta[i] = ref_logsumexp(T + (E[i + 1] + beta[i + 1])[..., None, :], axis=-1)
+    return alpha, beta, ref_logsumexp(alpha[-1], axis=-1)
+
+
+def ref_marginal_loss_grad(E, T, q):
+    n = len(E)
+    alpha, beta, log_z = ref_forward_backward(E, T)
+    loss = -(q * (alpha + beta - log_z)).sum()
+    ga, gb = -q.copy(), -q.copy()
+    gE, gT = np.zeros_like(E), np.zeros_like(T)
+    ga[n - 1] += q.sum() * np.exp(alpha[n - 1] - log_z)
+    for i in range(n - 1, 0, -1):
+        back = np.exp(alpha[i - 1][:, None] + T - (alpha[i] - E[i])[None, :])
+        gE[i] += ga[i]
+        gT += back * ga[i][None, :]
+        ga[i - 1] += back @ ga[i]
+    gE[0] += ga[0]
+    for i in range(n - 1):
+        fwd = np.exp(T + (E[i + 1] + beta[i + 1])[None, :] - beta[i][:, None])
+        gT += fwd * gb[i][:, None]
+        down = fwd.T @ gb[i]
+        gE[i + 1] += down
+        gb[i + 1] += down
+    return loss, gE, gT
+
+
+def ref_sequence_loss_grad(E, T, y):
+    n, k = E.shape
+    alpha, beta, log_z = ref_forward_backward(E, T)
+    score = E[np.arange(n), y].sum()
+    gE = np.exp(alpha + beta - log_z)
+    gE[np.arange(n), y] -= 1.0
+    gT = np.zeros((k, k))
+    for i in range(n - 1):
+        score += T[y[i], y[i + 1]]
+        gT += np.exp(alpha[i][:, None] + T + (E[i + 1] + beta[i + 1])[None, :] - log_z)
+        gT[y[i], y[i + 1]] -= 1.0
+    return log_z - score, gE, gT
+
+
+def assert_matches_reference(got, ref):
+    """Finite and equal to the reference within a relative 1e-9 of the
+    array's largest magnitude (gradient entries can cancel to near zero)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.isfinite(got).all() and np.isfinite(ref).all()
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-9 * max(1.0, np.abs(ref).max(initial=0.0))
+
+
+KERNEL_CASES = [(n, k) for n in (1, 2, 13, 46, 85) for k in (3, 5)]
+
+
+def kernel_inputs(n, k, scale=2.0):
+    rng = np.random.default_rng(1000 * n + k)
+    E = rng.normal(scale=scale, size=(n, k))
+    T = rng.normal(scale=scale, size=(k, k))
+    return E, T, rng.dirichlet(np.ones(k), size=n), rng.integers(0, k, size=n)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("n,k", KERNEL_CASES)
+    def test_forward_backward_one_sentence(self, n, k):
+        E, T, _, _ = kernel_inputs(n, k)
+        for got, ref in zip(_forward_backward(E, T), ref_forward_backward(E, T)):
+            assert_matches_reference(got, ref)
+
+    @pytest.mark.parametrize("n,k", KERNEL_CASES)
+    def test_forward_backward_stacked(self, n, k):
+        rng = np.random.default_rng(n + k)
+        E = rng.normal(scale=2.0, size=(n, 4, k))
+        T = rng.normal(scale=2.0, size=(k, k))
+        alpha, beta, log_z = _forward_backward(E, T)
+        assert log_z.shape == (4,)
+        for b in range(4):
+            ref = ref_forward_backward(E[:, b], T)
+            for got, want in zip((alpha[:, b], beta[:, b], log_z[b]), ref):
+                assert_matches_reference(got, want)
+            one = _forward_backward(np.ascontiguousarray(E[:, b]), T)
+            assert alpha[:, b].tobytes() == one[0].tobytes()
+            assert beta[:, b].tobytes() == one[1].tobytes()
+            assert log_z[b] == one[2]
+
+    @pytest.mark.parametrize("n,k", KERNEL_CASES)
+    def test_marginal_loss_grad(self, n, k):
+        E, T, q, _ = kernel_inputs(n, k)
+        q_before = q.copy()
+        for got, ref in zip(_marginal_loss_grad(E, T, q), ref_marginal_loss_grad(E, T, q)):
+            assert_matches_reference(got, ref)
+        assert np.array_equal(q, q_before)
+
+    @pytest.mark.parametrize("n,k", KERNEL_CASES)
+    def test_sequence_loss_grad(self, n, k):
+        E, T, _, y = kernel_inputs(n, k)
+        for got, ref in zip(_sequence_loss_grad(E, T, y), ref_sequence_loss_grad(E, T, y)):
+            assert_matches_reference(got, ref)
+
+    @pytest.mark.parametrize("scale", [200.0, 400.0])
+    def test_large_score_spreads_stay_finite(self, scale):
+        # hundreds of nats between tag paths: a probability-space recursion
+        # over/underflows here, the log-space one does not
+        for n, k in [(2, 3), (13, 3), (46, 5), (85, 3)]:
+            E, T, q, y = kernel_inputs(n, k, scale)
+            pairs = [
+                (_forward_backward(E, T), ref_forward_backward(E, T)),
+                (_marginal_loss_grad(E, T, q), ref_marginal_loss_grad(E, T, q)),
+                (_sequence_loss_grad(E, T, y), ref_sequence_loss_grad(E, T, y)),
+            ]
+            for outputs, refs in pairs:
+                for got, ref in zip(outputs, refs):
+                    assert_matches_reference(got, ref)
 
 
 class TestTraining:
@@ -335,6 +472,36 @@ class TestTraining:
         with pytest.raises(WeaknerError):
             TrainConfig(learning_rate=2.0, l2=0.5)
         TrainConfig(learning_rate=1e6, l2=0.0)
+
+    @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
+    def test_negative_hard_tag_rejected(self, objective):
+        # -1 used to index the last tag (I-PROT) and train silently
+        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, -1]], DatasetKind.SEED)
+        cfg = TrainConfig(epochs=1, objective=objective)
+        with pytest.raises(UnknownTag):
+            train(data, PROT, cfg)
+        with pytest.raises(UnknownTag):
+            dataset_loss_and_gradient(TaggerModel(PROT), data, cfg)
+
+    @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
+    def test_hard_tag_past_tag_set_rejected(self, objective):
+        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, 7]], DatasetKind.SEED)
+        cfg = TrainConfig(epochs=1, objective=objective)
+        with pytest.raises(UnknownTag):
+            train(data, PROT, cfg)
+        with pytest.raises(UnknownTag):
+            dataset_loss_and_gradient(TaggerModel(PROT), data, cfg)
+
+    @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
+    def test_soft_rows_of_wrong_width_rejected(self, objective):
+        rows = SoftLabeling(np.array([[0.5, 0.5], [1.0, 0.0]]),
+                            np.full(2, Provenance.PREDICTED, dtype=np.int8))
+        data = Dataset([sentence_from_texts(["p53", "binds"])], [rows], DatasetKind.SEED)
+        cfg = TrainConfig(epochs=1, objective=objective)
+        with pytest.raises(ModelTagSetMismatch):
+            train(data, PROT, cfg)
+        with pytest.raises(ModelTagSetMismatch):
+            dataset_loss_and_gradient(TaggerModel(PROT), data, cfg)
 
     def test_diverging_training_raises(self):
         gold, _, _ = generate_synthetic(SyntheticSpec(n_sentences=60, rng_seed=0))

@@ -69,6 +69,9 @@ def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
     assert counts["bootstrap.iterative_train.calls"] == 1
     assert counts["bootstrap.finalize.calls"] == 1
     assert counts["tagger.train.calls"] == 3                  # seed, round 1, final
+    # one update per sentence per epoch: 2 seed sentences x 2 epochs, then
+    # seed + corpus (3 sentences) x 2 epochs in round 1 and in the final retrain
+    assert counts["tagger.train.updates"] == 2 * 2 + 3 * 2 + 3 * 2
     assert counts["bootstrap.relabel.calls"] == 2             # round 1, finalize
     assert counts["refset.find_matches.calls"] == 1
     assert counts["refset.matches"] == 1
