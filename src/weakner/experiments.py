@@ -72,6 +72,10 @@ class GridConfig:
     min_name_length: int = 4
     rng_seed: int = 0
 
+    def __post_init__(self):
+        for epochs in (self.seed_epochs, self.round_epochs, self.full_epochs, self.final_epochs):
+            self.train_cfg(epochs, Objective.MARGINAL)      # rejects what TrainConfig rejects
+
     def train_cfg(self, epochs: int, objective: Objective) -> TrainConfig:
         return TrainConfig(
             epochs=epochs,

@@ -13,9 +13,14 @@ of token windows. Two inference modes are exposed:
   CRF-style output.
 
 Both take a list of sentences and return one labeling per sentence, in
-input order. Sentences of equal length share one dynamic program: their
-emissions are stacked position-major into an (n, B, k) array, so the
-per-position work is one numpy call per length, not per sentence.
+input order. Every feature template reads one text, the token's own or a
+neighbour's, so feature strings are built and looked up once per distinct
+text, and a dataset's emission rows are summed template by template in one
+pass; an unknown feature adds a zero row, so the sums equal, bit for bit,
+the in-order sums over each token's known features. Sentences of equal
+length then share one dynamic program: their rows are gathered
+position-major into an (n, B, k) array, so the per-position work is one
+numpy call per length, not per sentence.
 
 Two training objectives are supported, both optimized by per-sentence SGD
 with an inverse-time learning-rate decay and L2 regularization:
@@ -32,6 +37,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,31 +70,31 @@ def _shape(text: str) -> str:
 class FeatureExtractor:
     """Deterministic sparse features of a token in its sentence context.
 
-    Templates: token identity, lowercased token, word shape, prefixes and
-    suffixes up to length 3, and neighbor token identities within the
-    window radius (sentence boundaries padded with <s> / </s>).
+    Templates, in order: token identity, lowercased token, word shape,
+    prefixes and suffixes of length 1-3, then the neighbours' identities at
+    offsets -window..-1, 1..window (<s> / </s> past the sentence ends). Each
+    reads the text at a fixed offset from the token, 0 for all but the
+    neighbour ones, so strings are built once per distinct text.
     """
 
     window: int = 2
 
-    def features(self, sentence: Sentence):
-        texts = sentence.texts()
-        n = len(texts)
-        out = []
-        for i, text in enumerate(texts):
-            feats = [f"w={text}", f"lw={text.lower()}", f"shape={_shape(text)}"]
+    @property
+    def offsets(self) -> list:
+        """Per template, the offset from the token of the text it reads."""
+        return [0] * 9 + [d for d in range(-self.window, self.window + 1) if d]
+
+    def features(self, texts):
+        """One row per distinct text: each template's string, in template
+        order; None where the text is shorter than an affix."""
+        near = [d for d in self.offsets if d]
+        rows = []
+        for text in texts:
+            row = [f"w={text}", f"lw={text.lower()}", f"shape={_shape(text)}"]
             for k in (1, 2, 3):
-                if len(text) >= k:
-                    feats.append(f"pre{k}={text[:k]}")
-                    feats.append(f"suf{k}={text[-k:]}")
-            for d in range(-self.window, self.window + 1):
-                if d == 0:
-                    continue
-                j = i + d
-                neighbor = texts[j] if 0 <= j < n else ("<s>" if d < 0 else "</s>")
-                feats.append(f"w[{d}]={neighbor}")
-            out.append(feats)
-        return out
+                row += [f"pre{k}={text[:k]}", f"suf{k}={text[-k:]}"] if len(text) >= k else [None, None]
+            rows.append(row + [f"w[{d}]={text}" for d in near])
+        return rows
 
 
 class Objective(enum.Enum):
@@ -111,8 +118,12 @@ class TrainConfig:
     objective: Objective = Objective.MARGINAL
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise WeaknerError("epochs must be >= 1")
+        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
+            raise WeaknerError(f"epochs must be an integer >= 1, not {self.epochs!r}")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise WeaknerError(f"rng_seed must be an integer >= 0, not {self.rng_seed!r}")
+        if not all(map(math.isfinite, (self.learning_rate, self.decay, self.l2))):
+            raise WeaknerError("learning_rate, decay and l2 must be finite")
         if self.learning_rate <= 0 or self.decay < 0:
             raise WeaknerError("learning_rate must be > 0 and decay >= 0")
         if self.l2 < 0:
@@ -155,50 +166,74 @@ class TaggerModel:
 
     # -- feature plumbing ---------------------------------------------------
 
-    def _feature_rows(self, sentence: Sentence, grow: bool = False):
-        """Known feature ids of a sentence, flattened: (ids, pos), where ids[r]
-        is a feature id and pos[r] the token position it fires at.
-
-        Unknown feature strings are skipped, or with grow=True given the
-        next free ids in first-seen order (weights are not extended here).
+    def _feature_ids(self, sentences, grow=False):
+        """Feature ids of a dataset's tokens, (n_tokens, n_templates) with the
+        sentences concatenated, -1 where unknown or absent; and each
+        sentence's first token. Strings are built and looked up once per type
+        (distinct text). With grow=True unseen strings first get the next
+        free ids in first-seen order (sentence, token, template), and zero
+        weight rows.
         """
+        w, offsets = self.window, self.extractor.offsets
+        texts = {"<s>": 0, "</s>": 1}   # the pads past a sentence end
+        padded = []
+        for sentence in sentences:
+            padded += [0] * w + [texts.setdefault(t, len(texts)) for t in sentence.texts()] + [1] * w
+        lens = np.array([len(s) for s in sentences], dtype=np.intp)
+        token = np.arange(lens.sum()) + w * (2 * np.repeat(np.arange(len(lens)), lens) + 1)
+        padded = np.array(padded, dtype=np.intp)
+        source = {d: padded[token + d] for d in set(offsets)}
+        flat = [f for row in self.extractor.features(list(texts)) for f in row]
         index = self.feature_index
-        ids, pos = [], []
-        for i, feats in enumerate(self.extractor.features(sentence)):
-            if grow:
-                row = [index.setdefault(f, len(index)) for f in feats]
-            else:
-                row = [index[f] for f in feats if f in index]
-            ids.extend(row)
-            pos.extend([i] * len(row))
-        return np.asarray(ids, dtype=np.intp), np.asarray(pos, dtype=np.intp)
+        if grow:
+            # a string first fires with the first of its (type, template)
+            # pairs, a pair at the first token whose source is that type
+            first = {d: np.unique(types, return_index=True) for d, types in source.items()}
+            where = np.concatenate([first[d][1] * len(offsets) + c for c, d in enumerate(offsets)])
+            pairs = np.concatenate([first[d][0] * len(offsets) + c for c, d in enumerate(offsets)])
+            for p in pairs[np.argsort(where)].tolist():
+                if flat[p] is not None:
+                    index.setdefault(flat[p], len(index))
+            new = np.zeros((len(index) - len(self.weights), len(self.tags)))
+            self.weights = np.vstack([self.weights, new])
+        table = np.array([index.get(f, -1) for f in flat], dtype=np.intp).reshape(len(texts), -1)
+        M = np.empty((len(token), len(offsets)), dtype=np.int32)    # training keeps its ids
+        for c, d in enumerate(offsets):
+            M[:, c] = table[source[d], c]
+        return M, np.cumsum(lens) - lens
 
-    def _grow_features(self, sentences):
-        """Assign ids to unseen feature strings and extend weight rows with
-        zeros; returns every sentence's (ids, pos) feature rows."""
-        rows = [self._feature_rows(sent, grow=True) for sent in sentences]
-        n_new = len(self.feature_index) - len(self.weights)
-        if n_new:
-            self.weights = np.vstack(
-                [self.weights, np.zeros((n_new, len(self.tags)))]
-            )
-        return rows
+    def _dataset_rows(self, sentences, grow=False):
+        """Every sentence's (ids, pos) feature rows: ids[r] a known feature id
+        and pos[r] the token it fires at, token by token in template order."""
+        M, starts = self._feature_ids(sentences, grow)
+        keep = M >= 0
+        ids, counts = M[keep], keep.sum(axis=1)
+        at = np.arange(len(M)) - np.repeat(starts, np.diff(starts, append=len(M)))
+        cuts = np.cumsum(counts)[starts[1:] - 1]
+        return list(zip(np.split(ids, cuts), np.split(np.repeat(at, counts), cuts)))
 
-    def emissions(self, sentence: Sentence) -> np.ndarray:
-        """Per-token emission score rows (n_tokens, n_tags)."""
-        ids, pos = self._feature_rows(sentence)
-        return _segment_sum(pos, self.weights[ids], len(sentence))
+    def emissions(self, sentences):
+        """Emission score rows of a dataset's tokens, (n_tokens, n_tags) with
+        the sentences concatenated, and each sentence's first row. Rows are
+        summed template by template, an unknown feature adding zeros."""
+        M, starts = self._feature_ids(sentences)
+        R = np.vstack([self.weights, np.zeros((1, len(self.tags)))])    # id -1: zeros
+        E = np.zeros((len(M), len(self.tags)))
+        for ids in M.T:
+            E += R[ids]
+        return E, starts
 
     # -- inference ----------------------------------------------------------
 
     def _length_batches(self, sentences):
         """(indices, E) per sentence length, lengths in first-seen order: E is
         the emissions of the sentences at those indices, stacked (n, B, k)."""
+        E, starts = self.emissions(sentences)
         groups = {}
         for i, sentence in enumerate(sentences):
             groups.setdefault(len(sentence), []).append(i)
-        for group in groups.values():
-            yield group, np.stack([self.emissions(sentences[i]) for i in group], axis=1)
+        for n, group in groups.items():
+            yield group, E[starts[group] + np.arange(n)[:, None]]
 
     def predict_soft(self, sentences) -> list:
         """Posterior tag marginals per token of each sentence, in input order;
@@ -224,7 +259,7 @@ class TaggerModel:
 
     def sequence_score(self, sentence: Sentence, labels) -> float:
         """Joint (unnormalized) score of one tag sequence."""
-        E = self.emissions(sentence)
+        E, _ = self.emissions([sentence])
         y = np.asarray(labels)
         score = E[np.arange(len(y)), y].sum()
         if len(y) > 1:
@@ -263,10 +298,10 @@ class TaggerModel:
                 MODEL_FORMAT, MODEL_VERSION
             ):
                 raise WeaknerError(f"not a version-{MODEL_VERSION} model file: {path}")
-            window = header["window"]
-            if type(window) is not int or window < 0:
-                raise WeaknerError(f"bad feature window {window!r} in model file: {path}")
-            model = cls(TagSet(tuple(header["entity_types"])), window)
+            for key in ("window", "epochs_trained"):
+                if type(header[key]) is not int or header[key] < 0:
+                    raise WeaknerError(f"bad {key} {header[key]!r} in model file: {path}")
+            model = cls(TagSet(tuple(header["entity_types"])), header["window"])
             model.epochs_trained = header["epochs_trained"]
             model.feature_index = {f: i for i, f in enumerate(header["features"])}
         except (ValueError, KeyError, TypeError) as e:
@@ -462,7 +497,7 @@ def train(
     else:
         model = TaggerModel(tags)
 
-    rows = model._grow_features(data.sentences)
+    rows = model._dataset_rows(data.sentences, grow=True)
     prepared = [
         _Prepared(r, _targets_for(lab, tags, cfg.objective))
         for r, lab in zip(rows, data.labels)
@@ -499,8 +534,8 @@ def dataset_loss_and_gradient(model: TaggerModel, data: Dataset, cfg: TrainConfi
     gW = np.zeros_like(model.weights)
     gT = np.zeros_like(model.transitions)
     total = 0.0
-    for sent, lab in zip(data.sentences, data.labels):
-        prep = _Prepared(model._feature_rows(sent), _targets_for(lab, model.tags, cfg.objective))
+    for rows, lab in zip(model._dataset_rows(data.sentences), data.labels):
+        prep = _Prepared(rows, _targets_for(lab, model.tags, cfg.objective))
         loss, gE, gTs = _sentence_loss_grad(
             prep.emissions(model.weights), model.transitions, prep, cfg.objective
         )

@@ -69,7 +69,7 @@ def _random_sentence(rng, max_len):
 
 def _random_model(rng, tags, sentences, scale=1.0):
     model = TaggerModel(tags)
-    model._grow_features(sentences)
+    model._dataset_rows(sentences, grow=True)
     model.weights = rng.normal(scale=scale, size=model.weights.shape)
     model.transitions = rng.normal(scale=scale, size=model.transitions.shape)
     return model
@@ -100,7 +100,7 @@ def test_criterion_1_inference_oracles():
         tags = FIVE if trial % 2 else PROT
         sent = _random_sentence(rng, max_len=6)
         model = _random_model(rng, tags, [sent])
-        E = model.emissions(sent)
+        E, _ = model.emissions([sent])
         marginals, best = _enumerate(E, model.transitions)
         soft = model.predict_soft([sent])[0]
         worst = max(worst, float(np.abs(soft.dist - marginals).max()))

@@ -190,6 +190,18 @@ class TestBootstrap:
         checkpoints = [n for n in os.listdir(tmp_path) if n.startswith("model_iter_")]
         assert checkpoints == ["model_iter_00.model"]
 
+    @pytest.mark.parametrize("flag, value", [("--l2", "nan"), ("--rng-seed", "-1")])
+    def test_bad_training_setting_is_data_error(self, synth_dir, split_dir, tmp_path, flag, value):
+        # --l2 nan used to exit 0 after training with no L2 at all, and
+        # --rng-seed -1 to exit 3 on a bare ValueError
+        rc = main([
+            "bootstrap", "--seed", str(split_dir / "seed.conll"),
+            "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"),
+            "--iterations", "1", "--epochs", "1", flag, value, "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+
     def test_rerun_identical_trace_and_models(self, synth_dir, split_dir, boot_dir, tmp_path):
         rc = main([
             "bootstrap", "--seed", str(split_dir / "seed.conll"),
@@ -252,7 +264,10 @@ class TestPredictAndEval:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("damage", ["not_json", "no_entity_types", "not_utf8", "negative_window"])
+    @pytest.mark.parametrize("damage", [
+        "not_json", "no_entity_types", "not_utf8", "negative_window",
+        "negative_epochs", "fractional_epochs", "text_epochs",
+    ])
     def test_eval_corrupt_model_header_is_data_error(self, boot_dir, split_dir, tmp_path, damage):
         head, _, body = (boot_dir / "final_soft.model").read_bytes().partition(b"\n")
         header = json.loads(head)
@@ -260,6 +275,9 @@ class TestPredictAndEval:
             del header["entity_types"]
         elif damage == "negative_window":
             header["window"] = -3       # would load and silently drop the neighbour features
+        elif damage.endswith("_epochs"):
+            # would load, and fine-tuning would then fail with a bare error
+            header["epochs_trained"] = {"negative": -30, "fractional": 2.5, "text": "x"}[damage[:-7]]
         head = json.dumps(header).encode("utf-8")
         if damage == "not_json":
             head = b"weakner-model v1"

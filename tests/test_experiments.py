@@ -6,6 +6,7 @@ import pytest
 
 from weakner.bootstrap import BootstrapConfig, finalize, iterative_train
 from weakner.corpus import TagSet, bio_decode, split_seed
+from weakner.errors import WeaknerError
 from weakner.experiments import (
     Condition,
     GridConfig,
@@ -23,6 +24,16 @@ from weakner.tagger import Objective, TrainConfig
 
 PROT = TagSet(("PROT",))
 
+
+
+@pytest.mark.parametrize("setting", [
+    {"l2": float("nan")}, {"learning_rate": float("nan")}, {"decay": float("nan")},
+    {"round_epochs": 2.5}, {"seed_epochs": 0},
+])
+def test_grid_config_rejects_bad_training_settings(setting):
+    # these used to pass and surface mid-grid, or never (a NaN l2 trains with no L2)
+    with pytest.raises(WeaknerError):
+        GridConfig(**setting)
 
 @pytest.fixture(scope="module")
 def bundle():

@@ -31,6 +31,7 @@ from weakner.tagger import (
     _forward_backward,
     _marginal_loss_grad,
     _sequence_loss_grad,
+    _shape,
     dataset_loss_and_gradient,
     harden,
     train,
@@ -50,7 +51,7 @@ def random_sentence(rng, max_len=6):
 def random_model(rng, tags, sentences, scale=1.0):
     """A model whose feature index covers `sentences`, with random weights."""
     model = TaggerModel(tags)
-    model._grow_features(sentences)
+    model._dataset_rows(sentences, grow=True)
     model.weights = rng.normal(scale=scale, size=model.weights.shape)
     model.transitions = rng.normal(scale=scale, size=model.transitions.shape)
     return model
@@ -427,7 +428,7 @@ class TestTraining:
     def test_constructed_weights_drive_decode(self):
         sent = sentence_from_texts(["p53", "binds"])
         model = TaggerModel(PROT)
-        model._grow_features([sent])
+        model._dataset_rows([sent], grow=True)
         model.weights[model.feature_index["w=p53"], PROT.b_index("PROT")] = 5.0
         assert model.predict_hard([sent])[0] == [1, 0]
 
@@ -464,6 +465,26 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(WeaknerError):
             TrainConfig(l2=-1.0)
+
+    @pytest.mark.parametrize("setting", [
+        {"l2": float("nan")}, {"learning_rate": float("nan")},
+        {"decay": float("nan")}, {"decay": float("inf")},
+    ])
+    def test_non_finite_config_rejected(self, setting):
+        # a NaN l2 used to train with no L2 at all (nan > 0.0 is False)
+        with pytest.raises(WeaknerError):
+            TrainConfig(**setting)
+
+    def test_fractional_epochs_rejected(self):
+        # used to fail later, in range(), with a bare TypeError
+        with pytest.raises(WeaknerError):
+            TrainConfig(epochs=2.5)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_rng_seed_rejected(self, seed):
+        # used to fail in the first epoch's shuffle with a bare ValueError / TypeError
+        with pytest.raises(WeaknerError):
+            TrainConfig(rng_seed=seed)
 
     def test_l2_step_that_zeroes_the_model_rejected(self):
         # one decay step with rate * l2 >= 1 would wipe every weight
@@ -510,15 +531,78 @@ class TestTraining:
             train(gold, PROT, cfg)
 
 
+def naive_features(sentence, window=2):
+    """Reference feature strings: the per-token template builder, one list
+    per token in template order."""
+    texts = sentence.texts()
+    out = []
+    for i, text in enumerate(texts):
+        feats = [f"w={text}", f"lw={text.lower()}", f"shape={_shape(text)}"]
+        for k in (1, 2, 3):
+            if len(text) >= k:
+                feats.append(f"pre{k}={text[:k]}")
+                feats.append(f"suf{k}={text[-k:]}")
+        for d in range(-window, window + 1):
+            if d == 0:
+                continue
+            j = i + d
+            neighbor = texts[j] if 0 <= j < len(texts) else ("<s>" if d < 0 else "</s>")
+            feats.append(f"w[{d}]={neighbor}")
+        out.append(feats)
+    return out
+
+
+def naive_grow(index, sentences, window=2):
+    """Reference growth: per-occurrence setdefault, sentence -> token ->
+    template."""
+    for sent in sentences:
+        for feats in naive_features(sent, window):
+            for f in feats:
+                index.setdefault(f, len(index))
+    return index
+
+
+def naive_rows(model, sentence):
+    """Reference (ids, pos) rows: known feature ids, token by token."""
+    ids, pos = [], []
+    for i, feats in enumerate(naive_features(sentence, model.window)):
+        row = [model.feature_index[f] for f in feats if f in model.feature_index]
+        ids.extend(row)
+        pos.extend([i] * len(row))
+    return np.asarray(ids, dtype=np.intp), np.asarray(pos, dtype=np.intp)
+
+
 def naive_emissions(model, sentence):
     """Reference emissions: per position, add the weight rows of its known
     features one at a time."""
     E = np.zeros((len(sentence), len(model.tags)))
-    for i, feats in enumerate(model.extractor.features(sentence)):
+    for i, feats in enumerate(naive_features(sentence, model.window)):
         for f in feats:
             if f in model.feature_index:
                 E[i] += model.weights[model.feature_index[f]]
     return E
+
+
+def sentence_emissions(model, sentence):
+    return model.emissions([sentence])[0]
+
+
+def token_features(sentence, window=2):
+    """Per-token feature strings as the factored path assigns them."""
+    model = TaggerModel(PROT, window)
+    (ids, pos), = model._dataset_rows([sentence], grow=True)
+    names = list(model.feature_index)
+    return [[names[f] for f in ids[pos == i]] for i in range(len(sentence))]
+
+
+# tokens that stress the per-type tables: the pad strings themselves, texts
+# shorter than the affixes, non-ASCII text and a digit-only token
+ODD_VOCAB = VOCAB + ["<s>", "</s>", "a", "Xy", "é", "Grün", "ΔN", "42"]
+
+
+def odd_sentence(rng, max_len=9):
+    n = int(rng.integers(1, max_len + 1))
+    return sentence_from_texts([ODD_VOCAB[int(rng.integers(len(ODD_VOCAB)))] for _ in range(n)])
 
 
 class TestEmissions:
@@ -529,7 +613,7 @@ class TestEmissions:
     def test_position_without_known_feature_gets_zero_row(self):
         model = self._p53_model()
         sent = sentence_from_texts(["a", "b", "c", "d", "e"])
-        E = model.emissions(sent)
+        E = sentence_emissions(model, sent)
         # "c" and its +-2 neighbours never occur in training; every other
         # position still sees a sentence-boundary feature
         assert np.array_equal(E[2], np.zeros(len(PROT)))
@@ -545,24 +629,83 @@ class TestEmissions:
         unseen = sentence_from_texts(["a", "b", "c", "d", "e"])
         for _ in range(20):
             sent = random_sentence(rng, max_len=10)
-            assert np.array_equal(model.emissions(sent), naive_emissions(model, sent))
-        assert np.array_equal(p53.emissions(unseen), naive_emissions(p53, unseen))
+            assert np.array_equal(sentence_emissions(model, sent), naive_emissions(model, sent))
+        assert np.array_equal(sentence_emissions(p53, unseen), naive_emissions(p53, unseen))
 
-    def test_features_extracted_once_per_sentence_per_train_call(self, monkeypatch):
+    def test_features_built_once_per_call_per_distinct_text(self, monkeypatch):
         calls = []
         original = FeatureExtractor.features
 
-        def counting(self, sentence):
-            calls.append(sentence)
-            return original(self, sentence)
+        def counting(self, texts):
+            calls.append(list(texts))
+            return original(self, texts)
 
         monkeypatch.setattr(FeatureExtractor, "features", counting)
         rng = np.random.default_rng(47)
         data = _random_training_set(rng, PROT, n_sentences=7)
         model = train(data, PROT, TrainConfig(epochs=3))
-        assert len(calls) == 7
+        assert len(calls) == 1
         train(data, PROT, TrainConfig(epochs=2), init=model)
-        assert len(calls) == 14
+        assert len(calls) == 2
+        model.predict_soft(data.sentences)
+        assert len(calls) == 3
+        model.predict_hard(data.sentences)
+        assert len(calls) == 4
+        distinct = {t for sent in data.sentences for t in sent.texts()} | {"<s>", "</s>"}
+        for texts in calls:
+            assert len(texts) == len(set(texts)) and set(texts) == distinct
+
+
+class TestFactoredFeatures:
+    """The per-type feature path against the per-token reference builder."""
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_emissions_equal_naive(self, window):
+        rng = np.random.default_rng(48 + window)
+        seen = [odd_sentence(rng) for _ in range(12)]
+        model = TaggerModel(TWO, window)
+        model._dataset_rows(seen, grow=True)
+        model.weights = rng.normal(size=model.weights.shape)
+        model.weights[::5] = -0.0
+        # the unseen half brings unknown features of known and unknown texts
+        data = seen + [odd_sentence(rng) for _ in range(12)] + [sentence_from_texts(["</s>"])]
+        E, starts = model.emissions(data)
+        assert len(E) == sum(map(len, data))
+        for sent, start in zip(data, starts):
+            assert np.array_equal(E[start:start + len(sent)], naive_emissions(model, sent))
+
+    def test_fresh_model_gives_zero_rows(self):
+        rng = np.random.default_rng(52)
+        data = [odd_sentence(rng) for _ in range(5)]
+        E, starts = TaggerModel(PROT).emissions(data)
+        assert E.shape == (sum(map(len, data)), len(PROT)) and not E.any()
+        assert starts.tolist() == np.cumsum([0] + [len(s) for s in data[:-1]]).tolist()
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_growth_keeps_first_seen_order(self, window):
+        rng = np.random.default_rng(53 + window)
+        first = [odd_sentence(rng) for _ in range(10)]
+        more = [odd_sentence(rng) for _ in range(10)]
+        model = TaggerModel(PROT, window)
+        model._dataset_rows(first, grow=True)
+        assert list(model.feature_index.items()) == list(naive_grow({}, first, window).items())
+        model._dataset_rows(more, grow=True)
+        expected = naive_grow(naive_grow({}, first, window), more, window)
+        assert list(model.feature_index.items()) == list(expected.items())
+        assert model.weights.shape == (len(expected), len(PROT)) and not model.weights.any()
+
+    @pytest.mark.parametrize("window", [0, 1, 3])
+    def test_rows_equal_naive(self, window):
+        rng = np.random.default_rng(57 + window)
+        seen = [odd_sentence(rng) for _ in range(10)]
+        unseen = [odd_sentence(rng) for _ in range(10)]
+        model = TaggerModel(PROT, window)
+        grown = model._dataset_rows(seen, grow=True)
+        rows = model._dataset_rows(seen + unseen)
+        assert len(grown) == len(seen) and len(rows) == len(seen + unseen)
+        for sent, (ids, pos) in zip(seen + unseen + seen, rows + grown):
+            want_ids, want_pos = naive_rows(model, sent)
+            assert np.array_equal(ids, want_ids) and np.array_equal(pos, want_pos)
 
 
 class TestHarden:
@@ -646,13 +789,13 @@ class TestSerialization:
 
 class TestFeatureExtractor:
     def test_deterministic(self):
-        sent = sentence_from_texts(["Flag-tagged-TIGAR", "assay"])
+        texts = ["Flag-tagged-TIGAR", "assay"]
         fx = FeatureExtractor()
-        assert fx.features(sent) == fx.features(sent)
+        assert fx.features(texts) == fx.features(texts)
 
     def test_window_and_boundaries(self):
         sent = sentence_from_texts(["a", "b", "c"])
-        feats = FeatureExtractor(window=2).features(sent)
+        feats = token_features(sent, window=2)
         assert "w[-1]=<s>" in feats[0]
         assert "w[-2]=<s>" in feats[1]
         assert "w[+1]=</s>" in feats[2] or "w[1]=</s>" in feats[2]
@@ -660,7 +803,7 @@ class TestFeatureExtractor:
 
     def test_shape_feature(self):
         sent = sentence_from_texts(["MDM2"])
-        feats = FeatureExtractor().features(sent)[0]
+        feats = token_features(sent)[0]
         assert "shape=XXXd" in feats
 
     def test_unknown_features_ignored_at_prediction(self):

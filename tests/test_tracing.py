@@ -7,6 +7,8 @@ These tests only import from perfbench/.
 
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -85,3 +87,15 @@ def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
     for name in ("features", "emissions"):
         assert counts[f"tagger.{name}.calls"] > 0
     assert not tracer.check_nesting()
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    """perfbench/selftest.py runs every workload at tiny size, untraced and
+    traced, and fails when a metric reads zero everywhere: a library change
+    that bypasses a traced name blinds the tracer without failing a pass."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "selftest.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, (done.stdout + done.stderr)[-2000:]
