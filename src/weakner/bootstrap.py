@@ -104,7 +104,8 @@ def relabel(corpus: Dataset, model: TaggerModel, matches) -> Dataset:
     The first token of a match span gets probability 1 on B-type, the rest
     on I-type; provenance flips to REFERENCE. Pins replace the predicted
     row outright (no blending), so they are idempotent across iterations;
-    where two matches overlap, the later one in `matches` wins.
+    where two matches overlap, the later one in `matches` wins. Every
+    match is checked against `corpus` before the model runs.
     """
     tags = model.tags
     for m in matches:
@@ -112,13 +113,12 @@ def relabel(corpus: Dataset, model: TaggerModel, matches) -> Dataset:
             raise ModelTagSetMismatch(
                 f"match type {m.entity_type!r} not in model tags {tags.entity_types}"
             )
+        if not (0 <= m.sentence < len(corpus)
+                and 0 <= m.first <= m.last < len(corpus.sentences[m.sentence])):
+            raise WeaknerError(f"match {m} out of bounds")
     labeled = predict_dataset_soft(model, corpus)
     for m in matches:
-        if not 0 <= m.sentence < len(labeled):
-            raise WeaknerError(f"match {m} out of bounds")
         soft = labeled.labels[m.sentence]
-        if not 0 <= m.first <= m.last < len(soft):
-            raise WeaknerError(f"match {m} out of bounds")
         span = slice(m.first, m.last + 1)
         soft.dist[span] = 0.0
         soft.dist[m.first, tags.b_index(m.entity_type)] = 1.0

@@ -133,6 +133,28 @@ class Provenance(enum.IntEnum):
     PREDICTED = 2
 
 
+def _check_soft(dist, provenance):
+    """Reject soft rows that are non-finite, negative or do not sum to 1
+    (within 1e-9), provenance codes outside Provenance, and SEED or
+    REFERENCE rows that are not one-hot."""
+    if dist.ndim != 2 or provenance.shape != (len(dist),):
+        raise WeaknerError("soft labeling shape mismatch")
+    if not np.isfinite(dist).all():
+        raise WeaknerError("non-finite probability in soft labeling")
+    if not len(dist):
+        return
+    if (dist < -1e-12).any():
+        raise WeaknerError("negative probability in soft labeling")
+    err = np.abs(dist.sum(axis=1) - 1.0).max()
+    if err > 1e-9:
+        raise WeaknerError(f"soft labeling rows must sum to 1 (off by {err:g})")
+    if not 0 <= provenance.min() <= provenance.max() <= max(Provenance):
+        raise WeaknerError(f"provenance codes must lie in 0..{max(Provenance):d}")
+    pinned = provenance != Provenance.PREDICTED
+    if pinned.any() and not np.all(dist[pinned].max(axis=1) == 1.0):
+        raise WeaknerError("SEED/REFERENCE rows must be one-hot")
+
+
 @dataclass
 class SoftLabeling:
     """Per-token probability rows over a tag set, with per-token provenance.
@@ -146,19 +168,20 @@ class SoftLabeling:
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=np.float64)
         self.provenance = np.asarray(self.provenance, dtype=np.int8)
-        if self.dist.ndim != 2 or len(self.provenance) != len(self.dist):
-            raise WeaknerError("soft labeling shape mismatch")
-        if not np.isfinite(self.dist).all():
-            raise WeaknerError("non-finite probability in soft labeling")
-        if len(self.dist) and (self.dist < -1e-12).any():
-            raise WeaknerError("negative probability in soft labeling")
-        if len(self.dist):
-            err = np.abs(self.dist.sum(axis=1) - 1.0).max()
-            if err > 1e-9:
-                raise WeaknerError(f"soft labeling rows must sum to 1 (off by {err:g})")
-        pinned = (self.provenance == Provenance.SEED) | (self.provenance == Provenance.REFERENCE)
-        if pinned.any() and not np.all(self.dist[pinned].max(axis=1) == 1.0):
-            raise WeaknerError("SEED/REFERENCE rows must be one-hot")
+        _check_soft(self.dist, self.provenance)
+
+    @classmethod
+    def split(cls, dist, provenance, starts) -> list:
+        """One labeling per sentence of a dataset's concatenated rows, sentence
+        i holding views of the rows from starts[i] to the next start. The
+        rows are checked once, as a whole."""
+        whole = cls(dist, provenance)
+        out = []
+        for a, b in zip(starts, [*starts[1:], len(whole)]):
+            soft = object.__new__(cls)      # rows already checked
+            soft.dist, soft.provenance = whole.dist[a:b], whole.provenance[a:b]
+            out.append(soft)
+        return out
 
     def __len__(self):
         return len(self.dist)

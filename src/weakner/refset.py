@@ -144,10 +144,13 @@ def token_components(text: str):
 def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
     """Find non-overlapping gazetteer mentions in every sentence.
 
-    Exact mode: any 1..k-token window whose single-space-joined text equals
-    a name under the policy's case rule (k = longest name in tokens).
-    Partial mode additionally matches a single token when one of its
-    hyphen/slash components equals a name under case folding.
+    Exact mode: any window of consecutive tokens whose single-space-joined
+    text equals a name under the policy's case rule. A window grows only
+    while its text is the part of some name before one of its spaces, so a
+    token that starts no name costs one lookup. Partial mode additionally
+    matches a single token when one of its hyphen/slash components equals
+    a name under case folding. Each distinct token text is folded and split
+    into components once.
 
     Only names the policy keeps are searched (see filter_names). Overlaps
     resolve leftmost-longest; ties go to the longer matched name, then the
@@ -156,30 +159,39 @@ def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
     names = filter_names(refset, policy).names
     exact = _name_index(names, policy.case_sensitive)
     partial = _name_index(names, case_sensitive=False) if policy.allow_partial else {}
-    max_window = max((name.count(" ") + 1 for name in names), default=1)
+    heads = {key[:j] for key in exact if " " in key for j, c in enumerate(key) if c == " "}
+    # folded window text -> (the name it equals or None, whether it grows)
+    windows = {key: (exact.get(key), key in heads) for key in exact.keys() | heads}
+    types = {}   # token text -> (folded text, its windows entry, component hits)
 
     matches = []
     for s, sent in enumerate(corpus.sentences):
         texts = sent.texts()
-        n = len(texts)
+        for text in texts:
+            if text not in types:
+                key = _fold(text, policy.case_sensitive)
+                comps = [c.casefold() for c in token_components(text)]
+                hits = [partial[c] for c in comps if c in partial]
+                types[text] = (key, windows.get(key), hits)
+        info = [types[text] for text in texts]
         candidates = []
-        for i in range(n):
-            for w in range(1, max_window + 1):
-                if i + w > n:
-                    break
-                joined = _fold(" ".join(texts[i:i + w]), policy.case_sensitive)
-                name = exact.get(joined)
+        for i, (key, step, hits) in enumerate(info):
+            last = i
+            while step is not None:
+                name, grows = step
                 if name is not None:
-                    candidates.append((i, i + w - 1, name))
-            if policy.allow_partial:
-                for comp in token_components(texts[i]):
-                    name = partial.get(comp.casefold())
-                    if name is not None:
-                        candidates.append((i, i, name))
-        matches.extend(
-            RefMatch(s, first, last, name, refset.entity_type)
-            for first, last, name in _resolve_overlaps(candidates)
-        )
+                    candidates.append((i, last, name))
+                last += 1
+                if not grows or last == len(info):
+                    break
+                key += " " + info[last][0]
+                step = windows.get(key)
+            candidates += [(i, i, name) for name in hits]
+        if candidates:
+            matches.extend(
+                RefMatch(s, first, last, name, refset.entity_type)
+                for first, last, name in _resolve_overlaps(candidates)
+            )
     return matches
 
 

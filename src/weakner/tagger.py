@@ -226,33 +226,36 @@ class TaggerModel:
     # -- inference ----------------------------------------------------------
 
     def _length_batches(self, sentences):
-        """(indices, E) per sentence length, lengths in first-seen order: E is
-        the emissions of the sentences at those indices, stacked (n, B, k)."""
+        """(indices, rows, E) per sentence length, lengths in first-seen order:
+        rows (n, B) are the dataset-wide emission rows of the sentences at
+        those indices, position-major, and E their emissions (n, B, k)."""
         E, starts = self.emissions(sentences)
         groups = {}
         for i, sentence in enumerate(sentences):
             groups.setdefault(len(sentence), []).append(i)
         for n, group in groups.items():
-            yield group, E[starts[group] + np.arange(n)[:, None]]
+            rows = starts[group] + np.arange(n)[:, None]
+            yield group, rows, E[rows]
 
     def predict_soft(self, sentences) -> list:
         """Posterior tag marginals per token of each sentence, in input order;
-        provenance PREDICTED. One forward-backward runs per sentence length."""
-        out = [None] * len(sentences)
-        for group, E in self._length_batches(sentences):
+        provenance PREDICTED. One forward-backward runs per sentence length;
+        the labelings are views of one dataset-wide array, checked once."""
+        mu = np.empty((sum(map(len, sentences)), len(self.tags)))
+        starts = np.empty(len(sentences), dtype=np.intp)
+        for group, rows, E in self._length_batches(sentences):
             alpha, beta, log_z = _forward_backward(E, self.transitions)
-            mu = np.exp(alpha + beta - log_z[:, None])
-            mu /= mu.sum(axis=-1, keepdims=True)
-            mu = np.ascontiguousarray(mu.transpose(1, 0, 2))   # sentence-major
-            for i, dist in zip(group, mu):
-                out[i] = SoftLabeling(dist, np.full(len(dist), Provenance.PREDICTED, dtype=np.int8))
-        return out
+            batch = np.exp(alpha + beta - log_z[:, None])
+            batch /= batch.sum(axis=-1, keepdims=True)
+            mu[rows], starts[group] = batch, rows[0]
+        prov = np.full(len(mu), Provenance.PREDICTED, dtype=np.int8)
+        return SoftLabeling.split(mu, prov, starts)
 
     def predict_hard(self, sentences) -> list:
         """Viterbi decode of each sentence, in input order; ties broken by
         lower tag index. One Viterbi pass runs per sentence length."""
         out = [None] * len(sentences)
-        for group, E in self._length_batches(sentences):
+        for group, _, E in self._length_batches(sentences):
             for i, path in zip(group, _viterbi(E, self.transitions).T.tolist()):
                 out[i] = path
         return out

@@ -112,6 +112,37 @@ class TestRelabel:
             with pytest.raises(WeaknerError):
                 relabel(tiny_corpus(), model, [RefMatch(sentence, 0, 0, "x", "PROT")])
 
+    @pytest.mark.parametrize(
+        "match",
+        [RefMatch(2, 1, 2, "here x", "PROT"), RefMatch(3, 0, 0, "x", "PROT"),
+         RefMatch(0, 2, 1, "x", "PROT"), RefMatch(0, 0, 0, "x", "CELL")],
+        ids=["past-end", "no-sentence", "reversed", "unknown-type"],
+    )
+    def test_bad_match_rejected_before_the_model_runs(self, match, monkeypatch):
+        import weakner.bootstrap as bootstrap
+
+        def no_prediction(*args):
+            raise AssertionError("predict_dataset_soft ran before the matches were checked")
+
+        model = self._model()
+        monkeypatch.setattr(bootstrap, "predict_dataset_soft", no_prediction)
+        good = RefMatch(0, 0, 0, "MDM2", "PROT")
+        with pytest.raises(WeaknerError):
+            relabel(tiny_corpus(), model, [good, match])
+
+    def test_pins_leave_other_sentences_bytes_unchanged(self):
+        # the labelings are views of one array: a pin must stay in its rows
+        model = self._model()
+        corpus = tiny_corpus()
+        before = relabel(corpus, model, [])
+        for s, n in enumerate(len(sent) for sent in corpus.sentences):
+            out = relabel(corpus, model, [RefMatch(s, 0, n - 1, "x", "PROT")])
+            for other in set(range(len(corpus))) - {s}:
+                assert out.labels[other].dist.tobytes() == before.labels[other].dist.tobytes()
+                assert (out.labels[other].provenance.tobytes()
+                        == before.labels[other].provenance.tobytes())
+            assert list(out.labels[s].provenance) == [Provenance.REFERENCE] * n
+
     def test_overlapping_pins_later_match_wins(self):
         model = self._model()
         pins = [RefMatch(0, 0, 1, "MDM2 binds", "PROT"), RefMatch(0, 1, 2, "binds p53", "PROT")]

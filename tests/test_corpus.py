@@ -187,6 +187,13 @@ class TestSoftLabeling:
         with pytest.raises(WeaknerError, match="non-finite"):
             SoftLabeling(np.array([[1.0, 0.0, 0.0], row]), np.full(2, Provenance.PREDICTED))
 
+    @pytest.mark.parametrize("code", [7, -1, 3])
+    def test_provenance_outside_enum_rejected(self, code):
+        # such a labeling used to be accepted, and write_soft_tsv then failed
+        # on a bare ValueError
+        with pytest.raises(WeaknerError, match="provenance"):
+            SoftLabeling(np.array([[1.0, 0.0, 0.0]]), [code])
+
     def test_soften_examples(self):
         soft = soften([1, 0], PROT)
         assert np.array_equal(soft.dist, [[0, 1, 0], [1, 0, 0]])
@@ -198,6 +205,57 @@ class TestSoftLabeling:
     def test_harden_inverts_soften(self, labels):
         labels = bio_repair(labels, PROT)  # harden applies repair, so compare on valid input
         assert harden(soften(labels, PROT), PROT) == labels
+
+
+class TestSoftLabelingSplit:
+    """SoftLabeling.split checks a dataset's rows once and hands out views."""
+
+    GOOD = [[0.25, 0.5, 0.25], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+    def _rows(self, last_row, last_code):
+        dist = np.array(self.GOOD + [[0.5, 0.5, 0.0], last_row])
+        prov = np.array([2, 0, 1, 2, last_code], dtype=np.int8)
+        return dist, prov
+
+    def test_sentences_are_views_of_the_rows(self):
+        dist, prov = self._rows([0.5, 0.5, 0.0], Provenance.PREDICTED)
+        parts = SoftLabeling.split(dist, prov, np.array([0, 2, 3]))
+        assert [len(p) for p in parts] == [2, 1, 2]
+        for p, (a, b) in zip(parts, [(0, 2), (2, 3), (3, 5)]):
+            assert isinstance(p, SoftLabeling)
+            assert np.shares_memory(p.dist, dist) and np.shares_memory(p.provenance, prov)
+            assert p.dist.tobytes() == dist[a:b].tobytes()
+            assert p.provenance.tobytes() == prov[a:b].tobytes()
+
+    @pytest.mark.parametrize(
+        "row, code",
+        [
+            ([np.nan, 0.5, 0.5], Provenance.PREDICTED),
+            ([1.5, -0.5, 0.0], Provenance.PREDICTED),
+            ([0.5, 0.4, 0.0], Provenance.PREDICTED),
+            ([0.5, 0.5, 0.0], Provenance.SEED),
+            ([0.5, 0.5, 0.0], Provenance.REFERENCE),
+            ([0.5, 0.5, 0.0], 3),
+            ([1.0, 0.0, 0.0], -1),
+        ],
+        ids=["nan", "negative", "off-sum", "seed-not-one-hot", "reference-not-one-hot",
+             "code-3", "code-minus-1"],
+    )
+    def test_bad_last_sentence_raises_like_the_constructor(self, row, code):
+        dist, prov = self._rows(row, code)
+        with pytest.raises(WeaknerError) as per_sentence:
+            SoftLabeling(dist[3:], prov[3:])
+        with pytest.raises(WeaknerError) as whole:
+            SoftLabeling.split(dist, prov, [0, 2, 3])
+        assert type(whole.value) is type(per_sentence.value)
+        assert str(whole.value) == str(per_sentence.value)
+
+    def test_empty_input(self):
+        assert SoftLabeling.split(np.zeros((0, 3)), np.zeros(0, dtype=np.int8), []) == []
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(WeaknerError, match="shape"):
+            SoftLabeling.split(np.eye(3), np.zeros(2, dtype=np.int8), [0])
 
 
 class TestSplitSeed:

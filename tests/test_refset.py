@@ -190,19 +190,89 @@ class TestFindMatches:
             sentences.append(toks)
         return corpus_of(*sentences), ReferenceSet(frozenset(names), "PROT")
 
-    def test_equivalence_with_naive_oracle(self):
+    # ß folds to ss and ﬁ to fi, so folding can lengthen a text
+    TRICKY_WORDS = ["a", "A", "ab", "AB", "ß", "SS", "ss", "ﬁx", "FIX", "fix", "straße", "STRASSE"]
+
+    def _tricky_case(self, rng):
+        """Names sharing a first word, a single-token name that heads longer
+        names, names longer than most sentences, and casefold-expanding text;
+        sentences mix name words, bare heads and case-changed variants."""
+        def word():
+            return self.TRICKY_WORDS[rng.integers(len(self.TRICKY_WORDS))]
+
+        head = word()
+        names = {f"{head} {word()}" for _ in range(rng.integers(1, 4))}
+        names.add(" ".join([head] + [word() for _ in range(rng.integers(3, 6))]))
+        if rng.random() < 0.5:
+            names.add(head)
+        names.update(word() for _ in range(rng.integers(0, 3)))
+        if rng.random() < 0.5:
+            names.add(f"{word()} {word()}")
+        pieces = [name.split(" ") for name in sorted(names)]
+        sentences = []
+        for _ in range(rng.integers(1, 4)):
+            toks = []
+            for _ in range(rng.integers(1, 5)):
+                r = rng.random()
+                if r < 0.4:    # a name, or the first words of one
+                    piece = pieces[rng.integers(len(pieces))]
+                    toks += piece[:rng.integers(1, len(piece) + 1)]
+                elif r < 0.55:
+                    toks.append(head)
+                elif r < 0.7:
+                    toks.append(word().upper() if rng.random() < 0.5 else word().lower())
+                elif r < 0.8:
+                    toks.append(word() + "-" + word())
+                else:
+                    toks.append(word())
+            sentences.append(toks)
+        return corpus_of(*sentences), ReferenceSet(frozenset(names), "PROT")
+
+    POLICIES = [
+        exact_policy(),
+        MatchPolicy(case_sensitive=False),
+        MatchPolicy(case_sensitive=False, allow_partial=True),
+        MatchPolicy(case_sensitive=True, allow_partial=True),
+    ]
+
+    def _check_against_oracle(self, make_case):
         rng = np.random.default_rng(12345)
-        policies = [
-            exact_policy(),
-            MatchPolicy(case_sensitive=False),
-            MatchPolicy(case_sensitive=False, allow_partial=True),
-            MatchPolicy(case_sensitive=True, allow_partial=True),
-        ]
         for trial in range(200):
-            corpus, rs = self._random_case(rng)
-            policy = policies[trial % len(policies)]
+            corpus, rs = make_case(rng)
+            policy = self.POLICIES[trial % len(self.POLICIES)]
             got = [(m.sentence, m.first, m.last, m.name) for m in find_matches(corpus, rs, policy)]
             assert got == naive_matches(corpus, rs.names, policy), (trial, got)
+
+    def test_equivalence_with_naive_oracle(self):
+        self._check_against_oracle(self._random_case)
+
+    def test_equivalence_with_naive_oracle_on_tricky_cases(self):
+        self._check_against_oracle(self._tricky_case)
+
+    def test_tricky_cases_exercise_long_windows_and_folding(self):
+        # the tricky generator reaches what it is meant to reach
+        rng = np.random.default_rng(12345)
+        widths, folded = set(), 0
+        for trial in range(200):
+            corpus, rs = self._tricky_case(rng)
+            for m in find_matches(corpus, rs, MatchPolicy(case_sensitive=False)):
+                widths.add(m.last - m.first + 1)
+                window = " ".join(corpus.sentences[m.sentence].texts()[m.first:m.last + 1])
+                folded += window != m.name and len(window) != len(m.name)
+        assert {1, 2} <= widths and max(widths) >= 4 and folded > 0
+
+    def test_window_grows_only_along_name_prefixes(self):
+        corpus = corpus_of(["GAMMA", "GAMMA", "ACTIN", "BETA"], ["GAMMA"], ["ACTIN", "GAMMA"])
+        rs = ReferenceSet(frozenset({"GAMMA ACTIN BETA", "GAMMA ACTIN"}), "PROT")
+        got = [(m.sentence, m.first, m.last, m.name) for m in find_matches(corpus, rs, exact_policy())]
+        assert got == [(0, 1, 3, "GAMMA ACTIN BETA")]
+
+    def test_casefold_expanding_name(self):
+        corpus = corpus_of(["die", "STRASSE", "ﬁx", "-", "Straße"])
+        rs = ReferenceSet(frozenset({"straße", "FIX"}), "PROT")
+        got = [(m.first, m.last, m.name)
+               for m in find_matches(corpus, rs, MatchPolicy(case_sensitive=False))]
+        assert got == [(1, 1, "straße"), (2, 2, "FIX"), (4, 4, "straße")]
 
     def test_filtering_never_adds_matched_spans(self):
         # single-token names: the matched token set can only shrink
