@@ -16,13 +16,11 @@ from .corpus import (
     bio_encode,
     bio_repair,
     read_conll,
-    read_soft_tsv,
     sentence_from_texts,
     soften,
     split_seed,
     tokenize,
     write_conll,
-    write_soft_tsv,
 )
 from .refset import (
     MatchPolicy,

@@ -19,6 +19,7 @@ fresh sequence-likelihood (CRF-style) model from scratch on it.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -47,8 +48,9 @@ class BootstrapConfig:
     final_train: TrainConfig | None = None
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise WeaknerError("iterations must be >= 0")
+        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, numbers.Integral)
+                or self.iterations < 0):
+            raise WeaknerError(f"iterations must be an integer >= 0, not {self.iterations!r}")
 
     def seed_cfg(self) -> TrainConfig:
         return self.seed_train if self.seed_train is not None else self.round_train

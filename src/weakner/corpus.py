@@ -1,4 +1,4 @@
-"""Corpus data model: tokens, sentences, BIO tag sets, labelings and file I/O.
+"""Corpus data model: tokens, sentences, BIO tag sets, labelings and CoNLL I/O.
 
 Everything here is a plain immutable value; operations return new objects.
 Labelings come in two flavours: hard (a list of tag indices, one per token)
@@ -125,6 +125,11 @@ class TagSet:
 
     def is_begin(self, tag_index: int) -> bool:
         return tag_index != 0 and (tag_index - 1) % 2 == 0
+
+    def check(self, labels):
+        """Raise UnknownTag unless every hard tag index lies in 0..k-1."""
+        if len(labels) and not 0 <= min(labels) <= max(labels) < len(self):
+            raise UnknownTag(f"tag index outside 0..{len(self) - 1}")
 
 
 class Provenance(enum.IntEnum):
@@ -270,6 +275,7 @@ def tokenize(text: str) -> Sentence:
 def bio_repair(labels, tags: TagSet):
     """Make a tag sequence BIO-valid: an I-t not preceded by B-t/I-t of the
     same type starts a new span and becomes B-t (conlleval convention)."""
+    tags.check(labels)
     repaired = []
     prev = 0
     for t in labels:
@@ -323,13 +329,10 @@ def bio_encode(spans, n_tokens: int, tags: TagSet, sentence: int = 0):
 
 def soften(labels, tags: TagSet) -> SoftLabeling:
     """Turn a hard labeling into one-hot rows with SEED provenance."""
-    n = len(labels)
-    dist = np.zeros((n, len(tags)))
-    for i, t in enumerate(labels):
-        if not 0 <= t < len(tags):
-            raise UnknownTag(f"tag index {t} out of range")
-        dist[i, t] = 1.0
-    prov = np.full(n, Provenance.SEED, dtype=np.int8)
+    tags.check(labels)
+    dist = np.zeros((len(labels), len(tags)))
+    dist[np.arange(len(labels)), labels] = 1.0
+    prov = np.full(len(labels), Provenance.SEED, dtype=np.int8)
     return SoftLabeling(dist, prov)
 
 
@@ -431,56 +434,8 @@ def write_conll(dataset: Dataset, path, tags: TagSet):
                 raise WeaknerError("write_conll needs hard labels (harden first)")
             if labels is None:
                 labels = [0] * len(sent)
+            tags.check(labels)
             if s:
                 fh.write("\n")
             for tok, t in zip(sent.tokens, labels):
                 fh.write(f"{tok.text}\t{tag_names[t]}\n")
-
-
-def write_soft_tsv(dataset: Dataset, path, tags: TagSet):
-    """Write soft labels as TSV rows: token, provenance, one column per tag."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s, (sent, soft) in enumerate(zip(dataset.sentences, dataset.labels)):
-            if not isinstance(soft, SoftLabeling):
-                raise WeaknerError("write_soft_tsv needs soft labels")
-            if s:
-                fh.write("\n")
-            for tok, row, prov in zip(sent.tokens, soft.dist, soft.provenance):
-                cols = [tok.text, Provenance(prov).name]
-                cols.extend(repr(float(p)) for p in row)
-                fh.write("\t".join(cols) + "\n")
-
-
-def read_soft_tsv(path, tags: TagSet, kind: DatasetKind = DatasetKind.CORPUS) -> Dataset:
-    """Inverse of write_soft_tsv."""
-    n_tags = len(tags)
-    sentences, labels = [], []
-    cur_toks, cur_rows, cur_prov = [], [], []
-
-    def flush():
-        if cur_toks:
-            sentences.append(sentence_from_texts(cur_toks))
-            labels.append(SoftLabeling(np.array(cur_rows), np.array(cur_prov)))
-            cur_toks.clear()
-            cur_rows.clear()
-            cur_prov.clear()
-
-    for line_no, line in enumerate(text_lines(path), start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split("\t")
-        if len(cols) != 2 + n_tags:
-            raise MalformedLine(path, line_no, f"expected {2 + n_tags} columns, got {len(cols)}")
-        cur_toks.append(cols[0])
-        try:
-            cur_prov.append(Provenance[cols[1]].value)
-        except KeyError:
-            raise MalformedLine(path, line_no, f"bad provenance {cols[1]!r}") from None
-        try:
-            cur_rows.append([float(x) for x in cols[2:]])
-        except ValueError:
-            raise MalformedLine(path, line_no, "bad probability value") from None
-    flush()
-    return Dataset(sentences, labels, kind)

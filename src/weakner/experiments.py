@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, finalize, iterative_train
+from .bootstrap import BootstrapConfig, _combine, finalize, iterative_train
 from .corpus import Dataset, TagSet, bio_decode, bio_encode, split_seed
 from .errors import WeaknerError
 from .metrics import EvalReport, evaluate_model
@@ -73,8 +73,10 @@ class GridConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for epochs in (self.seed_epochs, self.round_epochs, self.full_epochs, self.final_epochs):
-            self.train_cfg(epochs, Objective.MARGINAL)      # rejects what TrainConfig rejects
+        # build what the grid will use, so bad settings fail before any training
+        self.train_cfg(self.full_epochs, Objective.MARGINAL)
+        self.bootstrap_cfg(iterative=True)
+        filtered_policy((), self.min_name_length)
 
     def train_cfg(self, epochs: int, objective: Objective) -> TrainConfig:
         return TrainConfig(
@@ -84,6 +86,14 @@ class GridConfig:
             l2=self.l2,
             rng_seed=self.rng_seed,
             objective=objective,
+        )
+
+    def bootstrap_cfg(self, iterative: bool) -> BootstrapConfig:
+        return BootstrapConfig(
+            iterations=self.iterations if iterative else 0,
+            round_train=self.train_cfg(self.round_epochs, Objective.MARGINAL),
+            seed_train=self.train_cfg(self.seed_epochs, Objective.MARGINAL),
+            final_train=self.train_cfg(self.final_epochs, Objective.SEQUENCE),
         )
 
 
@@ -166,23 +176,14 @@ def run_condition(
         data = train_gold
         if cond.true_labels == "one_per_sentence":
             masked, _ = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
-            data = Dataset(
-                list(seed_ds.sentences) + list(masked.sentences),
-                list(seed_ds.labels) + list(masked.labels),
-                seed_ds.kind,
-            )
+            data = _combine(seed_ds, masked)
         objective = Objective.MARGINAL if cond.output == "softmax" else Objective.SEQUENCE
         model = train(data, tags, cfg.train_cfg(cfg.full_epochs, objective))
         return GridRow(cond, None, evaluate_model(model, test, mode=eval_mode), model=model)
 
     # seed mode: the bootstrap pipeline
     pins, match_p, match_r = _pins_for(cond, corpus, corpus_gold, tags, refset, dictionary, cfg)
-    bcfg = BootstrapConfig(
-        iterations=cfg.iterations if cond.iterative else 0,
-        round_train=cfg.train_cfg(cfg.round_epochs, Objective.MARGINAL),
-        seed_train=cfg.train_cfg(cfg.seed_epochs, Objective.MARGINAL),
-        final_train=cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE),
-    )
+    bcfg = cfg.bootstrap_cfg(cond.iterative)
     model, trace = iterative_train(seed_ds, corpus, tags, bcfg, pins=pins, heldout=test)
     seed_report = trace.rows[0].report
     if cond.output == "crf":

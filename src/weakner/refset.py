@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import Dataset, EntitySpan, SoftLabeling, TagSet, bio_decode, text_lines
+from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, text_lines
 from .errors import EmptyReferenceSet, WeaknerError
 
 _COMPONENT_SPLIT = re.compile(r"[-/]")
@@ -45,9 +45,9 @@ class ReferenceSet:
 class MatchPolicy:
     """Configuration of the filtering and matching rules.
 
-    dictionary_filter holds lowercase words; a name is dropped when its
-    lowercased form is in the dictionary or when it is shorter than
-    min_name_length characters.
+    dictionary_filter words are lowercased on construction; a name is
+    dropped when its lowercased form is in the dictionary or when it is
+    shorter than min_name_length characters.
     """
 
     case_sensitive: bool = True
@@ -59,7 +59,8 @@ class MatchPolicy:
         if self.min_name_length < 1:
             raise WeaknerError("min_name_length must be >= 1")
         if self.dictionary_filter is not None:
-            object.__setattr__(self, "dictionary_filter", frozenset(self.dictionary_filter))
+            words = frozenset(w.lower() for w in self.dictionary_filter)
+            object.__setattr__(self, "dictionary_filter", words)
 
     def keeps(self, name: str) -> bool:
         if len(name) < self.min_name_length:
@@ -79,7 +80,7 @@ def filtered_policy(dictionary, min_name_length: int = 4) -> MatchPolicy:
     return MatchPolicy(
         case_sensitive=False,
         min_name_length=min_name_length,
-        dictionary_filter=frozenset(w.lower() for w in dictionary),
+        dictionary_filter=dictionary,
         allow_partial=True,
     )
 
@@ -93,9 +94,6 @@ class RefMatch:
     last: int
     name: str
     entity_type: str
-
-    def span(self) -> EntitySpan:
-        return EntitySpan(self.sentence, self.first, self.last, self.entity_type)
 
 
 def load_reference_set(path, entity_type: str) -> ReferenceSet:

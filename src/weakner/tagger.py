@@ -51,9 +51,10 @@ from .corpus import (
     SoftLabeling,
     TagSet,
     bio_repair,
+    soften,
 )
 from .errors import EmptyDataset, LabelLengthMismatch, ModelTagSetMismatch
-from .errors import TrainingDiverged, UnknownTag, WeaknerError
+from .errors import TrainingDiverged, WeaknerError
 
 MODEL_FORMAT = "weakner-model"
 MODEL_VERSION = 1
@@ -452,14 +453,10 @@ def _targets_for(labels, tags: TagSet, objective: Objective):
         if objective is Objective.MARGINAL:
             return labels.dist
         labels = harden(labels, tags)
-    y = np.asarray(labels, dtype=np.intp)
-    if len(y) and not 0 <= y.min() <= y.max() < k:
-        raise UnknownTag(f"tag index outside 0..{k - 1}")
-    if objective is Objective.SEQUENCE:
-        return y
-    dist = np.zeros((len(y), k))
-    dist[np.arange(len(y)), y] = 1.0
-    return dist
+    if objective is Objective.MARGINAL:
+        return soften(labels, tags).dist
+    tags.check(labels)
+    return np.asarray(labels, dtype=np.intp)
 
 
 def _sentence_loss_grad(E, T, prep, objective: Objective):

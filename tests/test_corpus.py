@@ -16,13 +16,11 @@ from weakner.corpus import (
     bio_encode,
     bio_repair,
     read_conll,
-    read_soft_tsv,
     sentence_from_texts,
     soften,
     split_seed,
     tokenize,
     write_conll,
-    write_soft_tsv,
 )
 from weakner.errors import (
     EmptySentence,
@@ -117,6 +115,19 @@ class TestTagSet:
         with pytest.raises(UnknownTag):
             PROT.index("B-XYZ")
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_hard_tag_outside_tag_set_rejected(self, bad, tmp_path):
+        # -1 used to read as I-PROT; 3 passed bio_repair and broke write_conll
+        # with a bare IndexError
+        labels = [0, bad]
+        with pytest.raises(UnknownTag):
+            bio_repair(labels, PROT)
+        with pytest.raises(UnknownTag):
+            soften(labels, PROT)
+        ds = Dataset([sentence_from_texts(["p53", "binds"])], [labels])
+        with pytest.raises(UnknownTag):
+            write_conll(ds, tmp_path / "out.conll", PROT)
+
 
 class TestBioCodec:
     def test_simple_span(self):
@@ -189,8 +200,8 @@ class TestSoftLabeling:
 
     @pytest.mark.parametrize("code", [7, -1, 3])
     def test_provenance_outside_enum_rejected(self, code):
-        # such a labeling used to be accepted, and write_soft_tsv then failed
-        # on a bare ValueError
+        # such a labeling used to be accepted, and reading its codes back as
+        # Provenance values then failed on a bare ValueError
         with pytest.raises(WeaknerError, match="provenance"):
             SoftLabeling(np.array([[1.0, 0.0, 0.0]]), [code])
 
@@ -337,45 +348,3 @@ class TestConllIo:
         out = tmp_path / "out.conll"
         write_conll(read_conll(src, PROT), out, PROT)
         assert out.read_text(encoding="utf-8") == "p53\tB-PROT\n.\tO\n"
-
-
-class TestSoftTsvIo:
-    def test_round_trip(self, tmp_path):
-        sents = [sentence_from_texts(["p53", "binds"]), sentence_from_texts(["TIGAR"])]
-        labels = [
-            SoftLabeling(
-                np.array([[0.25, 0.5, 0.25], [1.0, 0.0, 0.0]]),
-                np.array([Provenance.PREDICTED, Provenance.SEED], dtype=np.int8),
-            ),
-            SoftLabeling(
-                np.array([[0.0, 1.0, 0.0]]),
-                np.array([Provenance.REFERENCE], dtype=np.int8),
-            ),
-        ]
-        ds = Dataset(sents, labels, DatasetKind.CORPUS)
-        path = tmp_path / "soft.tsv"
-        write_soft_tsv(ds, path, PROT)
-        back = read_soft_tsv(path, PROT)
-        assert len(back) == 2
-        for orig, re_read in zip(ds.labels, back.labels):
-            assert np.array_equal(orig.dist, re_read.dist)
-            assert np.array_equal(orig.provenance, re_read.provenance)
-
-    def test_nan_row_in_file_rejected(self, tmp_path):
-        path = tmp_path / "soft.tsv"
-        path.write_text("p53\tPREDICTED\tnan\t0.5\t0.5\n", encoding="utf-8")
-        with pytest.raises(WeaknerError, match="non-finite"):
-            read_soft_tsv(path, PROT)
-
-    def test_rows_keep_summing_to_one(self, tmp_path):
-        rng = np.random.default_rng(0)
-        dist = rng.dirichlet(np.ones(3), size=6)
-        ds = Dataset(
-            [sentence_from_texts([f"t{i}" for i in range(6)])],
-            [SoftLabeling(dist, np.full(6, Provenance.PREDICTED, dtype=np.int8))],
-            DatasetKind.CORPUS,
-        )
-        path = tmp_path / "soft.tsv"
-        write_soft_tsv(ds, path, PROT)
-        back = read_soft_tsv(path, PROT)
-        assert np.abs(back.labels[0].dist.sum(axis=1) - 1.0).max() <= 1e-9

@@ -29,9 +29,11 @@ PROT = TagSet(("PROT",))
 @pytest.mark.parametrize("setting", [
     {"l2": float("nan")}, {"learning_rate": float("nan")}, {"decay": float("nan")},
     {"round_epochs": 2.5}, {"seed_epochs": 0},
+    {"iterations": -1}, {"iterations": 2.5}, {"iterations": True}, {"min_name_length": 0},
 ])
 def test_grid_config_rejects_bad_training_settings(setting):
-    # these used to pass and surface mid-grid, or never (a NaN l2 trains with no L2)
+    # these used to pass and surface mid-grid (2.5 iterations as a bare TypeError),
+    # or never (a NaN l2 trains with no L2)
     with pytest.raises(WeaknerError):
         GridConfig(**setting)
 

@@ -11,6 +11,7 @@ from weakner.corpus import (
     bio_encode,
     sentence_from_texts,
 )
+from weakner.errors import UnknownTag
 from weakner.metrics import EvalReport, score_datasets, score_entities
 
 PROT = TagSet(("PROT",))
@@ -105,3 +106,11 @@ class TestScoreDatasets:
         pred = Dataset(sents, [[2, 0]], DatasetKind.SEED)  # leading I-PROT
         report = score_datasets(pred, gold, PROT)
         assert report.tp == 1 and report.fp == 0 and report.fn == 0
+
+    def test_tag_outside_tag_set_rejected(self):
+        # a predicted -1 used to decode as PROT, and this pair scored F1 100
+        sents = [sentence_from_texts(["a", "b"])]
+        gold = Dataset(sents, [[0, 1]], DatasetKind.SEED)
+        pred = Dataset(sents, [[0, -1]], DatasetKind.SEED)
+        with pytest.raises(UnknownTag):
+            score_datasets(pred, gold, PROT)

@@ -96,6 +96,12 @@ class TestFilterNames:
         policy = MatchPolicy(dictionary_filter=frozenset({"anova"}))
         assert filter_names(rs, policy).names == frozenset({"TIGAR"})
 
+    def test_dictionary_words_lowercased(self):
+        # names were compared lowercased, the dictionary as given, so "Anova" kept ANOVA
+        rs = ReferenceSet(frozenset({"ANOVA", "TIGAR"}), "PROT")
+        policy = MatchPolicy(dictionary_filter={"Anova"})
+        assert filter_names(rs, policy).names == frozenset({"TIGAR"})
+
     def test_length_rule(self):
         rs = ReferenceSet(frozenset({"AB", "ABCD"}), "PROT")
         policy = MatchPolicy(min_name_length=4)
