@@ -19,14 +19,13 @@ fresh sequence-likelihood (CRF-style) model from scratch on it.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corpus import Dataset, Provenance, TagSet
-from .errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
+from .errors import EmptyDataset, ModelTagSetMismatch, WeaknerError, check_int
 from .metrics import EvalReport, evaluate_model
 from .tagger import Objective, TaggerModel, TrainConfig, harden, predict_dataset_soft, train
 
@@ -48,9 +47,7 @@ class BootstrapConfig:
     final_train: TrainConfig | None = None
 
     def __post_init__(self):
-        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, numbers.Integral)
-                or self.iterations < 0):
-            raise WeaknerError(f"iterations must be an integer >= 0, not {self.iterations!r}")
+        check_int("iterations", self.iterations, 0)
 
     def seed_cfg(self) -> TrainConfig:
         return self.seed_train if self.seed_train is not None else self.round_train
@@ -225,8 +222,6 @@ def finalize(
     """Harden the final corpus labeling (with the same pins the loop used)
     and train a fresh sequence-mode model on seed + hardened corpus (the
     CRF-style finishing step)."""
-    if len(corpus) == 0:
-        return train(seed, tags, cfg.final_cfg(), init=None)
     labeled = relabel(corpus, model, pins)
     hardened = Dataset(
         list(labeled.sentences),

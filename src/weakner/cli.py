@@ -10,9 +10,12 @@ Subcommands wire the library into reproducible pipelines:
     weakner predict    Viterbi-decode a file with a saved model
     weakner eval       entity-level P/R/F1 of a model on a gold file
 
-Every option can also come from a flat key=value config file (--config);
-command-line flags win. All randomness flows from --rng-seed. Exit codes:
-0 ok, 1 usage error, 2 data error, 3 internal error.
+Options can also come from a flat config file, given after the command as
+--config PATH: each key=value line is read as the option --key=value (with _
+read as -), placed before the command line's own options, so those win.
+Blank and # lines are skipped. Flags take yes/no values (--grid, --grid=no);
+abbreviated options are rejected. All randomness flows from --rng-seed. Exit
+codes: 0 ok, 1 usage error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from dataclasses import replace
 
 from .bootstrap import BootstrapConfig, finalize, iterative_train
-from .corpus import DatasetKind, TagSet, read_conll, split_seed, write_conll
+from .corpus import DatasetKind, TagSet, read_conll, split_seed, text_lines, write_conll
 from .errors import SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
 from .metrics import evaluate_model
@@ -36,9 +39,7 @@ from .refset import (
     load_reference_set,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tagger import Objective, TaggerModel, TrainConfig, predict_dataset_hard, train
-
-_REQUIRED = object()
+from .tagger import Objective, TaggerModel, TrainConfig, predict_dataset_hard
 
 
 class UsageError(Exception):
@@ -50,72 +51,51 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _opt(parser, spec, name, typ, default, help_text, choices=None, flag=False):
-    """Register an option that can come from the CLI or the config file."""
-    spec[name] = (typ, default)
-    arg = "--" + name.replace("_", "-")
-    if flag:
-        parser.add_argument(arg, dest=name, action="store_const", const=True,
-                            default=None, help=help_text)
-    else:
-        parser.add_argument(arg, dest=name, type=str, default=None,
-                            choices=choices, help=help_text, metavar=name.upper())
+def _yes_no(raw):
+    low = raw.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected yes or no, not {raw!r}")
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+def _opt(parser, name, help_text, type=str, default=None, **kw):
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, type=type, default=default,
+                        help=help_text, metavar=name.upper(), **kw)
 
 
-def _convert(raw, typ, key):
-    try:
-        if typ is bool:
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(raw)
-        return typ(raw)
-    except ValueError:
-        raise UsageError(f"bad value for {key}: {raw!r}") from None
+def _flag(parser, name, help_text):
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, type=_yes_no, nargs="?",
+                        const=True, default=False, help=help_text, metavar="yes|no")
 
 
-def _read_config(path):
-    values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{line_no}: expected key=value")
-                key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as e:
-        raise UsageError(f"cannot read config file: {e}") from None
-    return values
-
-
-def _resolve(args, spec):
-    """Merge defaults < config file < command-line flags; reject unknown keys."""
-    cfg = _read_config(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - set(spec))
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    out = argparse.Namespace()
-    for key, (typ, default) in spec.items():
-        cli = getattr(args, key, None)
-        if cli is not None:
-            value = cli if isinstance(cli, bool) else _convert(cli, typ, key)
-        elif key in cfg:
-            value = _convert(cfg[key], typ, key)
-        else:
-            value = default
-        if value is _REQUIRED:
-            raise UsageError(f"missing required option --{key.replace('_', '-')}")
-        setattr(out, key, value)
-    return out
+def _with_config(argv):
+    """argv with the key=value lines of each --config file spliced in as
+    --key=value options right after the command; argparse keeps the last
+    value, so the command line's own options win."""
+    head, rest, from_files = argv[:1], [], []
+    args = iter(argv[1:])
+    for arg in args:
+        if arg == "--config":
+            arg += "=" + next(args, "")
+        if not arg.startswith("--config="):
+            rest.append(arg)
+            continue
+        path = arg[len("--config="):]
+        try:
+            lines = list(text_lines(path))
+        except OSError as e:
+            raise UsageError(f"cannot read config file: {e}") from None
+        for line_no, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise UsageError(f"{path}:{line_no}: expected key=value")
+            from_files.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return head + from_files + rest
 
 
 def _tags(entity_types: str) -> TagSet:
@@ -278,14 +258,14 @@ def cmd_synthetic(ns) -> int:
             seed_fraction=ns.seed_frac,
             test_fraction=ns.test_frac,
             iterations=ns.iterations,
-            seed_epochs=ns.seed_epochs if ns.seed_epochs is not None else 12,
+            seed_epochs=ns.seed_epochs,
             round_epochs=ns.epochs,
             full_epochs=ns.full_epochs,
             final_epochs=ns.final_epochs,
             learning_rate=ns.learning_rate,
             decay=ns.decay,
             l2=ns.l2,
-            min_name_length=ns.min_name_len if ns.min_name_len is not None else 4,
+            min_name_length=ns.min_name_len,
             rng_seed=ns.rng_seed,
         )
         rows = run_experiment_grid(gold, tags, refset, dictionary, cfg=grid_cfg)
@@ -305,100 +285,94 @@ def cmd_synthetic(ns) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _policy_opts(p, spec):
-    _opt(p, spec, "policy", str, None, "matching policy preset", choices=["c1", "c2"])
-    _opt(p, spec, "dictionary", str, None, "dictionary word list (one word per line)")
-    _opt(p, spec, "min_name_len", int, None, "minimum name length in characters")
-    _opt(p, spec, "case_insensitive", bool, False, "case-insensitive matching", flag=True)
-    _opt(p, spec, "partial", bool, False, "allow hyphen/slash component matches", flag=True)
+def _policy_opts(p):
+    _opt(p, "policy", "matching policy preset", choices=["c1", "c2"])
+    _opt(p, "dictionary", "dictionary word list (one word per line)")
+    _opt(p, "min_name_len", "minimum name length in characters", type=int)
+    _flag(p, "case_insensitive", "case-insensitive matching")
+    _flag(p, "partial", "allow hyphen/slash component matches")
 
 
-def _train_opts(p, spec):
-    _opt(p, spec, "epochs", int, 3, "training epochs per round")
-    _opt(p, spec, "seed_epochs", int, None, "epochs for the initial seed model")
-    _opt(p, spec, "final_epochs", int, 6, "epochs for the final sequence-mode retrain")
-    _opt(p, spec, "learning_rate", float, 0.25, "initial SGD learning rate")
-    _opt(p, spec, "decay", float, 0.08, "inverse-time learning-rate decay")
-    _opt(p, spec, "l2", float, 1e-4, "L2 regularization strength")
+def _train_opts(p):
+    _opt(p, "epochs", "training epochs per round", int, GridConfig.round_epochs)
+    _opt(p, "seed_epochs", "epochs for the initial seed model", int)
+    _opt(p, "final_epochs", "epochs for the final sequence-mode retrain", int,
+         GridConfig.final_epochs)
+    _opt(p, "learning_rate", "initial SGD learning rate", float, GridConfig.learning_rate)
+    _opt(p, "decay", "inverse-time learning-rate decay", float, GridConfig.decay)
+    _opt(p, "l2", "L2 regularization strength", float, GridConfig.l2)
 
 
 def build_parser():
     parser = _Parser(prog="weakner", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-    specs = {}
 
-    def add_parser(name, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        return p
+    def add_parser(name, help_text):
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
-    p = add_parser("split", help="split a labeled file into seed/corpus/gold")
-    s = specs["split"] = {}
-    _opt(p, s, "input", str, _REQUIRED, "labeled input file")
-    _opt(p, s, "seed_frac", float, 0.03, "fraction of sentences kept as seed")
-    _opt(p, s, "rng_seed", int, 0, "random seed")
-    _opt(p, s, "entity_type", str, "PROT", "comma-separated entity type names")
-    _opt(p, s, "out_dir", str, _REQUIRED, "output directory")
+    p = add_parser("split", "split a labeled file into seed/corpus/gold")
+    _opt(p, "input", "labeled input file", required=True)
+    _opt(p, "seed_frac", "fraction of sentences kept as seed", float, 0.03)
+    _opt(p, "rng_seed", "random seed", int, 0)
+    _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
+    _opt(p, "out_dir", "output directory", required=True)
 
-    p = add_parser("match", help="find gazetteer mentions in a corpus")
-    s = specs["match"] = {}
-    _opt(p, s, "corpus", str, _REQUIRED, "corpus file (tags ignored)")
-    _opt(p, s, "refset", str, _REQUIRED, "reference set, one name per line")
-    _opt(p, s, "entity_type", str, "PROT", "entity type of the reference set")
-    _opt(p, s, "gold", str, None, "gold file for a matcher audit")
-    _opt(p, s, "criterion", str, "exact", "audit criterion", choices=["exact", "overlap"])
-    _opt(p, s, "out_dir", str, _REQUIRED, "output directory")
-    _policy_opts(p, s)
+    p = add_parser("match", "find gazetteer mentions in a corpus")
+    _opt(p, "corpus", "corpus file (tags ignored)", required=True)
+    _opt(p, "refset", "reference set, one name per line", required=True)
+    _opt(p, "entity_type", "entity type of the reference set", default="PROT")
+    _opt(p, "gold", "gold file for a matcher audit")
+    _opt(p, "criterion", "audit criterion", default="exact", choices=["exact", "overlap"])
+    _opt(p, "out_dir", "output directory", required=True)
+    _policy_opts(p)
 
-    p = add_parser("bootstrap", help="iterative weakly-supervised training")
-    s = specs["bootstrap"] = {}
-    _opt(p, s, "seed", str, _REQUIRED, "labeled seed file")
-    _opt(p, s, "corpus", str, _REQUIRED, "unlabeled corpus file")
-    _opt(p, s, "refset", str, _REQUIRED, "reference set file")
-    _opt(p, s, "entity_type", str, "PROT", "comma-separated entity type names")
-    _opt(p, s, "heldout", str, None, "labeled file for per-round evaluation")
-    _opt(p, s, "iterations", int, 10, "number of refinement rounds")
-    _opt(p, s, "rng_seed", int, 0, "random seed")
-    _opt(p, s, "no_final", bool, False, "skip the final sequence-mode retrain", flag=True)
-    _opt(p, s, "out_dir", str, _REQUIRED, "output directory")
-    _policy_opts(p, s)
-    _train_opts(p, s)
+    p = add_parser("bootstrap", "iterative weakly-supervised training")
+    _opt(p, "seed", "labeled seed file", required=True)
+    _opt(p, "corpus", "unlabeled corpus file", required=True)
+    _opt(p, "refset", "reference set file", required=True)
+    _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
+    _opt(p, "heldout", "labeled file for per-round evaluation")
+    _opt(p, "iterations", "number of refinement rounds", int, 10)
+    _opt(p, "rng_seed", "random seed", int, 0)
+    _flag(p, "no_final", "skip the final sequence-mode retrain")
+    _opt(p, "out_dir", "output directory", required=True)
+    _policy_opts(p)
+    _train_opts(p)
 
-    p = add_parser("predict", help="decode a file with a saved model")
-    s = specs["predict"] = {}
-    _opt(p, s, "model", str, _REQUIRED, "model file")
-    _opt(p, s, "input", str, _REQUIRED, "input file (tags ignored)")
-    _opt(p, s, "out", str, _REQUIRED, "output file")
+    p = add_parser("predict", "decode a file with a saved model")
+    _opt(p, "model", "model file", required=True)
+    _opt(p, "input", "input file (tags ignored)", required=True)
+    _opt(p, "out", "output file", required=True)
 
-    p = add_parser("eval", help="score a model on a gold file")
-    s = specs["eval"] = {}
-    _opt(p, s, "model", str, _REQUIRED, "model file")
-    _opt(p, s, "data", str, _REQUIRED, "gold labeled file")
-    _opt(p, s, "mode", str, "hard", "decoding mode", choices=["hard", "soft"])
+    p = add_parser("eval", "score a model on a gold file")
+    _opt(p, "model", "model file", required=True)
+    _opt(p, "data", "gold labeled file", required=True)
+    _opt(p, "mode", "decoding mode", default="hard", choices=["hard", "soft"])
 
-    p = add_parser("synthetic", help="generate a synthetic corpus (and optionally run the grid)")
-    s = specs["synthetic"] = {}
-    _opt(p, s, "sentences", int, 2000, "number of sentences")
-    _opt(p, s, "entity_names", int, 300, "entity vocabulary size")
-    _opt(p, s, "context_words", int, 400, "context vocabulary size")
-    _opt(p, s, "distractors", int, 60, "name-shaped non-entity vocabulary size")
-    _opt(p, s, "ambiguity", float, 0.3, "fraction of names that are dictionary words")
-    _opt(p, s, "hyphenation", float, 0.2, "fraction of mentions inside compounds")
-    _opt(p, s, "short_rate", float, 0.05, "fraction of names shorter than 4 chars")
-    _opt(p, s, "multiword_rate", float, 0.05, "fraction of two-word names")
-    _opt(p, s, "entity_type", str, "PROT", "entity type name")
-    _opt(p, s, "rng_seed", int, 0, "random seed")
-    _opt(p, s, "out_dir", str, _REQUIRED, "output directory")
-    _opt(p, s, "grid", bool, False, "run the E1-E9 experiment grid", flag=True)
-    _opt(p, s, "seed_frac", float, 0.03, "seed fraction for the grid")
-    _opt(p, s, "test_frac", float, 0.2, "held-out test fraction for the grid")
-    _opt(p, s, "iterations", int, 10, "refinement rounds for the grid")
-    _opt(p, s, "full_epochs", int, 6, "epochs for the fully-supervised rows")
-    _opt(p, s, "min_name_len", int, None, "minimum name length for the C2 rows")
-    _train_opts(p, s)
+    p = add_parser("synthetic", "generate a synthetic corpus (and optionally run the grid)")
+    _opt(p, "sentences", "number of sentences", int, 2000)
+    _opt(p, "entity_names", "entity vocabulary size", int, 300)
+    _opt(p, "context_words", "context vocabulary size", int, 400)
+    _opt(p, "distractors", "name-shaped non-entity vocabulary size", int, 60)
+    _opt(p, "ambiguity", "fraction of names that are dictionary words", float, 0.3)
+    _opt(p, "hyphenation", "fraction of mentions inside compounds", float, 0.2)
+    _opt(p, "short_rate", "fraction of names shorter than 4 chars", float, 0.05)
+    _opt(p, "multiword_rate", "fraction of two-word names", float, 0.05)
+    _opt(p, "entity_type", "entity type name", default="PROT")
+    _opt(p, "rng_seed", "random seed", int, 0)
+    _opt(p, "out_dir", "output directory", required=True)
+    _flag(p, "grid", "run the E1-E9 experiment grid")
+    _opt(p, "seed_frac", "seed fraction for the grid", float, GridConfig.seed_fraction)
+    _opt(p, "test_frac", "held-out test fraction for the grid", float, GridConfig.test_fraction)
+    _opt(p, "iterations", "refinement rounds for the grid", int, GridConfig.iterations)
+    _opt(p, "full_epochs", "epochs for the fully-supervised rows", int, GridConfig.full_epochs)
+    _opt(p, "min_name_len", "minimum name length for the C2 rows", int,
+         GridConfig.min_name_length)
+    _train_opts(p)
+    p.set_defaults(seed_epochs=GridConfig.seed_epochs)
 
-    return parser, specs
+    return parser
 
 
 _DISPATCH = {
@@ -412,13 +386,12 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser, specs = build_parser()
+    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(sys.argv[1:] if argv is None else list(argv)))
         if args.command is None:
             raise UsageError("no command given (see --help)")
-        ns = _resolve(args, specs[args.command])
-        return _DISPATCH[args.command](ns)
+        return _DISPATCH[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

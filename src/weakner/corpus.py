@@ -343,7 +343,8 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
     Returns (seed, corpus, gold) where the seed keeps round(fraction * N)
     sentences with labels, the corpus holds the remaining sentences with
     labels stripped, and gold carries the corpus sentences WITH their labels
-    for held-out simulation.
+    for held-out simulation. A split that leaves either part empty raises
+    FractionOutOfRange.
     """
     if not 0.0 < fraction < 1.0:
         raise FractionOutOfRange(f"fraction must be in (0, 1), got {fraction}")
@@ -351,6 +352,8 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
         raise WeaknerError("split_seed needs a fully labeled dataset")
     n = len(dataset)
     n_seed = round(fraction * n)
+    if not 0 < n_seed < n:
+        raise FractionOutOfRange(f"fraction {fraction} of {n} sentences leaves a part empty")
     order = np.random.default_rng(rng_seed).permutation(n)
     seed_idx = sorted(order[:n_seed].tolist())
     corpus_idx = sorted(order[n_seed:].tolist())

@@ -4,6 +4,8 @@ Everything derives from :class:`WeaknerError` so callers (notably the CLI)
 can distinguish data problems from genuine bugs.
 """
 
+import numbers
+
 
 class WeaknerError(Exception):
     """Base class for all toolkit errors."""
@@ -56,3 +58,9 @@ class SpecInvalid(WeaknerError):
 
 class TrainingDiverged(WeaknerError):
     """Training left non-finite weights (the learning rate is too high)."""
+
+
+def check_int(name, value, minimum):
+    """Raise WeaknerError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise WeaknerError(f"{name} must be an integer >= {minimum}, not {value!r}")

@@ -42,6 +42,18 @@ class Condition:
     iterative: bool
     output: str               # "softmax" | "crf"
 
+    def __post_init__(self):
+        if (self.true_labels not in ("100%", "one_per_sentence", "seed")
+                or self.ref_policy not in (None, "gold", "c1", "c2")
+                or not isinstance(self.predicted, bool) or not isinstance(self.iterative, bool)
+                or self.output not in ("softmax", "crf")):
+            raise WeaknerError(f"condition {self.cid} has a setting outside the documented sets")
+        if self.true_labels == "seed" and not self.predicted:
+            raise WeaknerError(f"seed condition {self.cid} must use predicted labels")
+        if self.true_labels != "seed" and (self.ref_policy or self.predicted or self.iterative):
+            raise WeaknerError(f"full-label condition {self.cid} sets ref_policy, predicted "
+                               "or iterative, which only seed conditions use")
+
 
 def default_conditions():
     return [
@@ -148,10 +160,8 @@ def _pins_for(cond, corpus, corpus_gold, tags, refset, dictionary, cfg):
     elif cond.ref_policy == "c2":
         policy = filtered_policy(dictionary, cfg.min_name_length)
         pins = find_matches(corpus, refset, policy)
-    elif cond.ref_policy is None:
-        pins = []
     else:
-        raise WeaknerError(f"unknown ref policy {cond.ref_policy!r}")
+        pins = []
     if not pins:
         return pins, None, None
     p, r = audit_matcher(pins, corpus_gold, tags)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, text_lines
-from .errors import EmptyReferenceSet, WeaknerError
+from .errors import EmptyReferenceSet, WeaknerError, check_int
 
 _COMPONENT_SPLIT = re.compile(r"[-/]")
 
@@ -56,8 +56,7 @@ class MatchPolicy:
     allow_partial: bool = False
 
     def __post_init__(self):
-        if self.min_name_length < 1:
-            raise WeaknerError("min_name_length must be >= 1")
+        check_int("min_name_length", self.min_name_length, 1)
         if self.dictionary_filter is not None:
             words = frozenset(w.lower() for w in self.dictionary_filter)
             object.__setattr__(self, "dictionary_filter", words)

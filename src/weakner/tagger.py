@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ from .corpus import (
     soften,
 )
 from .errors import EmptyDataset, LabelLengthMismatch, ModelTagSetMismatch
-from .errors import TrainingDiverged, WeaknerError
+from .errors import TrainingDiverged, WeaknerError, check_int
 
 MODEL_FORMAT = "weakner-model"
 MODEL_VERSION = 1
@@ -119,10 +118,8 @@ class TrainConfig:
     objective: Objective = Objective.MARGINAL
 
     def __post_init__(self):
-        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
-            raise WeaknerError(f"epochs must be an integer >= 1, not {self.epochs!r}")
-        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
-            raise WeaknerError(f"rng_seed must be an integer >= 0, not {self.rng_seed!r}")
+        check_int("epochs", self.epochs, 1)
+        check_int("rng_seed", self.rng_seed, 0)
         if not all(map(math.isfinite, (self.learning_rate, self.decay, self.l2))):
             raise WeaknerError("learning_rate, decay and l2 must be finite")
         if self.learning_rate <= 0 or self.decay < 0:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from weakner import experiments
 from weakner.cli import main
 from weakner.corpus import TagSet, read_conll
 from weakner.tagger import TaggerModel
@@ -59,6 +60,20 @@ class TestSynthetic:
         rc = main(["synthetic", "--out-dir", str(tmp_path), "--ambiguity", "1.5"])
         assert rc == 1
 
+    def test_grid_with_an_empty_seed_is_data_error(self, tmp_path, monkeypatch):
+        # used to train the full-label rows E1-E4 before failing on the empty seed
+        def no_condition_runs(*args, **kwargs):
+            raise AssertionError("a grid condition ran")
+
+        monkeypatch.setattr(experiments, "run_condition", no_condition_runs)
+        rc = main([
+            "synthetic", "--out-dir", str(tmp_path), "--sentences", "120",
+            "--entity-names", "60", "--context-words", "120", "--distractors", "20",
+            "--grid", "--seed-frac", "0.001",
+        ])
+        assert rc == 2
+        assert not (tmp_path / "report.tsv").exists()
+
 
 class TestSplit:
     def test_files_and_sizes(self, split_dir):
@@ -87,6 +102,15 @@ class TestSplit:
             "--out-dir", str(tmp_path),
         ])
         assert rc == 1
+
+    def test_empty_seed_is_data_error(self, synth_dir, tmp_path):
+        # used to write an empty seed.conll and exit 0
+        rc = main([
+            "split", "--input", str(synth_dir / "gold.conll"), "--seed-frac", "0.001",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main([
@@ -320,6 +344,59 @@ class TestConfigFile:
         cfg.write_text("inputt=whoops\n", encoding="utf-8")
         rc = main(["split", "--config", str(cfg), "--input", "x",
                    "--out-dir", str(tmp_path)])
+        assert rc == 1
+
+    def test_flags_from_config_and_command_line(self, synth_dir, split_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no_final=yes\niterations=0\nepochs=1\n", encoding="utf-8")
+        argv = [
+            "bootstrap", f"--config={cfg}", "--seed", str(split_dir / "seed.conll"),
+            "--corpus", str(split_dir / "corpus.conll"), "--refset", str(synth_dir / "refset.txt"),
+        ]
+        assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+        assert not (tmp_path / "a" / "final_crf.model").exists()
+        # a flag's value on the command line beats the config file
+        assert main(argv + ["--no-final=no", "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "final_crf.model").exists()
+
+    def test_flag_set_to_no_in_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid=no\nsentences=30\nout_dir={tmp_path / 'out'}\n", encoding="utf-8")
+        assert main(["synthetic", "--config", str(cfg)]) == 0
+        assert len(read_conll(tmp_path / "out" / "gold.conll", PROT)) == 30
+        assert not (tmp_path / "out" / "report.tsv").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("split", "seed_frac"),            # no "="
+        ("split", "seed_frac=x"),
+        ("split", "inpu=whoops"),          # abbreviated keys no longer set --input
+        ("split", "config=other.cfg"),     # a config file cannot name another
+        ("synthetic", "grid=maybe"),
+    ])
+    def test_bad_config_line_is_usage_error(self, synth_dir, tmp_path, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        if command == "split":
+            argv += ["--input", str(synth_dir / "gold.conll")]
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_is_usage_error(self, synth_dir, tmp_path):
+        rc = main(["split", "--config", str(tmp_path / "nope.cfg"),
+                   "--input", str(synth_dir / "gold.conll"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_file_is_data_error(self, synth_dir, tmp_path):
+        # used to exit 3 on a bare UnicodeDecodeError
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"input={synth_dir / 'gold.conll'}\nentity_type=Gr\u00fcn\n".encode("latin-1"))
+        assert main(["split", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_abbreviated_flag_is_usage_error(self, synth_dir, tmp_path):
+        rc = main(["split", "--input", str(synth_dir / "gold.conll"), "--seed-f", "0.1",
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 1
 
     def test_missing_required_is_usage_error(self, tmp_path):

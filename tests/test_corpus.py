@@ -306,6 +306,13 @@ class TestSplitSeed:
             with pytest.raises(FractionOutOfRange):
                 split_seed(self._dataset(10), bad, 0)
 
+    @pytest.mark.parametrize("n, fraction", [(10, 0.01), (10, 0.99), (1, 0.5), (0, 0.5)])
+    def test_split_that_empties_a_part_rejected(self, n, fraction):
+        # used to return an empty seed or corpus, which failed only later
+        # ("empty seed dataset", after the grid's full-label rows had trained)
+        with pytest.raises(FractionOutOfRange):
+            split_seed(self._dataset(n), fraction, 0)
+
 
 class TestConllIo:
     def test_read_basic(self, tmp_path):

@@ -30,12 +30,30 @@ PROT = TagSet(("PROT",))
     {"l2": float("nan")}, {"learning_rate": float("nan")}, {"decay": float("nan")},
     {"round_epochs": 2.5}, {"seed_epochs": 0},
     {"iterations": -1}, {"iterations": 2.5}, {"iterations": True}, {"min_name_length": 0},
+    {"round_epochs": True}, {"rng_seed": True}, {"min_name_length": 2.5},
+    {"min_name_length": "3"},
 ])
 def test_grid_config_rejects_bad_training_settings(setting):
     # these used to pass and surface mid-grid (2.5 iterations as a bare TypeError),
-    # or never (a NaN l2 trains with no L2)
+    # or never (a NaN l2 trains with no L2, round_epochs=True trains one epoch);
+    # min_name_length="3" was a bare TypeError
     with pytest.raises(WeaknerError):
         GridConfig(**setting)
+
+
+@pytest.mark.parametrize("settings", [
+    ("all", None, False, False, "softmax"),        # ran as a seed row, with self-training
+    ("seed", "c2", True, True, "CRF"),             # trained SEQUENCE but was scored as softmax
+    ("seed", "c3", True, True, "crf"),
+    ("seed", "c2", 1, True, "crf"),
+    ("100%", "c2", False, False, "softmax"),       # full-label rows ignored the policy,
+    ("100%", None, True, False, "crf"),            # the predicted labels
+    ("one_per_sentence", None, False, True, "crf"),  # and the iteration
+    ("seed", "c2", False, True, "softmax"),        # seed rows always use predicted labels
+])
+def test_condition_outside_its_documented_settings_rejected(settings):
+    with pytest.raises(WeaknerError):
+        Condition("X", *settings)
 
 @pytest.fixture(scope="module")
 def bundle():

@@ -480,7 +480,7 @@ class TestTraining:
         with pytest.raises(WeaknerError):
             TrainConfig(epochs=2.5)
 
-    @pytest.mark.parametrize("seed", [-1, 2.5])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
     def test_bad_rng_seed_rejected(self, seed):
         # used to fail in the first epoch's shuffle with a bare ValueError / TypeError
         with pytest.raises(WeaknerError):
