@@ -105,11 +105,6 @@ def _tags(entity_types: str) -> TagSet:
     return TagSet(types)
 
 
-def _check_fraction(name, value):
-    if not 0.0 < value < 1.0:
-        raise UsageError(f"--{name} must be strictly between 0 and 1, got {value}")
-
-
 def _build_policy(ns):
     """Policy from --policy preset plus explicit flag overrides."""
     dictionary = load_dictionary(ns.dictionary) if ns.dictionary else None
@@ -145,7 +140,6 @@ def _train_cfg(ns, epochs, objective):
 # ---------------------------------------------------------------------------
 
 def cmd_split(ns) -> int:
-    _check_fraction("seed-frac", ns.seed_frac)
     tags = _tags(ns.entity_type)
     dataset = read_conll(ns.input, tags)
     seed, corpus, gold = split_seed(dataset, ns.seed_frac, ns.rng_seed)

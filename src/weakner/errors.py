@@ -60,7 +60,8 @@ class TrainingDiverged(WeaknerError):
     """Training left non-finite weights (the learning rate is too high)."""
 
 
-def check_int(name, value, minimum):
-    """Raise WeaknerError unless value is an integer (not a bool) >= minimum."""
+def check_int(name, value, minimum, error=WeaknerError):
+    """Raise error (a WeaknerError type) unless value is an integer (not a
+    bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise WeaknerError(f"{name} must be an integer >= {minimum}, not {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, not {value!r}")

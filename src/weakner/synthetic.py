@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, DatasetKind, TagSet, sentence_from_texts
-from .errors import SpecInvalid
+from .errors import SpecInvalid, check_int
 from .refset import ReferenceSet
 
 _CONSONANTS = list("bcdfghjklmnprstvz")
@@ -73,8 +73,10 @@ class SyntheticSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise SpecInvalid(f"{name} must be in [0, 1], got {v}")
-        if self.n_sentences < 1 or self.n_entity_names < 1 or self.n_context_words < 2:
-            raise SpecInvalid("vocabulary and corpus sizes must be positive")
+        # the generator draws distractors and triggers, so neither list may be empty
+        for name, minimum in (("n_sentences", 1), ("n_entity_names", 1), ("n_context_words", 2),
+                              ("n_distractors", 1), ("n_triggers", 1), ("rng_seed", 0)):
+            check_int(name, getattr(self, name), minimum, SpecInvalid)
         if self.n_triggers >= self.n_context_words:
             raise SpecInvalid("n_triggers must be smaller than n_context_words")
         w = self.mention_weights

@@ -29,6 +29,13 @@ with an inverse-time learning-rate decay and L2 regularization:
   per-token soft target rows (accepts mixed one-hot / probabilistic rows);
 * SEQUENCE: conditional log-likelihood of hard tag sequences.
 
+Training reads the same (n_tokens, n_templates) feature-id matrix as
+inference. Each sentence's rows are a view of it that indexes a working copy
+of the weights with one extra zero row, the row that id -1 (an unknown or
+absent feature) names. A sentence's emissions are one gather and sum in
+template order. Its SGD step is one np.subtract.at over every firing, token
+by token in template order, after which the zero row is reset to zero.
+
 All dynamic programs run in log space. Tie-breaking in argmax/Viterbi is
 by lowest tag index, so results are deterministic.
 """
@@ -130,15 +137,6 @@ class TrainConfig:
             raise WeaknerError("learning_rate * l2 must be < 1 (the L2 step would zero the model)")
 
 
-def _segment_sum(index, values, size):
-    """out[j] = sum of the rows values[r] with index[r] == j, added in row
-    order; rows of out that no index names are zero."""
-    out = np.empty((size, values.shape[1]))
-    for t in range(values.shape[1]):
-        out[:, t] = np.bincount(index, weights=values[:, t], minlength=size)
-    return out
-
-
 class TaggerModel:
     """Emission + transition weights over a frozen-on-predict feature index."""
 
@@ -199,16 +197,6 @@ class TaggerModel:
         for c, d in enumerate(offsets):
             M[:, c] = table[source[d], c]
         return M, np.cumsum(lens) - lens
-
-    def _dataset_rows(self, sentences, grow=False):
-        """Every sentence's (ids, pos) feature rows: ids[r] a known feature id
-        and pos[r] the token it fires at, token by token in template order."""
-        M, starts = self._feature_ids(sentences, grow)
-        keep = M >= 0
-        ids, counts = M[keep], keep.sum(axis=1)
-        at = np.arange(len(M)) - np.repeat(starts, np.diff(starts, append=len(M)))
-        cuts = np.cumsum(counts)[starts[1:] - 1]
-        return list(zip(np.split(ids, cuts), np.split(np.repeat(at, counts), cuts)))
 
     def emissions(self, sentences):
         """Emission score rows of a dataset's tokens, (n_tokens, n_tags) with
@@ -326,14 +314,21 @@ class TaggerModel:
 def _forward_backward(E, T):
     """Log-space alpha, beta and the log partition function of one sentence,
     E (n, k), or of equal-length sentences stacked position-major, E (n, B, k).
-    Each log-sum-exp over tags is one np.logaddexp.reduce call."""
+    Each log-sum-exp over tags is one np.logaddexp.reduce call, written
+    straight into its row of alpha or beta."""
     alpha = np.empty_like(E)
     beta = np.zeros_like(E)
+    scores = np.empty(E.shape[1:] + T.shape[-1:])  # (k, k) or (B, k, k)
+    ahead = np.empty_like(E[0])
     alpha[0] = E[0]
-    for i in range(1, len(E)):
-        alpha[i] = E[i] + np.logaddexp.reduce(alpha[i - 1][..., :, None] + T, axis=-2)
-    for i in range(len(E) - 2, -1, -1):
-        beta[i] = np.logaddexp.reduce(T + (E[i + 1] + beta[i + 1])[..., None, :], axis=-1)
+    for prev, cur, e in zip(alpha[:-1, ..., :, None], alpha[1:], E[1:]):
+        np.add(prev, T, out=scores)
+        np.logaddexp.reduce(scores, axis=-2, out=cur)
+        cur += e
+    for cur, after, e in zip(beta[-2::-1], beta[:0:-1], E[:0:-1]):
+        np.add(e, after, out=ahead)
+        np.add(T, ahead[..., None, :], out=scores)
+        np.logaddexp.reduce(scores, axis=-1, out=cur)
     log_z = np.logaddexp.reduce(alpha[-1], axis=-1)
     return alpha, beta, log_z
 
@@ -384,15 +379,17 @@ def _marginal_loss_grad(E, T, q):
     # alpha recursion: alpha[i] = E[i] + lse_s(alpha[i-1][s] + T[s, t]);
     # back[i-1][s, t] = P(prev = s | cur = t, prefix), columns sum to 1
     back = np.exp(alpha[:-1, :, None] + T - (alpha[1:] - E[1:])[:, None, :])
-    for i in range(n - 1, 0, -1):
-        ga[i - 1] += back[i - 1] @ ga[i]
+    rows = list(ga)
+    for b, g, g_prev in zip(back[::-1], rows[:0:-1], rows[-2::-1]):
+        g_prev += np.dot(b, g)
 
     # beta recursion: beta[i][s] = lse_t(T[s, t] + E[i+1][t] + beta[i+1][t]);
     # fwd[i][s, t] = P(next = t | cur = s, suffix), rows sum to 1
     gb = -q
     fwd = np.exp(T + (E[1:] + beta[1:])[:, None, :] - beta[:-1, :, None])
-    for i in range(n - 1):
-        gb[i + 1] += gb[i] @ fwd[i]
+    rows = list(gb)
+    for f, g, g_next in zip(fwd, rows, rows[1:]):
+        g_next += np.dot(g, f)
 
     # E[i] enters alpha[i] directly and beta[i-1] through fwd[i-1]; the
     # latter's adjoint is what gb[i] gained on top of its initial -q[i]
@@ -419,25 +416,6 @@ def _sequence_loss_grad(E, T, y):
 # Training
 # ---------------------------------------------------------------------------
 
-class _Prepared:
-    """Per-sentence tensors fixed across epochs: feature rows and targets."""
-
-    __slots__ = ("ids", "pos", "n", "uids", "inv", "target")
-
-    def __init__(self, rows, target):
-        self.ids, self.pos = rows
-        self.n = len(target)
-        self.uids, self.inv = np.unique(self.ids, return_inverse=True)
-        self.target = target
-
-    def emissions(self, weights):
-        return _segment_sum(self.pos, weights[self.ids], self.n)
-
-    def weight_grad(self, gE):
-        """Gradient rows of the sentence's distinct features, in uids order."""
-        return _segment_sum(self.inv, gE[self.pos], len(self.uids))
-
-
 def _targets_for(labels, tags: TagSet, objective: Objective):
     """Training targets of one labeling: soft rows (n, k) for MARGINAL, a
     tag-index array for SEQUENCE. Rejects rows or tags outside the tag set."""
@@ -456,10 +434,20 @@ def _targets_for(labels, tags: TagSet, objective: Objective):
     return np.asarray(labels, dtype=np.intp)
 
 
-def _sentence_loss_grad(E, T, prep, objective: Objective):
+def _sentence_loss_grad(E, T, target, objective: Objective):
     if objective is Objective.MARGINAL:
-        return _marginal_loss_grad(E, T, prep.target)
-    return _sequence_loss_grad(E, T, prep.target)
+        return _marginal_loss_grad(E, T, target)
+    return _sequence_loss_grad(E, T, target)
+
+
+def _training_rows(model: TaggerModel, sentences, grow=False):
+    """A working copy of the model's weights with one extra zero row, and
+    each sentence's feature ids into it: views (n, n_templates) of the
+    dataset's id matrix, where id -1 (unknown or absent) names the zero row.
+    """
+    M, starts = model._feature_ids(sentences, grow)
+    W = np.vstack([model.weights, np.zeros((1, len(model.tags)))])
+    return W, [M[s:s + len(x)] for s, x in zip(starts.tolist(), sentences)]
 
 
 def train(
@@ -494,22 +482,20 @@ def train(
     else:
         model = TaggerModel(tags)
 
-    rows = model._dataset_rows(data.sentences, grow=True)
-    prepared = [
-        _Prepared(r, _targets_for(lab, tags, cfg.objective))
-        for r, lab in zip(rows, data.labels)
-    ]
-
-    W, T = model.weights, model.transitions
-    n_sent = len(prepared)
+    W, rows = _training_rows(model, data.sentences, grow=True)
+    targets = [_targets_for(lab, tags, cfg.objective) for lab in data.labels]
+    T = model.transitions
     for _ in range(cfg.epochs):
         epoch = model.epochs_trained
         rate = cfg.learning_rate / (1.0 + cfg.decay * epoch)
-        order = np.random.default_rng([cfg.rng_seed, epoch]).permutation(n_sent)
-        for si in order:
-            prep = prepared[si]
-            _, gE, gT = _sentence_loss_grad(prep.emissions(W), T, prep, cfg.objective)
-            W[prep.uids] -= rate * prep.weight_grad(gE)
+        order = np.random.default_rng([cfg.rng_seed, epoch]).permutation(len(rows))
+        for si in order.tolist():
+            m = rows[si]
+            _, gE, gT = _sentence_loss_grad(W[m].sum(axis=1), T, targets[si], cfg.objective)
+            # one step per firing, in token then template order; what lands
+            # on the zero row is wiped
+            np.subtract.at(W, m, rate * gE[:, None, :])
+            W[-1] = 0.0
             T -= rate * gT
         if cfg.l2 > 0.0:
             shrink = 1.0 - rate * cfg.l2
@@ -518,6 +504,7 @@ def train(
         if not (np.isfinite(W).all() and np.isfinite(T).all()):
             raise TrainingDiverged(f"non-finite weights after epoch {epoch}; lower the rate")
         model.epochs_trained += 1
+    model.weights = W[:-1]
     return model
 
 
@@ -528,17 +515,17 @@ def dataset_loss_and_gradient(model: TaggerModel, data: Dataset, cfg: TrainConfi
     Returns (loss, grad_weights, grad_transitions). Unseen features in
     `data` are ignored (the gradient is wrt the existing weight vector).
     """
-    gW = np.zeros_like(model.weights)
+    W, rows = _training_rows(model, data.sentences)
+    gW = np.zeros_like(W)
     gT = np.zeros_like(model.transitions)
     total = 0.0
-    for rows, lab in zip(model._dataset_rows(data.sentences), data.labels):
-        prep = _Prepared(rows, _targets_for(lab, model.tags, cfg.objective))
-        loss, gE, gTs = _sentence_loss_grad(
-            prep.emissions(model.weights), model.transitions, prep, cfg.objective
-        )
+    for m, lab in zip(rows, data.labels):
+        target = _targets_for(lab, model.tags, cfg.objective)
+        loss, gE, gTs = _sentence_loss_grad(W[m].sum(axis=1), model.transitions, target, cfg.objective)
         total += loss
-        gW[prep.uids] += prep.weight_grad(gE)
+        np.add.at(gW, m, gE[:, None, :])
         gT += gTs
+    gW = gW[:-1]
     if cfg.l2 > 0.0:
         total += 0.5 * cfg.l2 * (
             float((model.weights ** 2).sum()) + float((model.transitions ** 2).sum())

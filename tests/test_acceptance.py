@@ -69,7 +69,7 @@ def _random_sentence(rng, max_len):
 
 def _random_model(rng, tags, sentences, scale=1.0):
     model = TaggerModel(tags)
-    model._dataset_rows(sentences, grow=True)
+    model._feature_ids(sentences, grow=True)
     model.weights = rng.normal(scale=scale, size=model.weights.shape)
     model.transitions = rng.normal(scale=scale, size=model.transitions.shape)
     return model

@@ -60,6 +60,15 @@ class TestSynthetic:
         rc = main(["synthetic", "--out-dir", str(tmp_path), "--ambiguity", "1.5"])
         assert rc == 1
 
+    @pytest.mark.parametrize("option", [
+        ["--rng-seed", "-1"], ["--distractors", "-5"], ["--distractors", "0"],
+    ])
+    def test_bad_count_is_usage_error(self, tmp_path, option):
+        # used to exit 3 with a ValueError from inside the generator
+        rc = main(["synthetic", "--out-dir", str(tmp_path / "out"), "--sentences", "10", *option])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
     def test_grid_with_an_empty_seed_is_data_error(self, tmp_path, monkeypatch):
         # used to train the full-label rows E1-E4 before failing on the empty seed
         def no_condition_runs(*args, **kwargs):
@@ -96,12 +105,14 @@ class TestSplit:
         for name in ("seed.conll", "corpus.conll", "gold.conll"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_fraction_out_of_bounds_is_usage_error(self, synth_dir, tmp_path):
+    def test_fraction_out_of_bounds_is_data_error(self, synth_dir, tmp_path):
+        # split_seed holds the one range rule, as for synthetic --grid
         rc = main([
             "split", "--input", str(synth_dir / "gold.conll"), "--seed-frac", "1.5",
-            "--out-dir", str(tmp_path),
+            "--out-dir", str(tmp_path / "out"),
         ])
-        assert rc == 1
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_empty_seed_is_data_error(self, synth_dir, tmp_path):
         # used to write an empty seed.conll and exit 0

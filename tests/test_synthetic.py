@@ -89,6 +89,15 @@ class TestGenerator:
         with pytest.raises(SpecInvalid):
             SyntheticSpec(mention_weights=(0.5, 0.2))
 
+    @pytest.mark.parametrize("field,value", [
+        ("rng_seed", -1), ("rng_seed", 1.0), ("n_distractors", -5), ("n_distractors", 0),
+        ("n_sentences", 2.5), ("n_sentences", True), ("n_entity_names", 80.0),
+        ("n_context_words", 150.0), ("n_triggers", 0), ("n_triggers", None),
+    ])
+    def test_invalid_counts_rejected(self, field, value):
+        with pytest.raises(SpecInvalid):
+            small_spec(**{field: value})
+
 
 class TestMatcherDynamics:
     def test_clean_corpus_gives_perfect_exact_precision(self):

@@ -22,6 +22,7 @@ from weakner.errors import (
     UnknownTag,
     WeaknerError,
 )
+from weakner import tagger
 from weakner.synthetic import SyntheticSpec, generate_synthetic
 from weakner.tagger import (
     FeatureExtractor,
@@ -51,7 +52,7 @@ def random_sentence(rng, max_len=6):
 def random_model(rng, tags, sentences, scale=1.0):
     """A model whose feature index covers `sentences`, with random weights."""
     model = TaggerModel(tags)
-    model._dataset_rows(sentences, grow=True)
+    model._feature_ids(sentences, grow=True)
     model.weights = rng.normal(scale=scale, size=model.weights.shape)
     model.transitions = rng.normal(scale=scale, size=model.transitions.shape)
     return model
@@ -347,6 +348,60 @@ class TestKernelsMatchReference:
                     assert_matches_reference(got, ref)
 
 
+# The kernels as they were before each step wrote into preallocated rows:
+# a new array per step and the @ operator. The rewrite must not move a bit.
+
+def alloc_forward_backward(E, T):
+    alpha = np.empty_like(E)
+    beta = np.zeros_like(E)
+    alpha[0] = E[0]
+    for i in range(1, len(E)):
+        alpha[i] = E[i] + np.logaddexp.reduce(alpha[i - 1][..., :, None] + T, axis=-2)
+    for i in range(len(E) - 2, -1, -1):
+        beta[i] = np.logaddexp.reduce(T + (E[i + 1] + beta[i + 1])[..., None, :], axis=-1)
+    return alpha, beta, np.logaddexp.reduce(alpha[-1], axis=-1)
+
+
+def alloc_marginal_loss_grad(E, T, q):
+    n = len(E)
+    alpha, beta, log_z = alloc_forward_backward(E, T)
+    loss = -(q * (alpha + beta - log_z)).sum()
+    ga = -q
+    ga[n - 1] += q.sum() * np.exp(alpha[n - 1] - log_z)
+    back = np.exp(alpha[:-1, :, None] + T - (alpha[1:] - E[1:])[:, None, :])
+    for i in range(n - 1, 0, -1):
+        ga[i - 1] += back[i - 1] @ ga[i]
+    gb = -q
+    fwd = np.exp(T + (E[1:] + beta[1:])[:, None, :] - beta[:-1, :, None])
+    for i in range(n - 1):
+        gb[i + 1] += gb[i] @ fwd[i]
+    gT = (back * ga[1:, None, :]).sum(axis=0) + (fwd * gb[:-1, :, None]).sum(axis=0)
+    return loss, ga + (gb + q), gT
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelsBitIdentical:
+    @pytest.mark.parametrize("scale", [2.0, 300.0])
+    @pytest.mark.parametrize("n", [1, 2, 10, 46])
+    def test_against_allocating_kernels(self, n, scale, monkeypatch):
+        for k in (3, 5):
+            E, T, q, y = kernel_inputs(n, k, scale)
+            assert_same_bits(_forward_backward(E, T), alloc_forward_backward(E, T))
+            stacked = np.random.default_rng(n + k).normal(scale=scale, size=(n, 6, k))
+            assert_same_bits(_forward_backward(stacked, T), alloc_forward_backward(stacked, T))
+            assert_same_bits(_marginal_loss_grad(E, T, q), alloc_marginal_loss_grad(E, T, q))
+            got = _sequence_loss_grad(E, T, y)
+            with monkeypatch.context() as m:
+                m.setattr(tagger, "_forward_backward", alloc_forward_backward)
+                want = _sequence_loss_grad(E, T, y)
+            assert_same_bits(got, want)
+
+
 class TestTraining:
     def _one_sentence_data(self):
         sent = sentence_from_texts(["p53", "binds", "MDM2"])
@@ -428,7 +483,7 @@ class TestTraining:
     def test_constructed_weights_drive_decode(self):
         sent = sentence_from_texts(["p53", "binds"])
         model = TaggerModel(PROT)
-        model._dataset_rows([sent], grow=True)
+        model._feature_ids([sent], grow=True)
         model.weights[model.feature_index["w=p53"], PROT.b_index("PROT")] = 5.0
         assert model.predict_hard([sent])[0] == [1, 0]
 
@@ -583,6 +638,64 @@ def naive_emissions(model, sentence):
     return E
 
 
+def naive_sgd_epoch(model, data, cfg):
+    """Reference epoch of train: emissions from the feature strings, the
+    same kernel, then a step on one weight row per firing feature."""
+    model = model.clone()
+    naive_grow(model.feature_index, data.sentences, model.window)
+    grown = np.zeros((len(model.feature_index) - len(model.weights), len(model.tags)))
+    model.weights = np.vstack([model.weights, grown])
+    W, T, index = model.weights, model.transitions, model.feature_index
+    epoch = model.epochs_trained
+    rate = cfg.learning_rate / (1.0 + cfg.decay * epoch)
+    for si in np.random.default_rng([cfg.rng_seed, epoch]).permutation(len(data)):
+        sent, lab = data.sentences[si], data.labels[si]
+        E = naive_emissions(model, sent)
+        if cfg.objective is Objective.MARGINAL:
+            _, gE, gT = _marginal_loss_grad(E, T, soften(lab, model.tags).dist)
+        else:
+            _, gE, gT = _sequence_loss_grad(E, T, np.asarray(lab))
+        for i, feats in enumerate(naive_features(sent, model.window)):
+            for f in feats:
+                W[index[f]] -= rate * gE[i]
+        T -= rate * gT
+    W *= 1.0 - rate * cfg.l2
+    T *= 1.0 - rate * cfg.l2
+    model.epochs_trained += 1
+    return model
+
+
+class TestSgdStep:
+    # repeated words and shapes fire one feature several times per sentence;
+    # texts shorter than the affixes leave absent features
+    TEXTS = [
+        ["p53", "binds", "p53", "and", "MDM2", "MDM2"],
+        ["a", "TIGAR", "é", "x1", "y2", "TIGAR", "a"],
+        ["42", "ΔN", "42"],
+        ["the", "assay", "of", "Grün", "p53", "the", "a", "x1", "MDM2", "binds"],
+    ]
+
+    @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
+    def test_epoch_matches_naive_loop(self, objective):
+        rng = np.random.default_rng(60)
+        sents = [sentence_from_texts(t) for t in self.TEXTS]
+        sents += [odd_sentence(rng) for _ in range(8)]
+        labels = [[int(t) for t in rng.integers(0, len(PROT), size=len(x))] for x in sents]
+        first = Dataset(sents[:7], labels[:7], DatasetKind.SEED)
+        more = Dataset(sents[3:], labels[3:], DatasetKind.SEED)
+        cfg = TrainConfig(epochs=1, learning_rate=0.3, decay=0.1, l2=0.01, rng_seed=4,
+                          objective=objective)
+        base, want = train(first, PROT, cfg), naive_sgd_epoch(TaggerModel(PROT), first, cfg)
+        # fine-tuning also keeps features the new data lacks
+        tuned, want_tuned = train(more, PROT, cfg, init=base), naive_sgd_epoch(base, more, cfg)
+        for got, ref in [(base, want), (tuned, want_tuned)]:
+            assert list(got.feature_index) == list(ref.feature_index)
+            assert got.epochs_trained == ref.epochs_trained
+            assert np.abs(got.weights - ref.weights).max() <= 1e-12
+            assert np.abs(got.transitions - ref.transitions).max() <= 1e-12
+        assert np.abs(base.weights).max() > 0.01
+
+
 def sentence_emissions(model, sentence):
     return model.emissions([sentence])[0]
 
@@ -590,9 +703,9 @@ def sentence_emissions(model, sentence):
 def token_features(sentence, window=2):
     """Per-token feature strings as the factored path assigns them."""
     model = TaggerModel(PROT, window)
-    (ids, pos), = model._dataset_rows([sentence], grow=True)
+    M, _ = model._feature_ids([sentence], grow=True)
     names = list(model.feature_index)
-    return [[names[f] for f in ids[pos == i]] for i in range(len(sentence))]
+    return [[names[f] for f in row if f >= 0] for row in M.tolist()]
 
 
 # tokens that stress the per-type tables: the pad strings themselves, texts
@@ -664,7 +777,7 @@ class TestFactoredFeatures:
         rng = np.random.default_rng(48 + window)
         seen = [odd_sentence(rng) for _ in range(12)]
         model = TaggerModel(TWO, window)
-        model._dataset_rows(seen, grow=True)
+        model._feature_ids(seen, grow=True)
         model.weights = rng.normal(size=model.weights.shape)
         model.weights[::5] = -0.0
         # the unseen half brings unknown features of known and unknown texts
@@ -687,9 +800,9 @@ class TestFactoredFeatures:
         first = [odd_sentence(rng) for _ in range(10)]
         more = [odd_sentence(rng) for _ in range(10)]
         model = TaggerModel(PROT, window)
-        model._dataset_rows(first, grow=True)
+        model._feature_ids(first, grow=True)
         assert list(model.feature_index.items()) == list(naive_grow({}, first, window).items())
-        model._dataset_rows(more, grow=True)
+        model._feature_ids(more, grow=True)
         expected = naive_grow(naive_grow({}, first, window), more, window)
         assert list(model.feature_index.items()) == list(expected.items())
         assert model.weights.shape == (len(expected), len(PROT)) and not model.weights.any()
@@ -700,12 +813,15 @@ class TestFactoredFeatures:
         seen = [odd_sentence(rng) for _ in range(10)]
         unseen = [odd_sentence(rng) for _ in range(10)]
         model = TaggerModel(PROT, window)
-        grown = model._dataset_rows(seen, grow=True)
-        rows = model._dataset_rows(seen + unseen)
-        assert len(grown) == len(seen) and len(rows) == len(seen + unseen)
-        for sent, (ids, pos) in zip(seen + unseen + seen, rows + grown):
-            want_ids, want_pos = naive_rows(model, sent)
-            assert np.array_equal(ids, want_ids) and np.array_equal(pos, want_pos)
+        grown = model._feature_ids(seen, grow=True)
+        for sents, (M, starts) in [(seen, grown), (seen + unseen, model._feature_ids(seen + unseen))]:
+            assert M.dtype == np.int32 and M.shape == (sum(map(len, sents)), len(model.extractor.offsets))
+            assert ((M >= 0) | (M == -1)).all()
+            for sent, start in zip(sents, starts):
+                known = M[start:start + len(sent)] >= 0
+                want_ids, want_pos = naive_rows(model, sent)
+                assert np.array_equal(M[start:start + len(sent)][known], want_ids)
+                assert np.array_equal(np.nonzero(known)[0], want_pos)
 
 
 class TestHarden:
