@@ -39,7 +39,6 @@ from .tagger import (
     Objective,
     TaggerModel,
     TrainConfig,
-    dataset_loss_and_gradient,
     harden,
     predict_dataset_hard,
     predict_dataset_soft,

@@ -20,42 +20,42 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import Dataset, Provenance, TagSet
-from .errors import EmptyDataset, ModelTagSetMismatch, WeaknerError, check_int
+from .errors import ModelTagSetMismatch, WeaknerError, check_int
 from .metrics import EvalReport, evaluate_model
 from .tagger import Objective, TaggerModel, TrainConfig, harden, predict_dataset_soft, train
 
 
 @dataclass
 class BootstrapConfig:
-    """Knobs of the iterative loop.
-
-    round_train drives every fine-tuning round (MARGINAL objective);
-    seed_train, when given, trains the initial model instead (more epochs
-    are often useful there since the seed is small). final_train configures
-    the optional from-scratch SEQUENCE retrain; by default it reuses
-    round_train with the objective switched.
+    """Settings of the iterative loop: one SGD schedule (rate, decay, L2,
+    shuffle seed) shared by its three kinds of training call, each with its
+    own epoch count: the seed model and every fine-tuning round (MARGINAL
+    objective), and the optional from-scratch retrain of ``finalize``
+    (SEQUENCE objective). The seed is small, so it gets more epochs.
     """
 
     iterations: int = 10
-    round_train: TrainConfig = field(default_factory=TrainConfig)
-    seed_train: TrainConfig | None = None
-    final_train: TrainConfig | None = None
+    seed_epochs: int = 12
+    round_epochs: int = 3
+    final_epochs: int = 6
+    learning_rate: float = 0.25
+    decay: float = 0.08
+    l2: float = 1e-4
+    rng_seed: int = 0
 
     def __post_init__(self):
+        # build every config the loop will use, so bad settings fail here
         check_int("iterations", self.iterations, 0)
+        for epochs in (self.seed_epochs, self.round_epochs, self.final_epochs):
+            self.train_cfg(epochs)
 
-    def seed_cfg(self) -> TrainConfig:
-        return self.seed_train if self.seed_train is not None else self.round_train
-
-    def final_cfg(self) -> TrainConfig:
-        if self.final_train is not None:
-            return self.final_train
-        return replace(self.round_train, objective=Objective.SEQUENCE)
+    def train_cfg(self, epochs: int, objective: Objective = Objective.MARGINAL) -> TrainConfig:
+        return TrainConfig(epochs, self.learning_rate, self.decay, self.l2, self.rng_seed, objective)
 
 
 @dataclass
@@ -171,17 +171,13 @@ def iterative_train(
     pins: the reference matches on `corpus` (an empty list gives classic
     self-training). heldout, when given, adds per-round P/R/F1
     (softmax-argmax output) to the trace. checkpoint_dir, when given,
-    receives one model file per round plus trace.tsv.
+    receives one model file per round plus trace.tsv; it is created once the
+    seed model is trained, so a seed that cannot be trained leaves none.
     """
-    if len(seed) == 0:
-        raise EmptyDataset("empty seed dataset")
-    if not seed.is_fully_labeled():
-        raise WeaknerError("seed dataset must be fully labeled")
+    model = train(seed, tags, cfg.train_cfg(cfg.seed_epochs), init=None)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-
     trace = IterationTrace()
-    model = train(seed, tags, cfg.seed_cfg(), init=None)
     trace.rows.append(
         IterationRow(
             0,
@@ -195,7 +191,7 @@ def iterative_train(
     for i in range(1, cfg.iterations + 1):
         labeled = relabel(corpus, model, pins)
         pinned, entropy = _labeling_stats(labeled)
-        model = train(_combine(seed, labeled), tags, cfg.round_train, init=model)
+        model = train(_combine(seed, labeled), tags, cfg.train_cfg(cfg.round_epochs), init=model)
         trace.rows.append(
             IterationRow(
                 i,
@@ -228,4 +224,5 @@ def finalize(
         [harden(soft, tags) for soft in labeled.labels],
         labeled.kind,
     )
-    return train(_combine(seed, hardened), tags, cfg.final_cfg(), init=None)
+    sequence = cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE)
+    return train(_combine(seed, hardened), tags, sequence, init=None)

@@ -39,7 +39,7 @@ from .refset import (
     load_reference_set,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tagger import Objective, TaggerModel, TrainConfig, predict_dataset_hard
+from .tagger import TaggerModel, predict_dataset_hard
 
 
 class UsageError(Exception):
@@ -124,14 +124,18 @@ def _build_policy(ns):
     return replace(base, **changes) if changes else base
 
 
-def _train_cfg(ns, epochs, objective):
-    return TrainConfig(
-        epochs=epochs,
+def _loop_settings(ns):
+    """BootstrapConfig fields from the options; --seed-epochs, when not
+    given, is --epochs."""
+    return dict(
+        iterations=ns.iterations,
+        seed_epochs=ns.epochs if ns.seed_epochs is None else ns.seed_epochs,
+        round_epochs=ns.epochs,
+        final_epochs=ns.final_epochs,
         learning_rate=ns.learning_rate,
         decay=ns.decay,
         l2=ns.l2,
         rng_seed=ns.rng_seed,
-        objective=objective,
     )
 
 
@@ -179,14 +183,7 @@ def cmd_bootstrap(ns) -> int:
     refset = load_reference_set(ns.refset, tags.entity_types[0])
     heldout = read_conll(ns.heldout, tags) if ns.heldout else None
 
-    seed_epochs = ns.seed_epochs if ns.seed_epochs is not None else ns.epochs
-    cfg = BootstrapConfig(
-        iterations=ns.iterations,
-        round_train=_train_cfg(ns, ns.epochs, Objective.MARGINAL),
-        seed_train=_train_cfg(ns, seed_epochs, Objective.MARGINAL),
-        final_train=_train_cfg(ns, ns.final_epochs, Objective.SEQUENCE),
-    )
-    os.makedirs(ns.out_dir, exist_ok=True)
+    cfg = BootstrapConfig(**_loop_settings(ns))
     pins = find_matches(corpus, refset, policy)
     model, trace = iterative_train(
         seed, corpus, tags, cfg, pins, heldout=heldout, checkpoint_dir=ns.out_dir
@@ -251,16 +248,9 @@ def cmd_synthetic(ns) -> int:
         grid_cfg = GridConfig(
             seed_fraction=ns.seed_frac,
             test_fraction=ns.test_frac,
-            iterations=ns.iterations,
-            seed_epochs=ns.seed_epochs,
-            round_epochs=ns.epochs,
             full_epochs=ns.full_epochs,
-            final_epochs=ns.final_epochs,
-            learning_rate=ns.learning_rate,
-            decay=ns.decay,
-            l2=ns.l2,
             min_name_length=ns.min_name_len,
-            rng_seed=ns.rng_seed,
+            **_loop_settings(ns),
         )
         rows = run_experiment_grid(gold, tags, refset, dictionary, cfg=grid_cfg)
         write_grid_tsv(rows, os.path.join(ns.out_dir, "report.tsv"))
@@ -288,13 +278,13 @@ def _policy_opts(p):
 
 
 def _train_opts(p):
-    _opt(p, "epochs", "training epochs per round", int, GridConfig.round_epochs)
+    _opt(p, "epochs", "training epochs per round", int, BootstrapConfig.round_epochs)
     _opt(p, "seed_epochs", "epochs for the initial seed model", int)
     _opt(p, "final_epochs", "epochs for the final sequence-mode retrain", int,
-         GridConfig.final_epochs)
-    _opt(p, "learning_rate", "initial SGD learning rate", float, GridConfig.learning_rate)
-    _opt(p, "decay", "inverse-time learning-rate decay", float, GridConfig.decay)
-    _opt(p, "l2", "L2 regularization strength", float, GridConfig.l2)
+         BootstrapConfig.final_epochs)
+    _opt(p, "learning_rate", "initial SGD learning rate", float, BootstrapConfig.learning_rate)
+    _opt(p, "decay", "inverse-time learning-rate decay", float, BootstrapConfig.decay)
+    _opt(p, "l2", "L2 regularization strength", float, BootstrapConfig.l2)
 
 
 def build_parser():
@@ -327,7 +317,7 @@ def build_parser():
     _opt(p, "refset", "reference set file", required=True)
     _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
     _opt(p, "heldout", "labeled file for per-round evaluation")
-    _opt(p, "iterations", "number of refinement rounds", int, 10)
+    _opt(p, "iterations", "number of refinement rounds", int, BootstrapConfig.iterations)
     _opt(p, "rng_seed", "random seed", int, 0)
     _flag(p, "no_final", "skip the final sequence-mode retrain")
     _opt(p, "out_dir", "output directory", required=True)
@@ -359,12 +349,12 @@ def build_parser():
     _flag(p, "grid", "run the E1-E9 experiment grid")
     _opt(p, "seed_frac", "seed fraction for the grid", float, GridConfig.seed_fraction)
     _opt(p, "test_frac", "held-out test fraction for the grid", float, GridConfig.test_fraction)
-    _opt(p, "iterations", "refinement rounds for the grid", int, GridConfig.iterations)
+    _opt(p, "iterations", "refinement rounds for the grid", int, BootstrapConfig.iterations)
     _opt(p, "full_epochs", "epochs for the fully-supervised rows", int, GridConfig.full_epochs)
     _opt(p, "min_name_len", "minimum name length for the C2 rows", int,
          GridConfig.min_name_length)
     _train_opts(p)
-    p.set_defaults(seed_epochs=GridConfig.seed_epochs)
+    p.set_defaults(seed_epochs=BootstrapConfig.seed_epochs)
 
     return parser
 

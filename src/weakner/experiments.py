@@ -1,11 +1,12 @@
 """Experiment grid: the ablation conditions E1-E9 over a labeled corpus.
 
-Each condition controls four things: how many true labels are available
+Each condition controls three things: how many true labels are available
 (all, one entity per sentence, or only a small seed), which gazetteer
 policy provides pins (none, exact C1, filtered C2, or "gold" partial
-labels), whether model predictions and iterative refinement are used, and
-the output mode (softmax-style marginal argmax vs CRF-style Viterbi after
-a sequence-mode retrain).
+labels; seed conditions only), and the output mode (softmax-style marginal
+argmax vs CRF-style Viterbi after a sequence-mode retrain). The seed
+conditions, and only they, run the bootstrap loop, so they are the ones
+that use model predictions and iterative refinement.
 
 Rows E1/E2 are the fully-supervised upper bound, E3/E4 the partial-label
 baseline, E5/E6 iterative refinement with perfect-precision partial pins,
@@ -30,7 +31,7 @@ from .refset import (
     filtered_policy,
     find_matches,
 )
-from .tagger import Objective, TrainConfig, train
+from .tagger import Objective, train
 
 
 @dataclass(frozen=True)
@@ -38,75 +39,46 @@ class Condition:
     cid: str
     true_labels: str          # "100%" | "one_per_sentence" | "seed"
     ref_policy: str | None    # None | "gold" | "c1" | "c2"
-    predicted: bool
-    iterative: bool
     output: str               # "softmax" | "crf"
 
     def __post_init__(self):
         if (self.true_labels not in ("100%", "one_per_sentence", "seed")
                 or self.ref_policy not in (None, "gold", "c1", "c2")
-                or not isinstance(self.predicted, bool) or not isinstance(self.iterative, bool)
                 or self.output not in ("softmax", "crf")):
             raise WeaknerError(f"condition {self.cid} has a setting outside the documented sets")
-        if self.true_labels == "seed" and not self.predicted:
-            raise WeaknerError(f"seed condition {self.cid} must use predicted labels")
-        if self.true_labels != "seed" and (self.ref_policy or self.predicted or self.iterative):
-            raise WeaknerError(f"full-label condition {self.cid} sets ref_policy, predicted "
-                               "or iterative, which only seed conditions use")
+        if self.true_labels != "seed" and self.ref_policy:
+            raise WeaknerError(f"full-label condition {self.cid} sets ref_policy, "
+                               "which only seed conditions use")
 
 
 def default_conditions():
     return [
-        Condition("E1", "100%", None, False, False, "softmax"),
-        Condition("E2", "100%", None, False, False, "crf"),
-        Condition("E3", "one_per_sentence", None, False, False, "softmax"),
-        Condition("E4", "one_per_sentence", None, False, False, "crf"),
-        Condition("E5", "seed", "gold", True, True, "softmax"),
-        Condition("E6", "seed", "gold", True, True, "crf"),
-        Condition("E7", "seed", "c1", True, True, "softmax"),
-        Condition("E8", "seed", "c2", True, True, "softmax"),
-        Condition("E9", "seed", "c2", True, True, "crf"),
+        Condition("E1", "100%", None, "softmax"),
+        Condition("E2", "100%", None, "crf"),
+        Condition("E3", "one_per_sentence", None, "softmax"),
+        Condition("E4", "one_per_sentence", None, "crf"),
+        Condition("E5", "seed", "gold", "softmax"),
+        Condition("E6", "seed", "gold", "crf"),
+        Condition("E7", "seed", "c1", "softmax"),
+        Condition("E8", "seed", "c2", "softmax"),
+        Condition("E9", "seed", "c2", "crf"),
     ]
 
 
 @dataclass
-class GridConfig:
+class GridConfig(BootstrapConfig):
+    """The loop settings of the seed conditions, plus the data split, the
+    epochs of the full-label conditions and the C2 name-length floor."""
+
     seed_fraction: float = 0.03
     test_fraction: float = 0.2
-    iterations: int = 10
-    seed_epochs: int = 12
-    round_epochs: int = 3
     full_epochs: int = 6
-    final_epochs: int = 6
-    learning_rate: float = 0.25
-    decay: float = 0.08
-    l2: float = 1e-4
     min_name_length: int = 4
-    rng_seed: int = 0
 
     def __post_init__(self):
-        # build what the grid will use, so bad settings fail before any training
-        self.train_cfg(self.full_epochs, Objective.MARGINAL)
-        self.bootstrap_cfg(iterative=True)
+        super().__post_init__()
+        self.train_cfg(self.full_epochs)
         filtered_policy((), self.min_name_length)
-
-    def train_cfg(self, epochs: int, objective: Objective) -> TrainConfig:
-        return TrainConfig(
-            epochs=epochs,
-            learning_rate=self.learning_rate,
-            decay=self.decay,
-            l2=self.l2,
-            rng_seed=self.rng_seed,
-            objective=objective,
-        )
-
-    def bootstrap_cfg(self, iterative: bool) -> BootstrapConfig:
-        return BootstrapConfig(
-            iterations=self.iterations if iterative else 0,
-            round_train=self.train_cfg(self.round_epochs, Objective.MARGINAL),
-            seed_train=self.train_cfg(self.seed_epochs, Objective.MARGINAL),
-            final_train=self.train_cfg(self.final_epochs, Objective.SEQUENCE),
-        )
 
 
 @dataclass
@@ -116,7 +88,6 @@ class GridRow:
     aug_report: EvalReport
     matcher_precision: float | None = None
     matcher_recall: float | None = None
-    trace: object = None
     model: object = None
 
 
@@ -193,15 +164,11 @@ def run_condition(
 
     # seed mode: the bootstrap pipeline
     pins, match_p, match_r = _pins_for(cond, corpus, corpus_gold, tags, refset, dictionary, cfg)
-    bcfg = cfg.bootstrap_cfg(cond.iterative)
-    model, trace = iterative_train(seed_ds, corpus, tags, bcfg, pins=pins, heldout=test)
-    seed_report = trace.rows[0].report
+    model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
     if cond.output == "crf":
-        model = finalize(model, seed_ds, corpus, tags, bcfg, pins=pins)
-        aug = evaluate_model(model, test, mode="hard")
-    else:
-        aug = evaluate_model(model, test, mode="soft")
-    return GridRow(cond, seed_report, aug, match_p, match_r, trace, model)
+        model = finalize(model, seed_ds, corpus, tags, cfg, pins=pins)
+    return GridRow(cond, trace.rows[0].report, evaluate_model(model, test, mode=eval_mode),
+                   match_p, match_r, model)
 
 
 def run_experiment_grid(
@@ -247,12 +214,10 @@ def write_grid_tsv(rows, path):
         fh.write("\t".join(header) + "\n")
         for row in rows:
             c = row.condition
-            cols = [
-                c.cid, c.true_labels, c.ref_policy or "none",
-                "yes" if c.predicted else "no",
-                "yes" if c.iterative else "no",
-                c.output,
-            ]
+            # seed conditions, and only they, use predictions and iterate
+            bootstrapped = "yes" if c.true_labels == "seed" else "no"
+            cols = [c.cid, c.true_labels, c.ref_policy or "none", bootstrapped, bootstrapped,
+                    c.output]
             for v in (row.matcher_precision, row.matcher_recall):
                 cols.append("" if v is None else repr(float(v)))
             for rep in (row.seed_report, row.aug_report):

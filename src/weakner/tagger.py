@@ -53,7 +53,6 @@ from .corpus import (
     Dataset,
     HardLabeling,
     Provenance,
-    Sentence,
     SoftLabeling,
     TagSet,
     bio_repair,
@@ -246,15 +245,6 @@ class TaggerModel:
                 out[i] = path
         return out
 
-    def sequence_score(self, sentence: Sentence, labels) -> float:
-        """Joint (unnormalized) score of one tag sequence."""
-        E, _ = self.emissions([sentence])
-        y = np.asarray(labels)
-        score = E[np.arange(len(y)), y].sum()
-        if len(y) > 1:
-            score += self.transitions[y[:-1], y[1:]].sum()
-        return float(score)
-
     # -- serialization ------------------------------------------------------
 
     def save(self, path):
@@ -440,16 +430,6 @@ def _sentence_loss_grad(E, T, target, objective: Objective):
     return _sequence_loss_grad(E, T, target)
 
 
-def _training_rows(model: TaggerModel, sentences, grow=False):
-    """A working copy of the model's weights with one extra zero row, and
-    each sentence's feature ids into it: views (n, n_templates) of the
-    dataset's id matrix, where id -1 (unknown or absent) names the zero row.
-    """
-    M, starts = model._feature_ids(sentences, grow)
-    W = np.vstack([model.weights, np.zeros((1, len(model.tags)))])
-    return W, [M[s:s + len(x)] for s, x in zip(starts.tolist(), sentences)]
-
-
 def train(
     data: Dataset,
     tags: TagSet,
@@ -482,7 +462,10 @@ def train(
     else:
         model = TaggerModel(tags)
 
-    W, rows = _training_rows(model, data.sentences, grow=True)
+    # each sentence's rows of the id matrix index W, the weights plus id -1's zero row
+    M, starts = model._feature_ids(data.sentences, grow=True)
+    W = np.vstack([model.weights, np.zeros((1, len(tags)))])
+    rows = [M[s:s + len(x)] for s, x in zip(starts.tolist(), data.sentences)]
     targets = [_targets_for(lab, tags, cfg.objective) for lab in data.labels]
     T = model.transitions
     for _ in range(cfg.epochs):
@@ -506,33 +489,6 @@ def train(
         model.epochs_trained += 1
     model.weights = W[:-1]
     return model
-
-
-def dataset_loss_and_gradient(model: TaggerModel, data: Dataset, cfg: TrainConfig):
-    """Full-batch objective value and analytic gradient for the model's
-    current weights: sum of per-sentence losses plus (l2/2)||w||^2.
-
-    Returns (loss, grad_weights, grad_transitions). Unseen features in
-    `data` are ignored (the gradient is wrt the existing weight vector).
-    """
-    W, rows = _training_rows(model, data.sentences)
-    gW = np.zeros_like(W)
-    gT = np.zeros_like(model.transitions)
-    total = 0.0
-    for m, lab in zip(rows, data.labels):
-        target = _targets_for(lab, model.tags, cfg.objective)
-        loss, gE, gTs = _sentence_loss_grad(W[m].sum(axis=1), model.transitions, target, cfg.objective)
-        total += loss
-        np.add.at(gW, m, gE[:, None, :])
-        gT += gTs
-    gW = gW[:-1]
-    if cfg.l2 > 0.0:
-        total += 0.5 * cfg.l2 * (
-            float((model.weights ** 2).sum()) + float((model.transitions ** 2).sum())
-        )
-        gW += cfg.l2 * model.weights
-        gT += cfg.l2 * model.transitions
-    return total, gW, gT
 
 
 def harden(soft: SoftLabeling, tags: TagSet) -> HardLabeling:

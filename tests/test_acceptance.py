@@ -44,13 +44,8 @@ from weakner.refset import (
     find_matches,
 )
 from weakner.synthetic import SyntheticSpec, generate_synthetic
-from weakner.tagger import (
-    Objective,
-    TaggerModel,
-    TrainConfig,
-    dataset_loss_and_gradient,
-    train,
-)
+from weakner.tagger import Objective, TaggerModel, TrainConfig, train
+from test_tagger import dataset_loss_and_gradient
 
 PROT = TagSet(("PROT",))
 FIVE = TagSet(("PROT", "CELL"))
@@ -295,12 +290,8 @@ def harness():
     c2_policy = filtered_policy(dictionary, 4)
     c2_matches = find_matches(corpus, filter_names(refset, c2_policy), c2_policy)
 
-    kw = dict(learning_rate=0.25, decay=0.08, l2=1e-4, rng_seed=1)
-    cfg = BootstrapConfig(
-        iterations=10,
-        round_train=TrainConfig(epochs=3, **kw),
-        seed_train=TrainConfig(epochs=12, **kw),
-    )
+    cfg = BootstrapConfig(iterations=10, seed_epochs=12, round_epochs=3,
+                          learning_rate=0.25, decay=0.08, l2=1e-4, rng_seed=1)
     _, e8_trace = iterative_train(seed_ds, corpus, PROT, cfg, pins=c2_matches, heldout=test)
     _, e7_trace = iterative_train(seed_ds, corpus, PROT, cfg, pins=c1_matches, heldout=test)
     return {
@@ -376,11 +367,12 @@ def test_criterion_7_degenerate_cases():
         [None, None],
         DatasetKind.CORPUS,
     )
-    kw = dict(epochs=2, learning_rate=0.2, decay=0.1, l2=1e-4, rng_seed=0)
-    cfg = BootstrapConfig(iterations=2, round_train=TrainConfig(**kw))
+    kw = dict(seed_epochs=2, round_epochs=2, final_epochs=2,
+              learning_rate=0.2, decay=0.1, l2=1e-4, rng_seed=0)
+    cfg = BootstrapConfig(iterations=2, **kw)
 
     # empty reference set: relabel is exactly self-training
-    model = train(seed, PROT, cfg.seed_cfg())
+    model = train(seed, PROT, cfg.train_cfg(cfg.seed_epochs))
     relabeled = relabel(corpus, model, [])
     self_training = all(
         np.array_equal(soft.dist, model.predict_soft([sent])[0].dist)
@@ -388,7 +380,7 @@ def test_criterion_7_degenerate_cases():
     )
 
     # K = 0 returns the seed-only model
-    k0_cfg = BootstrapConfig(iterations=0, round_train=TrainConfig(**kw))
+    k0_cfg = BootstrapConfig(iterations=0, **kw)
     k0_model, k0_trace = iterative_train(seed, corpus, PROT, k0_cfg, pins=[])
     k0 = (
         np.array_equal(k0_model.weights, model.weights)
@@ -399,9 +391,9 @@ def test_criterion_7_degenerate_cases():
     # empty corpus: every round is a plain fine-tune on the seed
     empty = Dataset([], [], DatasetKind.CORPUS)
     ec_model, _ = iterative_train(seed, empty, PROT, cfg, pins=[])
-    manual = train(seed, PROT, cfg.seed_cfg())
+    manual = train(seed, PROT, cfg.train_cfg(cfg.seed_epochs))
     for _ in range(cfg.iterations):
-        manual = train(seed, PROT, cfg.round_train, init=manual)
+        manual = train(seed, PROT, cfg.train_cfg(cfg.round_epochs), init=manual)
     ec = np.array_equal(ec_model.weights, manual.weights)
 
     _report(

@@ -14,7 +14,7 @@ from weakner.corpus import (
     TagSet,
     sentence_from_texts,
 )
-from weakner.errors import ModelTagSetMismatch, WeaknerError
+from weakner.errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
 from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy, find_matches
 from weakner.tagger import Objective, TaggerModel, TrainConfig, train
 
@@ -41,8 +41,8 @@ def tiny_corpus():
 
 
 def quick_cfg(iterations=2):
-    train_kw = dict(epochs=2, learning_rate=0.2, decay=0.1, l2=1e-4, rng_seed=0)
-    return BootstrapConfig(iterations=iterations, round_train=TrainConfig(**train_kw))
+    return BootstrapConfig(iterations=iterations, seed_epochs=2, round_epochs=2, final_epochs=2,
+                           learning_rate=0.2, decay=0.1, l2=1e-4, rng_seed=0)
 
 
 class TestRelabel:
@@ -163,7 +163,7 @@ class TestIterativeTrain:
         seed = tiny_seed()
         cfg = quick_cfg(iterations=0)
         model, trace = iterative_train(seed, tiny_corpus(), PROT, cfg, pins=[])
-        direct = train(seed, PROT, cfg.seed_cfg())
+        direct = train(seed, PROT, cfg.train_cfg(cfg.seed_epochs))
         assert np.array_equal(model.weights, direct.weights)
         assert np.array_equal(model.transitions, direct.transitions)
         assert len(trace) == 1
@@ -180,9 +180,9 @@ class TestIterativeTrain:
         empty = Dataset([], [], DatasetKind.CORPUS)
         cfg = quick_cfg(iterations=2)
         model, trace = iterative_train(seed, empty, PROT, cfg, pins=[])
-        manual = train(seed, PROT, cfg.seed_cfg())
+        manual = train(seed, PROT, cfg.train_cfg(cfg.seed_epochs))
         for _ in range(2):
-            manual = train(seed, PROT, cfg.round_train, init=manual)
+            manual = train(seed, PROT, cfg.train_cfg(cfg.round_epochs), init=manual)
         assert np.array_equal(model.weights, manual.weights)
         assert np.array_equal(model.transitions, manual.transitions)
 
@@ -249,6 +249,15 @@ class TestIterativeTrain:
         with pytest.raises(WeaknerError):
             iterative_train(bad, tiny_corpus(), PROT, quick_cfg(1), pins=[])
 
+    @pytest.mark.parametrize("labels", [[], [[1, 0, 1], None]], ids=["empty", "unlabeled"])
+    def test_untrainable_seed_leaves_no_checkpoint_dir(self, labels, tmp_path):
+        sentences = tiny_seed().sentences[:len(labels)]
+        out = tmp_path / "run"
+        with pytest.raises(EmptyDataset):
+            iterative_train(Dataset(sentences, labels, DatasetKind.SEED), tiny_corpus(), PROT,
+                            quick_cfg(1), pins=[], checkpoint_dir=str(out))
+        assert not out.exists()
+
     def test_refset_config_pins(self):
         seed, corpus = tiny_seed(), tiny_corpus()
         pins = find_matches(corpus, ReferenceSet(frozenset({"TIGAR"}), "PROT"), MatchPolicy())
@@ -282,16 +291,15 @@ class TestFinalize:
         cfg = quick_cfg(1)
         base, _ = iterative_train(seed, empty, PROT, cfg, pins=[])
         final = finalize(base, seed, empty, PROT, cfg, pins=[])
-        direct = train(seed, PROT, cfg.final_cfg())
+        direct = train(seed, PROT, cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE))
         assert np.array_equal(final.weights, direct.weights)
-        assert cfg.final_cfg().objective is Objective.SEQUENCE
 
     def test_fresh_model_not_resumed(self):
         seed, corpus = tiny_seed(), tiny_corpus()
         cfg = quick_cfg(1)
         base, _ = iterative_train(seed, corpus, PROT, cfg, pins=[])
         final = finalize(base, seed, corpus, PROT, cfg, pins=[])
-        assert final.epochs_trained == cfg.final_cfg().epochs
+        assert final.epochs_trained == cfg.final_epochs
 
     def test_deterministic(self):
         seed, corpus = tiny_seed(), tiny_corpus()
@@ -307,9 +315,23 @@ class TestBootstrapConfig:
         with pytest.raises(WeaknerError):
             BootstrapConfig(iterations=-1)
 
-    def test_final_cfg_flips_objective_only(self):
-        cfg = quick_cfg(1)
-        assert cfg.round_train.objective is Objective.MARGINAL
-        final = cfg.final_cfg()
-        assert final.objective is Objective.SEQUENCE
-        assert final.epochs == cfg.round_train.epochs
+    @pytest.mark.parametrize("setting", [
+        {"l2": float("nan")}, {"learning_rate": float("nan")}, {"decay": float("nan")},
+        {"round_epochs": 2.5}, {"seed_epochs": 0}, {"final_epochs": 0},
+        {"iterations": 2.5}, {"iterations": True},
+        {"round_epochs": True}, {"rng_seed": True}, {"learning_rate": 2.0, "l2": 0.5},
+    ])
+    def test_bad_settings_rejected_at_construction(self, setting):
+        with pytest.raises(WeaknerError):
+            BootstrapConfig(**setting)
+
+    def test_one_schedule_marginal_then_sequence(self):
+        cfg = BootstrapConfig(seed_epochs=5, round_epochs=2, final_epochs=4,
+                              learning_rate=0.3, decay=0.1, l2=1e-3, rng_seed=7)
+        seed, round_, final = (cfg.train_cfg(cfg.seed_epochs), cfg.train_cfg(cfg.round_epochs),
+                               cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE))
+        assert [c.epochs for c in (seed, round_, final)] == [5, 2, 4]
+        assert [c.objective for c in (seed, round_, final)] == [
+            Objective.MARGINAL, Objective.MARGINAL, Objective.SEQUENCE]
+        for c in (seed, round_, final):
+            assert (c.learning_rate, c.decay, c.l2, c.rng_seed) == (0.3, 0.1, 1e-3, 7)

@@ -237,6 +237,17 @@ class TestBootstrap:
         ])
         assert rc == 2
 
+    def test_empty_seed_is_data_error_and_writes_nothing(self, synth_dir, split_dir, tmp_path):
+        # used to leave an empty output directory behind
+        empty = tmp_path / "empty.conll"
+        empty.write_text("", encoding="utf-8")
+        rc = main([
+            "bootstrap", "--seed", str(empty), "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_identical_trace_and_models(self, synth_dir, split_dir, boot_dir, tmp_path):
         rc = main([
             "bootstrap", "--seed", str(split_dir / "seed.conll"),

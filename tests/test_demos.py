@@ -1,8 +1,7 @@
 """The demos run to completion against the library in this checkout.
 
 Each demo is a script that calls the public API the way a user would, so a
-renamed or re-typed call site shows up here. Demo 04 (the experiment grid)
-is left out: it takes minutes.
+renamed or re-typed call site shows up here.
 """
 
 import os
@@ -13,7 +12,12 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-DEMOS = ["01_tokenize_and_tag.py", "02_gazetteer_matching.py", "03_bootstrap_loop.py"]
+DEMOS = [
+    "01_tokenize_and_tag.py",
+    "02_gazetteer_matching.py",
+    "03_bootstrap_loop.py",
+    "04_experiment_grid.py",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

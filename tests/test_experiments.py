@@ -20,7 +20,6 @@ from weakner.experiments import (
 from weakner.metrics import evaluate_model
 from weakner.refset import filter_names, filtered_policy, find_matches
 from weakner.synthetic import SyntheticSpec, generate_synthetic
-from weakner.tagger import Objective, TrainConfig
 
 PROT = TagSet(("PROT",))
 
@@ -42,14 +41,10 @@ def test_grid_config_rejects_bad_training_settings(setting):
 
 
 @pytest.mark.parametrize("settings", [
-    ("all", None, False, False, "softmax"),        # ran as a seed row, with self-training
-    ("seed", "c2", True, True, "CRF"),             # trained SEQUENCE but was scored as softmax
-    ("seed", "c3", True, True, "crf"),
-    ("seed", "c2", 1, True, "crf"),
-    ("100%", "c2", False, False, "softmax"),       # full-label rows ignored the policy,
-    ("100%", None, True, False, "crf"),            # the predicted labels
-    ("one_per_sentence", None, False, True, "crf"),  # and the iteration
-    ("seed", "c2", False, True, "softmax"),        # seed rows always use predicted labels
+    ("all", None, "softmax"),        # ran as a seed row, with self-training
+    ("seed", "c2", "CRF"),           # trained SEQUENCE but was scored as softmax
+    ("seed", "c3", "crf"),
+    ("100%", "c2", "softmax"),       # full-label rows ignored the policy
 ])
 def test_condition_outside_its_documented_settings_rejected(settings):
     with pytest.raises(WeaknerError):
@@ -150,13 +145,8 @@ class TestFinalizeDirection:
         seed_ds, corpus, corpus_gold = split_seed(train_gold, 0.05, 1)
         _, kept = mask_to_one_entity(corpus_gold, PROT, 17)
         pins = spans_as_pins(kept, corpus_gold.sentences)
-        kw = dict(learning_rate=0.25, decay=0.08, l2=1e-4, rng_seed=0)
-        cfg = BootstrapConfig(
-            iterations=5,
-            round_train=TrainConfig(epochs=3, **kw),
-            seed_train=TrainConfig(epochs=12, **kw),
-            final_train=TrainConfig(epochs=6, objective=Objective.SEQUENCE, **kw),
-        )
+        cfg = BootstrapConfig(iterations=5, seed_epochs=12, round_epochs=3, final_epochs=6,
+                              learning_rate=0.25, decay=0.08, l2=1e-4, rng_seed=0)
         model, _ = iterative_train(seed_ds, corpus, PROT, cfg, pins=pins)
         soft = evaluate_model(model, test, mode="soft")
         crf = evaluate_model(
@@ -176,6 +166,9 @@ class TestReports:
         assert len(lines) == 1 + len(grid_rows)
         e1 = lines[1].split("\t")
         assert e1[0] == "E1" and e1[8] == ""  # no seed columns for full rows
+        assert e1[3:5] == ["no", "no"]        # predicted, iterative
+        e8 = lines[-1].split("\t")
+        assert e8[0] == "E8" and e8[3:5] == ["yes", "yes"]
 
     def test_table_mentions_every_condition(self, grid_rows):
         table = format_grid_table(grid_rows)

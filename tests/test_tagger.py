@@ -32,8 +32,9 @@ from weakner.tagger import (
     _forward_backward,
     _marginal_loss_grad,
     _sequence_loss_grad,
+    _sentence_loss_grad,
     _shape,
-    dataset_loss_and_gradient,
+    _targets_for,
     harden,
     train,
 )
@@ -58,11 +59,49 @@ def random_model(rng, tags, sentences, scale=1.0):
     return model
 
 
+def sequence_score(model, sentence, labels) -> float:
+    """Joint (unnormalized) score of one tag sequence: its emissions plus
+    its transitions."""
+    E, _ = model.emissions([sentence])
+    y = np.asarray(labels)
+    return float(E[np.arange(len(y)), y].sum() + model.transitions[y[:-1], y[1:]].sum())
+
+
+def dataset_loss_and_gradient(model, data, cfg):
+    """Full-batch objective value and analytic gradient for the model's
+    current weights: sum of per-sentence losses plus (l2/2)||w||^2 (train
+    applies L2 as a once-per-epoch shrink instead).
+
+    Returns (loss, grad_weights, grad_transitions). Unseen features in
+    `data` are ignored (the gradient is wrt the existing weight vector).
+    """
+    M, starts = model._feature_ids(data.sentences)
+    W = np.vstack([model.weights, np.zeros((1, len(model.tags)))])    # id -1: zeros
+    gW = np.zeros_like(W)
+    gT = np.zeros_like(model.transitions)
+    total = 0.0
+    for s, sent, lab in zip(starts.tolist(), data.sentences, data.labels):
+        m = M[s:s + len(sent)]
+        target = _targets_for(lab, model.tags, cfg.objective)
+        loss, gE, gTs = _sentence_loss_grad(W[m].sum(axis=1), model.transitions, target, cfg.objective)
+        total += loss
+        np.add.at(gW, m, gE[:, None, :])
+        gT += gTs
+    gW = gW[:-1]
+    if cfg.l2 > 0.0:
+        total += 0.5 * cfg.l2 * (
+            float((model.weights ** 2).sum()) + float((model.transitions ** 2).sum())
+        )
+        gW += cfg.l2 * model.weights
+        gT += cfg.l2 * model.transitions
+    return total, gW, gT
+
+
 def enumerate_posteriors(model, sentence):
     """Brute-force per-token marginals: softmax over all tag sequences."""
     n, k = len(sentence), len(model.tags)
     scores = np.array(
-        [model.sequence_score(sentence, y) for y in itertools.product(range(k), repeat=n)]
+        [sequence_score(model, sentence, y) for y in itertools.product(range(k), repeat=n)]
     )
     m = scores.max()
     probs = np.exp(scores - m)
@@ -79,7 +118,7 @@ def enumerate_argmax(model, sentence):
     n, k = len(sentence), len(model.tags)
     best, best_score = None, -np.inf
     for y in itertools.product(range(k), repeat=n):
-        s = model.sequence_score(sentence, y)
+        s = sequence_score(model, sentence, y)
         if s > best_score:
             best, best_score = list(y), s
     return best, best_score
@@ -107,7 +146,7 @@ class TestInferenceOracles:
             got = model.predict_hard([sent])[0]
             expected, best_score = enumerate_argmax(model, sent)
             assert got == expected
-            assert model.sequence_score(sent, got) == pytest.approx(best_score)
+            assert sequence_score(model, sent, got) == pytest.approx(best_score)
 
     def test_zero_weights_uniform_marginals(self):
         sent = sentence_from_texts(["a", "b", "c"])
@@ -125,11 +164,11 @@ class TestInferenceOracles:
         sent = random_sentence(rng, max_len=12)
         model = random_model(rng, TWO, [sent])
         decoded = model.predict_hard([sent])[0]
-        best = model.sequence_score(sent, decoded)
+        best = sequence_score(model, sent, decoded)
         k = len(model.tags)
         for _ in range(1000):
             y = rng.integers(0, k, size=len(sent))
-            assert best >= model.sequence_score(sent, y) - 1e-12
+            assert best >= sequence_score(model, sent, y) - 1e-12
 
     def test_marginal_rows_sum_to_one_everywhere(self):
         rng = np.random.default_rng(45)

@@ -48,7 +48,8 @@ def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
     corpus = Dataset(
         [sentence_from_texts(["the", "Flag-tagged-TIGAR", "assay"])], [None], DatasetKind.CORPUS
     )
-    cfg = bootstrap.BootstrapConfig(iterations=1, round_train=tagger.TrainConfig(epochs=2))
+    cfg = bootstrap.BootstrapConfig(iterations=1, seed_epochs=2, round_epochs=2, final_epochs=2,
+                                    learning_rate=0.2, decay=0.05)
     before = _bindings(spans)
     train = bootstrap.train
     tracer = spans.Tracer()
