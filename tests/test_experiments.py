@@ -45,6 +45,7 @@ def test_grid_config_rejects_bad_training_settings(setting):
     ("seed", "c2", "CRF"),           # trained SEQUENCE but was scored as softmax
     ("seed", "c3", "crf"),
     ("100%", "c2", "softmax"),       # full-label rows ignored the policy
+    ("one_per_sentence", "gold", "crf"),
 ])
 def test_condition_outside_its_documented_settings_rejected(settings):
     with pytest.raises(WeaknerError):
