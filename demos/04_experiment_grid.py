@@ -5,7 +5,7 @@ sentence, E5/E6 add iterative refinement over perfect partial pins, and
 E7/E8/E9 use gazetteer pins (exact vs filtered search, softmax vs CRF
 output).
 
-Run:  python demos/04_experiment_grid.py     (about 12 s on 2 cores)
+Run:  python demos/04_experiment_grid.py     (5-9 s on 2 cores)
 """
 
 from weakner import (
@@ -32,7 +32,9 @@ cfg = GridConfig(
 rows = run_experiment_grid(gold, TagSet(("PROT",)), refset, dictionary, cfg=cfg)
 print(format_grid_table(rows))
 print()
-print("reading the table: 'seed' columns score the model trained on the small")
-print("seed alone; 'aug' columns score it after augmentation. The filtered")
+print("reading the table: on every seed row, 'seed' columns score the soft")
+print("output of the model trained on the small seed alone. 'aug' columns score")
+print("the row's final model: the bootstrapped model's soft output on softmax")
+print("rows, the Viterbi output of the CRF-style retrain on crf rows. The filtered")
 print("policy (c2) keeps matcher precision high, which is what lets the")
 print("pinned bootstrap close most of the gap to full supervision (E1).")

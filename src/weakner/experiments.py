@@ -6,7 +6,8 @@ policy provides pins (none, exact C1, filtered C2, or "gold" partial
 labels; seed conditions only), and the output mode (softmax-style marginal
 argmax vs CRF-style Viterbi after a sequence-mode retrain). The seed
 conditions, and only they, run the bootstrap loop, so they are the ones
-that use model predictions and iterative refinement.
+that use model predictions and iterative refinement. Seed conditions with
+the same pin source share one loop, whose model their heads only read.
 
 Rows E1/E2 are the fully-supervised upper bound, E3/E4 the partial-label
 baseline, E5/E6 iterative refinement with perfect-precision partial pins,
@@ -83,6 +84,8 @@ class GridConfig(BootstrapConfig):
 
 @dataclass
 class GridRow:
+    """On every seed row, crf rows too, `seed_report` scores the seed model's soft output."""
+
     condition: Condition
     seed_report: EvalReport | None
     aug_report: EvalReport
@@ -121,54 +124,15 @@ def spans_as_pins(spans, sentences):
     ]
 
 
-def _pins_for(cond, corpus, corpus_gold, tags, refset, dictionary, cfg):
-    """(pins, matcher precision, matcher recall) for a seed-mode condition."""
-    if cond.ref_policy == "gold":
-        _, kept = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
-        pins = spans_as_pins(kept, corpus_gold.sentences)
-    elif cond.ref_policy == "c1":
-        pins = find_matches(corpus, refset, exact_policy())
-    elif cond.ref_policy == "c2":
-        policy = filtered_policy(dictionary, cfg.min_name_length)
-        pins = find_matches(corpus, refset, policy)
-    else:
-        pins = []
-    if not pins:
-        return pins, None, None
-    p, r = audit_matcher(pins, corpus_gold, tags)
-    return pins, p, r
-
-
-def run_condition(
-    cond: Condition,
-    tags: TagSet,
-    train_gold: Dataset,
-    seed_ds: Dataset,
-    corpus: Dataset,
-    corpus_gold: Dataset,
-    test: Dataset,
-    refset: ReferenceSet,
-    dictionary,
-    cfg: GridConfig,
-) -> GridRow:
-    eval_mode = "soft" if cond.output == "softmax" else "hard"
-
-    if cond.true_labels in ("100%", "one_per_sentence"):
-        data = train_gold
-        if cond.true_labels == "one_per_sentence":
-            masked, _ = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
-            data = _combine(seed_ds, masked)
-        objective = Objective.MARGINAL if cond.output == "softmax" else Objective.SEQUENCE
-        model = train(data, tags, cfg.train_cfg(cfg.full_epochs, objective))
-        return GridRow(cond, None, evaluate_model(model, test, mode=eval_mode), model=model)
-
-    # seed mode: the bootstrap pipeline
-    pins, match_p, match_r = _pins_for(cond, corpus, corpus_gold, tags, refset, dictionary, cfg)
-    model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
-    if cond.output == "crf":
-        model = finalize(model, seed_ds, corpus, tags, cfg, pins=pins)
-    return GridRow(cond, trace.rows[0].report, evaluate_model(model, test, mode=eval_mode),
-                   match_p, match_r, model)
+def _pins_for(policy, corpus, corpus_gold, kept, refset, dictionary, cfg):
+    """The pins a seed-mode reference policy puts on the corpus."""
+    if policy == "gold":
+        return spans_as_pins(kept, corpus_gold.sentences)
+    if policy == "c1":
+        return find_matches(corpus, refset, exact_policy())
+    if policy == "c2":
+        return find_matches(corpus, refset, filtered_policy(dictionary, cfg.min_name_length))
+    return []
 
 
 def run_experiment_grid(
@@ -185,13 +149,30 @@ def run_experiment_grid(
     conditions = conditions if conditions is not None else default_conditions()
     train_gold, _, test = split_seed(gold, 1.0 - cfg.test_fraction, cfg.rng_seed)
     seed_ds, corpus, corpus_gold = split_seed(train_gold, cfg.seed_fraction, cfg.rng_seed + 1)
-    return [
-        run_condition(
-            cond, tags, train_gold, seed_ds, corpus, corpus_gold, test,
-            refset, dictionary, cfg,
-        )
-        for cond in conditions
-    ]
+    masked, kept = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
+    loops = {}  # ref_policy -> (pins, matcher P, matcher R, loop model, trace)
+    rows = []
+    for cond in conditions:
+        if cond.true_labels != "seed":
+            data = train_gold if cond.true_labels == "100%" else _combine(seed_ds, masked)
+            objective = Objective.MARGINAL if cond.output == "softmax" else Objective.SEQUENCE
+            model = train(data, tags, cfg.train_cfg(cfg.full_epochs, objective))
+            seed_report = match_p = match_r = None
+        else:
+            if cond.ref_policy not in loops:
+                pins = _pins_for(cond.ref_policy, corpus, corpus_gold, kept, refset,
+                                 dictionary, cfg)
+                audit = audit_matcher(pins, corpus_gold, tags) if pins else (None, None)
+                model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
+                loops[cond.ref_policy] = (pins, *audit, model, trace)
+            pins, match_p, match_r, model, trace = loops[cond.ref_policy]
+            seed_report = trace.rows[0].report
+            if cond.output == "crf":
+                model = finalize(model, seed_ds, corpus, tags, cfg, pins=pins)
+        eval_mode = "soft" if cond.output == "softmax" else "hard"
+        rows.append(GridRow(cond, seed_report, evaluate_model(model, test, mode=eval_mode),
+                            match_p, match_r, model))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,8 @@ class TestSynthetic:
         def no_condition_runs(*args, **kwargs):
             raise AssertionError("a grid condition ran")
 
-        monkeypatch.setattr(experiments, "run_condition", no_condition_runs)
+        monkeypatch.setattr(experiments, "train", no_condition_runs)
+        monkeypatch.setattr(experiments, "iterative_train", no_condition_runs)
         rc = main([
             "synthetic", "--out-dir", str(tmp_path), "--sentences", "120",
             "--entity-names", "60", "--context-words", "120", "--distractors", "20",

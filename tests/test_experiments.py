@@ -4,6 +4,7 @@ directional orderings the conditions are designed to exhibit."""
 import numpy as np
 import pytest
 
+from weakner import experiments
 from weakner.bootstrap import BootstrapConfig, finalize, iterative_train
 from weakner.corpus import TagSet, bio_decode, split_seed
 from weakner.errors import WeaknerError
@@ -134,6 +135,40 @@ class TestGridOrderings:
 
     def test_models_attached(self, grid_rows):
         assert all(r.model is not None for r in grid_rows)
+
+
+class TestLoopSharing:
+    def test_seed_rows_share_one_loop_per_pin_source(self, bundle, monkeypatch, tmp_path):
+        """E5/E6 and E8/E9 each run one bootstrap loop, and a row whose loop
+        the other head used first equals that row run on its own: E6 after
+        the soft head, E8 after the CRF head."""
+        gold, refset, dictionary = bundle
+        cfg = GridConfig(seed_fraction=0.05, iterations=2, seed_epochs=6, round_epochs=2,
+                         final_epochs=3, rng_seed=5)
+        calls = {"loop": 0, "mask": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiments, "iterative_train", counted("loop", iterative_train))
+        monkeypatch.setattr(experiments, "mask_to_one_entity",
+                            counted("mask", mask_to_one_entity))
+        by_cid = {c.cid: c for c in default_conditions()}
+        rows = run_experiment_grid(gold, PROT, refset, dictionary,
+                                   [by_cid[c] for c in ("E5", "E6", "E9", "E8")], cfg)
+        assert calls == {"loop": 2, "mask": 1}
+        for row in (rows[1], rows[3]):
+            alone, = run_experiment_grid(gold, PROT, refset, dictionary, [row.condition], cfg)
+            assert (row.seed_report, row.aug_report) == (alone.seed_report, alone.aug_report)
+            assert (row.matcher_precision, row.matcher_recall) == (
+                alone.matcher_precision, alone.matcher_recall)
+            shared, single = tmp_path / "shared.model", tmp_path / "single.model"
+            row.model.save(shared)
+            alone.model.save(single)
+            assert shared.read_bytes() == single.read_bytes()
 
 
 class TestFinalizeDirection:
