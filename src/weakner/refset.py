@@ -143,11 +143,12 @@ def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
 
     Exact mode: any window of consecutive tokens whose single-space-joined
     text equals a name under the policy's case rule. A window grows only
-    while its text is the part of some name before one of its spaces, so a
-    token that starts no name costs one lookup. Partial mode additionally
-    matches a single token when one of its hyphen/slash components equals
-    a name under case folding. Each distinct token text is folded and split
-    into components once.
+    while its text is the part of some name before one of its spaces.
+    Partial mode additionally matches a single token when one of its
+    hyphen/slash components equals a name under case folding. Each distinct
+    token text is folded and split into components once, and only tokens
+    that can start a match are visited: those whose text is a name or such
+    a part of one, or has a component hit.
 
     Only names the policy keeps are searched (see filter_names). Overlaps
     resolve leftmost-longest; ties go to the longer matched name, then the
@@ -172,7 +173,8 @@ def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
                 types[text] = (key, windows.get(key), hits)
         info = [types[text] for text in texts]
         candidates = []
-        for i, (key, step, hits) in enumerate(info):
+        for i in [i for i, (_, step, hits) in enumerate(info) if step or hits]:
+            key, step, hits = info[i]
             last = i
             while step is not None:
                 name, grows = step

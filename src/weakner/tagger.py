@@ -15,10 +15,11 @@ of token windows. Two inference modes are exposed:
 Both take a list of sentences and return one labeling per sentence, in
 input order. Every feature template reads one text, the token's own or a
 neighbour's, so feature strings are built and looked up once per distinct
-text, and a dataset's emission rows are summed template by template in one
-pass; an unknown feature adds a zero row, so the sums equal, bit for bit,
-the in-order sums over each token's known features. Sentences of equal
-length then share one dynamic program: their rows are gathered
+text. The own-text templates' rows are summed once per distinct text, and
+each token adds its neighbour templates' rows to its text's sum, in
+template order. An unknown feature adds a zero row, so the sums equal, bit
+for bit, the in-order sums over each token's known features. Sentences of
+equal length then share one dynamic program: their rows are gathered
 position-major into an (n, B, k) array, so the per-position work is one
 numpy call per length, not per sentence.
 
@@ -29,12 +30,12 @@ with an inverse-time learning-rate decay and L2 regularization:
   per-token soft target rows (accepts mixed one-hot / probabilistic rows);
 * SEQUENCE: conditional log-likelihood of hard tag sequences.
 
-Training reads the same (n_tokens, n_templates) feature-id matrix as
-inference. Each sentence's rows are a view of it that indexes a working copy
-of the weights with one extra zero row, the row that id -1 (an unknown or
-absent feature) names. A sentence's emissions are one gather and sum in
-template order. Its SGD step is one np.subtract.at over every firing, token
-by token in template order, after which the zero row is reset to zero.
+Training reads an (n_tokens, n_templates) feature-id matrix built from the
+same per-type tables. Each sentence's rows are a view of it that indexes a
+working copy of the weights with one extra zero row, the row that id -1 (an
+unknown or absent feature) names. A sentence's emissions are one gather and
+sum in template order. Its SGD step is one np.subtract.at over every firing,
+token by token in template order, after which the zero row is reset to zero.
 
 All dynamic programs run in log space. Tie-breaking in argmax/Viterbi is
 by lowest tag index, so results are deterministic.
@@ -45,6 +46,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +67,14 @@ MODEL_FORMAT = "weakner-model"
 MODEL_VERSION = 1
 
 
+# on ASCII text the per-character rule below maps exactly these characters
+_ASCII_SHAPE = str.maketrans(string.ascii_uppercase + string.ascii_lowercase + string.digits,
+                             "X" * 26 + "x" * 26 + "d" * 10)
+
+
 def _shape(text: str) -> str:
+    if text.isascii():
+        return text.translate(_ASCII_SHAPE)
     return "".join(
         "X" if c.isupper() else "x" if c.islower() else "d" if c.isdigit() else c
         for c in text
@@ -93,13 +102,16 @@ class FeatureExtractor:
     def features(self, texts):
         """One row per distinct text: each template's string, in template
         order; None where the text is shorter than an affix."""
-        near = [d for d in self.offsets if d]
+        heads = [f"w[{d}]=" for d in self.offsets if d]
         rows = []
         for text in texts:
-            row = [f"w={text}", f"lw={text.lower()}", f"shape={_shape(text)}"]
-            for k in (1, 2, 3):
-                row += [f"pre{k}={text[:k]}", f"suf{k}={text[-k:]}"] if len(text) >= k else [None, None]
-            rows.append(row + [f"w[{d}]={text}" for d in near])
+            row = [f"w={text}", f"lw={text.lower()}", f"shape={_shape(text)}",
+                   f"pre1={text[:1]}", f"suf1={text[-1:]}", f"pre2={text[:2]}",
+                   f"suf2={text[-2:]}", f"pre3={text[:3]}", f"suf3={text[-3:]}",
+                   *[head + text for head in heads]]
+            if len(text) < 3:
+                row[3 + 2 * len(text):9] = [None] * (6 - 2 * len(text))
+            rows.append(row)
         return rows
 
 
@@ -161,22 +173,23 @@ class TaggerModel:
 
     # -- feature plumbing ---------------------------------------------------
 
-    def _feature_ids(self, sentences, grow=False):
-        """Feature ids of a dataset's tokens, (n_tokens, n_templates) with the
-        sentences concatenated, -1 where unknown or absent; and each
-        sentence's first token. Strings are built and looked up once per type
-        (distinct text). With grow=True unseen strings first get the next
-        free ids in first-seen order (sentence, token, template), and zero
-        weight rows.
+    def _type_table(self, sentences, grow=False):
+        """A dataset's features by type (distinct text): the (n_types,
+        n_templates) id table, -1 where unknown or absent; per offset, the
+        type each token reads there, with the sentences concatenated; and
+        each sentence's first token. Strings are built and looked up once
+        per type. With grow=True unseen strings first get the next free ids
+        in first-seen order (sentence, token, template), and zero weight rows.
         """
         w, offsets = self.window, self.extractor.offsets
         texts = {"<s>": 0, "</s>": 1}   # the pads past a sentence end
-        padded = []
-        for sentence in sentences:
-            padded += [0] * w + [texts.setdefault(t, len(texts)) for t in sentence.texts()] + [1] * w
+        ids = [texts.setdefault(t.text, len(texts)) for s in sentences for t in s.tokens]
         lens = np.array([len(s) for s in sentences], dtype=np.intp)
-        token = np.arange(lens.sum()) + w * (2 * np.repeat(np.arange(len(lens)), lens) + 1)
-        padded = np.array(padded, dtype=np.intp)
+        block = w * (2 * np.arange(len(lens)) + 1)     # the pads before each sentence's tokens
+        token = np.arange(len(ids)) + np.repeat(block, lens)
+        padded = np.zeros(len(ids) + 2 * w * len(lens), dtype=np.intp)
+        padded[token] = ids
+        padded[(lens.cumsum() + block)[:, None] + np.arange(w)] = 1
         source = {d: padded[token + d] for d in set(offsets)}
         flat = [f for row in self.extractor.features(list(texts)) for f in row]
         index = self.feature_index
@@ -192,20 +205,33 @@ class TaggerModel:
             new = np.zeros((len(index) - len(self.weights), len(self.tags)))
             self.weights = np.vstack([self.weights, new])
         table = np.array([index.get(f, -1) for f in flat], dtype=np.intp).reshape(len(texts), -1)
-        M = np.empty((len(token), len(offsets)), dtype=np.int32)    # training keeps its ids
-        for c, d in enumerate(offsets):
+        return table, source, lens.cumsum() - lens
+
+    def _feature_ids(self, sentences, grow=False):
+        """The (n_tokens, n_templates) feature ids of _type_table's tokens,
+        -1 where unknown or absent, and each sentence's first token."""
+        table, source, starts = self._type_table(sentences, grow)
+        M = np.empty((len(source[0]), table.shape[1]), dtype=np.int32)    # training keeps its ids
+        for c, d in enumerate(self.extractor.offsets):
             M[:, c] = table[source[d], c]
-        return M, np.cumsum(lens) - lens
+        return M, starts
 
     def emissions(self, sentences):
         """Emission score rows of a dataset's tokens, (n_tokens, n_tags) with
-        the sentences concatenated, and each sentence's first row. Rows are
-        summed template by template, an unknown feature adding zeros."""
-        M, starts = self._feature_ids(sentences)
+        the sentences concatenated, and each sentence's first row. The
+        own-text templates, which come first, are summed once per type in
+        template order from zeros; each token gathers its type's sum and adds
+        its neighbour templates in order, an unknown feature adding zeros."""
+        table, source, starts = self._type_table(sentences)
         R = np.vstack([self.weights, np.zeros((1, len(self.tags)))])    # id -1: zeros
-        E = np.zeros((len(M), len(self.tags)))
-        for ids in M.T:
-            E += R[ids]
+        own = np.zeros((len(table), len(self.tags)))
+        for c, d in enumerate(self.extractor.offsets):
+            if d == 0:
+                own += R[table[:, c]]
+        E = own[source[0]]
+        for c, d in enumerate(self.extractor.offsets):
+            if d:
+                E += R[table[source[d], c]]
         return E, starts
 
     # -- inference ----------------------------------------------------------
@@ -280,9 +306,14 @@ class TaggerModel:
             for key in ("window", "epochs_trained"):
                 if type(header[key]) is not int or header[key] < 0:
                     raise WeaknerError(f"bad {key} {header[key]!r} in model file: {path}")
+            for key in ("entity_types", "features"):
+                if type(header[key]) is not list or not set(map(type, header[key])) <= {str}:
+                    raise WeaknerError(f"bad {key} in model file, not a list of strings: {path}")
             model = cls(TagSet(tuple(header["entity_types"])), header["window"])
             model.epochs_trained = header["epochs_trained"]
             model.feature_index = {f: i for i, f in enumerate(header["features"])}
+            if len(model.feature_index) != len(header["features"]):
+                raise WeaknerError(f"bad features in model file, duplicate names: {path}")
         except (ValueError, KeyError, TypeError) as e:
             raise WeaknerError(f"unreadable model header in {path}: {e!r}") from None
         n_feat, n_tag = len(model.feature_index), len(model.tags)

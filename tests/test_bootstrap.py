@@ -11,12 +11,16 @@ from weakner.corpus import (
     Dataset,
     DatasetKind,
     Provenance,
+    SoftLabeling,
     TagSet,
     sentence_from_texts,
 )
 from weakner.errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
 from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy, find_matches
+from weakner.synthetic import SyntheticSpec, generate_synthetic
 from weakner.tagger import Objective, TaggerModel, TrainConfig, train
+
+from test_tagger import naive_emissions, naive_sgd_epoch, ref_forward_backward
 
 PROT = TagSet(("PROT",))
 
@@ -335,3 +339,98 @@ class TestBootstrapConfig:
             Objective.MARGINAL, Objective.MARGINAL, Objective.SEQUENCE]
         for c in (seed, round_, final):
             assert (c.learning_rate, c.decay, c.l2, c.rng_seed) == (0.3, 0.1, 1e-3, 7)
+
+
+def reference_relabel(corpus, model, pins):
+    """The README's relabeling, one token at a time: per-token marginals of
+    the current model, then each pin, in list order, overwrites its tokens'
+    rows with a one-hot B-/I- row. Returns the rows, the pinned-token count
+    and the mean entropy of the unpinned rows."""
+    tags = model.tags
+    rows, pinned, entropies = [], 0, []
+    for s, sent in enumerate(corpus.sentences):
+        alpha, beta, log_z = ref_forward_backward(naive_emissions(model, sent), model.transitions)
+        dist = np.exp(alpha + beta - log_z)
+        is_pin = [False] * len(sent)
+        for m in pins:
+            if m.sentence == s:
+                for i in range(m.first, m.last + 1):
+                    tag = tags.b_index(m.entity_type) if i == m.first else tags.i_index(m.entity_type)
+                    dist[i] = [1.0 if t == tag else 0.0 for t in range(len(tags))]
+                    is_pin[i] = True
+        rows.append(dist)
+        pinned += sum(is_pin)
+        entropies += [-sum(p * math.log(p) for p in dist[i] if p > 0)
+                      for i in range(len(sent)) if not is_pin[i]]
+    return rows, pinned, sum(entropies) / len(entropies)
+
+
+def reference_harden(dist, tags):
+    """Per-token argmax, first maximum on ties; an I- tag that continues no
+    span of its type becomes B-."""
+    out = []
+    for row in dist.tolist():
+        t = row.index(max(row))
+        if t and not tags.is_begin(t) and (not out or tags.type_of(out[-1]) != tags.type_of(t)):
+            t -= 1
+        out.append(t)
+    return out
+
+
+def reference_loop(seed, corpus, tags, cfg, pins):
+    """The loop as the README tells it, one naive SGD epoch at a time: a seed
+    model; K rounds of relabeling and fine-tuning on seed + corpus that
+    resume the weights and the epoch counter; then a fresh SEQUENCE model on
+    seed + the hardened last labeling. Returns the K + 1 loop models, the
+    per-round (pinned tokens, mean entropy) and the final model."""
+    def fit(model, labels, epochs, objective=Objective.MARGINAL):
+        data = Dataset(list(seed.sentences) + list(corpus.sentences),
+                       list(seed.labels) + labels, DatasetKind.SEED)
+        for _ in range(epochs):
+            model = naive_sgd_epoch(model, data, cfg.train_cfg(1, objective))
+        return model
+
+    seed_only = Dataset(seed.sentences, seed.labels, DatasetKind.SEED)
+    models = [TaggerModel(tags)]
+    for _ in range(cfg.seed_epochs):
+        models[0] = naive_sgd_epoch(models[0], seed_only, cfg.train_cfg(1))
+    stats = []
+    for _ in range(cfg.iterations):
+        rows, pinned, entropy = reference_relabel(corpus, models[-1], pins)
+        soft = [SoftLabeling(r, np.full(len(r), Provenance.PREDICTED, dtype=np.int8)) for r in rows]
+        models.append(fit(models[-1], soft, cfg.round_epochs))
+        stats.append((pinned, entropy))
+    rows, _, _ = reference_relabel(corpus, models[-1], pins)
+    hard = [reference_harden(r, tags) for r in rows]
+    return models, stats, fit(TaggerModel(tags), hard, cfg.final_epochs, Objective.SEQUENCE)
+
+
+class TestLoopMatchesReference:
+    """The composed loop against reference_loop: checkpoints, trace and the
+    finalize model."""
+
+    def test_two_rounds_with_overlapping_pins(self, tmp_path):
+        gold, ref, dictionary = generate_synthetic(SyntheticSpec(n_sentences=40, rng_seed=5))
+        seed = Dataset(gold.sentences[:8], gold.labels[:8], DatasetKind.SEED)
+        corpus = Dataset(gold.sentences[8:], [None] * 32, DatasetKind.CORPUS)
+        pins = find_matches(corpus, ref, filtered_policy(dictionary, 4))
+        m = next(m for m in pins if m.first > 0)
+        # overlaps m's first token, which must then take this later pin's I- row
+        pins.append(RefMatch(m.sentence, m.first - 1, m.first, "overlap", "PROT"))
+        cfg = BootstrapConfig(iterations=2, seed_epochs=3, round_epochs=2, final_epochs=2,
+                              learning_rate=0.3, decay=0.2, l2=1e-3, rng_seed=3)
+        model, trace = iterative_train(seed, corpus, PROT, cfg, pins, checkpoint_dir=tmp_path)
+        final = finalize(model, seed, corpus, PROT, cfg, pins)
+        models, stats, want_final = reference_loop(seed, corpus, PROT, cfg, pins)
+
+        assert len(pins) > 5
+        got = [TaggerModel.load(tmp_path / f"model_iter_{i:02d}.model") for i in range(3)]
+        for a, b in zip(got + [final], models + [want_final]):
+            assert list(a.feature_index) == list(b.feature_index)
+            assert a.epochs_trained == b.epochs_trained
+            assert np.abs(a.weights - b.weights).max() <= 1e-12
+            assert np.abs(a.transitions - b.transitions).max() <= 1e-12
+        assert [g.epochs_trained for g in got] == [3, 5, 7] and final.epochs_trained == 2
+        for row, (pinned, entropy) in zip(trace.rows[1:], stats):
+            assert row.pinned_tokens == pinned
+            assert abs(row.mean_entropy - entropy) <= 1e-12

@@ -2,6 +2,7 @@
 exhaustive enumeration and central finite differences."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -625,13 +626,29 @@ class TestTraining:
             train(gold, PROT, cfg)
 
 
+def ref_shape(text):
+    """Reference word shape, character by character: upper-case letters
+    read X, lower-case ones x, digits d, anything else itself."""
+    out = ""
+    for c in text:
+        if c.isupper():
+            out += "X"
+        elif c.islower():
+            out += "x"
+        elif c.isdigit():
+            out += "d"
+        else:
+            out += c
+    return out
+
+
 def naive_features(sentence, window=2):
     """Reference feature strings: the per-token template builder, one list
     per token in template order."""
     texts = sentence.texts()
     out = []
     for i, text in enumerate(texts):
-        feats = [f"w={text}", f"lw={text.lower()}", f"shape={_shape(text)}"]
+        feats = [f"w={text}", f"lw={text.lower()}", f"shape={ref_shape(text)}"]
         for k in (1, 2, 3):
             if len(text) >= k:
                 feats.append(f"pre{k}={text[:k]}")
@@ -691,7 +708,8 @@ def naive_sgd_epoch(model, data, cfg):
         sent, lab = data.sentences[si], data.labels[si]
         E = naive_emissions(model, sent)
         if cfg.objective is Objective.MARGINAL:
-            _, gE, gT = _marginal_loss_grad(E, T, soften(lab, model.tags).dist)
+            q = lab.dist if isinstance(lab, SoftLabeling) else soften(lab, model.tags).dist
+            _, gE, gT = _marginal_loss_grad(E, T, q)
         else:
             _, gE, gT = _sequence_loss_grad(E, T, np.asarray(lab))
         for i, feats in enumerate(naive_features(sent, model.window)):
@@ -941,6 +959,26 @@ class TestSerialization:
         with pytest.raises(WeaknerError):
             TaggerModel.load(path)
 
+    # each body has the size the header would need if it were read as given,
+    # so only the header check can reject it
+    @pytest.mark.parametrize("field, value, n_features, n_tags", [
+        ("features", "ab", 2, 3),
+        ("features", ["a", 5], 2, 3),
+        ("features", ["a", None], 2, 3),
+        ("features", ["a", "a"], 2, 3),
+        ("entity_types", [1], 1, 3),
+        ("entity_types", "PROT", 1, 9),
+    ])
+    def test_malformed_header_field_rejected(self, tmp_path, field, value, n_features, n_tags):
+        header = {"format": tagger.MODEL_FORMAT, "version": tagger.MODEL_VERSION,
+                  "entity_types": ["PROT"], "window": 2, "epochs_trained": 0,
+                  "features": ["a"], field: value}
+        path = tmp_path / "bad.model"
+        body = np.zeros((n_features + n_tags) * n_tags, dtype="<f8").tobytes()
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        with pytest.raises(WeaknerError, match=f"bad {field} "):
+            TaggerModel.load(path)
+
 
 class TestFeatureExtractor:
     def test_deterministic(self):
@@ -960,6 +998,14 @@ class TestFeatureExtractor:
         sent = sentence_from_texts(["MDM2"])
         feats = token_features(sent)[0]
         assert "shape=XXXd" in feats
+
+    def test_shape_equals_per_character_rule(self):
+        # titlecase ǅ is neither upper nor lower; ² and ٣ are digits
+        texts = ["MDM2", "p53", "Flag-tagged-TIGAR", "a/b", "-", "/", "<s>", "</s>",
+                 "é", "Grün", "ß", "ΔN", "ǅ", "x²", "٣", "".join(map(chr, range(128)))]
+        assert [_shape(t) for t in texts] == [ref_shape(t) for t in texts]
+        assert [_shape(t) for t in ("é", "ß", "ΔN", "ǅ", "x²", "٣", "<s>")] == [
+            "x", "x", "XX", "ǅ", "xd", "d", "<x>"]
 
     def test_unknown_features_ignored_at_prediction(self):
         data = Dataset([sentence_from_texts(["p53"])], [[1]], DatasetKind.SEED)
