@@ -6,11 +6,12 @@ the rows of every token covered by a reference match with a one-hot pin
 (score 1 on the B-/I- tag of the match), and (3) fine-tune the model on
 seed + relabeled corpus, resuming from the previous weights.
 
-Pins do not depend on the model, so the caller finds them once (with
-``refset.find_matches``, or from gold spans) and passes the same list to
-every function here; this module never searches a reference set. Every
-pass of a model over a dataset goes through ``predict_dataset_soft`` /
-``predict_dataset_hard``.
+A pin is any span with ``sentence``, ``first``, ``last`` (inclusive token
+range) and ``entity_type`` fields: a ``refset.RefMatch`` or a gold
+``corpus.EntitySpan``. Pins do not depend on the model, so the caller finds
+them once and passes the same list to every function here; this module
+never searches a reference set. Every pass of a model over a dataset goes
+through ``predict_dataset_soft`` / ``predict_dataset_hard``.
 
 An optional final step hardens the last corpus labeling and retrains a
 fresh sequence-likelihood (CRF-style) model from scratch on it.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .corpus import Dataset, Provenance, TagSet
 from .errors import ModelTagSetMismatch, WeaknerError, check_int
-from .metrics import EvalReport, evaluate_model
+from .metrics import EvalReport, evaluate_model, prf, tsv_cell
 from .tagger import Objective, TaggerModel, TrainConfig, harden, predict_dataset_soft, train
 
 
@@ -61,10 +62,14 @@ class BootstrapConfig:
 @dataclass
 class IterationRow:
     iteration: int
-    checkpoint_id: str
     pinned_tokens: int
     mean_entropy: float
     report: EvalReport | None = None
+
+
+def _checkpoint_id(iteration: int) -> str:
+    """The name of round `iteration`'s model file (without .model) and trace entry."""
+    return f"model_iter_{iteration:02d}"
 
 
 @dataclass
@@ -80,20 +85,9 @@ class IterationTrace:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("iteration\tcheckpoint\tpinned_tokens\tmean_entropy\tprecision\trecall\tf1\n")
             for row in self.rows:
-                cols = [
-                    str(row.iteration),
-                    row.checkpoint_id,
-                    str(row.pinned_tokens),
-                    repr(float(row.mean_entropy)),
-                ]
-                if row.report is None:
-                    cols.extend(["", "", ""])
-                else:
-                    cols.extend(
-                        repr(float(v))
-                        for v in (row.report.precision, row.report.recall, row.report.f1)
-                    )
-                fh.write("\t".join(cols) + "\n")
+                cols = (row.iteration, _checkpoint_id(row.iteration), row.pinned_tokens,
+                        row.mean_entropy, *prf(row.report))
+                fh.write("\t".join(map(tsv_cell, cols)) + "\n")
 
 
 def relabel(corpus: Dataset, model: TaggerModel, matches) -> Dataset:
@@ -150,13 +144,6 @@ def _combine(seed: Dataset, labeled: Dataset) -> Dataset:
     )
 
 
-def _checkpoint(model, iteration, checkpoint_dir):
-    cid = f"model_iter_{iteration:02d}"
-    if checkpoint_dir is not None:
-        model.save(os.path.join(checkpoint_dir, cid + ".model"))
-    return cid
-
-
 def iterative_train(
     seed: Dataset,
     corpus: Dataset,
@@ -168,39 +155,28 @@ def iterative_train(
 ):
     """Run the full iterative loop; returns (final model, trace).
 
-    pins: the reference matches on `corpus` (an empty list gives classic
-    self-training). heldout, when given, adds per-round P/R/F1
-    (softmax-argmax output) to the trace. checkpoint_dir, when given,
-    receives one model file per round plus trace.tsv; it is created once the
-    seed model is trained, so a seed that cannot be trained leaves none.
+    pins: the spans to pin on `corpus`, reference matches or gold spans (an
+    empty list gives classic self-training). heldout, when given, adds
+    per-round P/R/F1 (softmax-argmax output) to the trace. checkpoint_dir,
+    when given, receives one model file per round plus trace.tsv; it is
+    created once the seed model is trained, so a seed that cannot be trained
+    leaves none.
     """
     model = train(seed, tags, cfg.train_cfg(cfg.seed_epochs), init=None)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
     trace = IterationTrace()
-    trace.rows.append(
-        IterationRow(
-            0,
-            _checkpoint(model, 0, checkpoint_dir),
-            0,
-            math.nan,
-            evaluate_model(model, heldout, mode="soft") if heldout is not None else None,
-        )
-    )
-
-    for i in range(1, cfg.iterations + 1):
-        labeled = relabel(corpus, model, pins)
-        pinned, entropy = _labeling_stats(labeled)
-        model = train(_combine(seed, labeled), tags, cfg.train_cfg(cfg.round_epochs), init=model)
-        trace.rows.append(
-            IterationRow(
-                i,
-                _checkpoint(model, i, checkpoint_dir),
-                pinned,
-                entropy,
-                evaluate_model(model, heldout, mode="soft") if heldout is not None else None,
-            )
-        )
+    pinned, entropy = 0, math.nan      # round 0, the seed model, saw no corpus labeling
+    for i in range(cfg.iterations + 1):
+        if i:
+            labeled = relabel(corpus, model, pins)
+            pinned, entropy = _labeling_stats(labeled)
+            model = train(_combine(seed, labeled), tags, cfg.train_cfg(cfg.round_epochs),
+                          init=model)
+        if checkpoint_dir is not None:
+            model.save(os.path.join(checkpoint_dir, _checkpoint_id(i) + ".model"))
+        report = evaluate_model(model, heldout, mode="soft") if heldout is not None else None
+        trace.rows.append(IterationRow(i, pinned, entropy, report))
 
     if checkpoint_dir is not None:
         trace.write_tsv(os.path.join(checkpoint_dir, "trace.tsv"))

@@ -287,6 +287,9 @@ def _train_opts(p):
     _opt(p, "l2", "L2 regularization strength", float, BootstrapConfig.l2)
 
 
+_UNUSED_TAGS = "token and tag columns as in a label file; tags unused but must be in the tag set"
+
+
 def build_parser():
     parser = _Parser(prog="weakner", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -303,7 +306,7 @@ def build_parser():
     _opt(p, "out_dir", "output directory", required=True)
 
     p = add_parser("match", "find gazetteer mentions in a corpus")
-    _opt(p, "corpus", "corpus file (tags ignored)", required=True)
+    _opt(p, "corpus", f"corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set, one name per line", required=True)
     _opt(p, "entity_type", "entity type of the reference set", default="PROT")
     _opt(p, "gold", "gold file for a matcher audit")
@@ -313,7 +316,7 @@ def build_parser():
 
     p = add_parser("bootstrap", "iterative weakly-supervised training")
     _opt(p, "seed", "labeled seed file", required=True)
-    _opt(p, "corpus", "unlabeled corpus file", required=True)
+    _opt(p, "corpus", f"unlabeled corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set file", required=True)
     _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
     _opt(p, "heldout", "labeled file for per-round evaluation")
@@ -326,7 +329,7 @@ def build_parser():
 
     p = add_parser("predict", "decode a file with a saved model")
     _opt(p, "model", "model file", required=True)
-    _opt(p, "input", "input file (tags ignored)", required=True)
+    _opt(p, "input", f"input file, {_UNUSED_TAGS}", required=True)
     _opt(p, "out", "output file", required=True)
 
     p = add_parser("eval", "score a model on a gold file")
@@ -335,16 +338,17 @@ def build_parser():
     _opt(p, "mode", "decoding mode", default="hard", choices=["hard", "soft"])
 
     p = add_parser("synthetic", "generate a synthetic corpus (and optionally run the grid)")
-    _opt(p, "sentences", "number of sentences", int, 2000)
-    _opt(p, "entity_names", "entity vocabulary size", int, 300)
-    _opt(p, "context_words", "context vocabulary size", int, 400)
-    _opt(p, "distractors", "name-shaped non-entity vocabulary size", int, 60)
-    _opt(p, "ambiguity", "fraction of names that are dictionary words", float, 0.3)
-    _opt(p, "hyphenation", "fraction of mentions inside compounds", float, 0.2)
-    _opt(p, "short_rate", "fraction of names shorter than 4 chars", float, 0.05)
-    _opt(p, "multiword_rate", "fraction of two-word names", float, 0.05)
-    _opt(p, "entity_type", "entity type name", default="PROT")
-    _opt(p, "rng_seed", "random seed", int, 0)
+    spec = SyntheticSpec    # the corpus options default to the spec's fields
+    _opt(p, "sentences", "number of sentences", int, spec.n_sentences)
+    _opt(p, "entity_names", "entity vocabulary size", int, spec.n_entity_names)
+    _opt(p, "context_words", "context vocabulary size", int, spec.n_context_words)
+    _opt(p, "distractors", "name-shaped non-entity vocabulary size", int, spec.n_distractors)
+    _opt(p, "ambiguity", "fraction of names that are dictionary words", float, spec.ambiguity_rate)
+    _opt(p, "hyphenation", "fraction of mentions inside compounds", float, spec.hyphenation_rate)
+    _opt(p, "short_rate", "fraction of names shorter than 4 chars", float, spec.short_name_rate)
+    _opt(p, "multiword_rate", "fraction of two-word names", float, spec.multiword_name_rate)
+    _opt(p, "entity_type", "entity type name", default=spec.entity_type)
+    _opt(p, "rng_seed", "random seed", int, spec.rng_seed)
     _opt(p, "out_dir", "output directory", required=True)
     _flag(p, "grid", "run the E1-E9 experiment grid")
     _opt(p, "seed_frac", "seed fraction for the grid", float, GridConfig.seed_fraction)

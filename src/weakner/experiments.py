@@ -23,15 +23,8 @@ import numpy as np
 from .bootstrap import BootstrapConfig, _combine, finalize, iterative_train
 from .corpus import Dataset, TagSet, bio_decode, bio_encode, split_seed
 from .errors import WeaknerError
-from .metrics import EvalReport, evaluate_model
-from .refset import (
-    RefMatch,
-    ReferenceSet,
-    audit_matcher,
-    exact_policy,
-    filtered_policy,
-    find_matches,
-)
+from .metrics import EvalReport, evaluate_model, prf, tsv_cell
+from .refset import ReferenceSet, audit_matcher, exact_policy, filtered_policy, find_matches
 from .tagger import Objective, train
 
 
@@ -110,24 +103,11 @@ def mask_to_one_entity(gold_corpus: Dataset, tags: TagSet, rng_seed: int):
     return Dataset(list(gold_corpus.sentences), labels, gold_corpus.kind), kept
 
 
-def spans_as_pins(spans, sentences):
-    """Turn gold entity spans into pin matches (name = mention text)."""
-    return [
-        RefMatch(
-            sp.sentence,
-            sp.first,
-            sp.last,
-            " ".join(t.text for t in sentences[sp.sentence].tokens[sp.first:sp.last + 1]),
-            sp.entity_type,
-        )
-        for sp in spans
-    ]
-
-
-def _pins_for(policy, corpus, corpus_gold, kept, refset, dictionary, cfg):
-    """The pins a seed-mode reference policy puts on the corpus."""
+def _pins_for(policy, corpus, kept, refset, dictionary, cfg):
+    """The pins a seed-mode reference policy puts on the corpus: the kept
+    gold spans for "gold", the matcher's RefMatch list for C1 and C2."""
     if policy == "gold":
-        return spans_as_pins(kept, corpus_gold.sentences)
+        return kept
     if policy == "c1":
         return find_matches(corpus, refset, exact_policy())
     if policy == "c2":
@@ -160,8 +140,7 @@ def run_experiment_grid(
             seed_report = match_p = match_r = None
         else:
             if cond.ref_policy not in loops:
-                pins = _pins_for(cond.ref_policy, corpus, corpus_gold, kept, refset,
-                                 dictionary, cfg)
+                pins = _pins_for(cond.ref_policy, corpus, kept, refset, dictionary, cfg)
                 audit = audit_matcher(pins, corpus_gold, tags) if pins else (None, None)
                 model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
                 loops[cond.ref_policy] = (pins, *audit, model, trace)
@@ -183,6 +162,13 @@ def _fmt_pct(x):
     return "" if x is None else f"{100.0 * x:.2f}"
 
 
+def _scores(row):
+    """The row's score cells, in report order: matcher P and R, then the
+    seed and the augmented model's P, R and F1; None where not measured."""
+    return (row.matcher_precision, row.matcher_recall, *prf(row.seed_report),
+            *prf(row.aug_report))
+
+
 def write_grid_tsv(rows, path):
     """Machine-readable grid report; floats written exactly."""
     header = [
@@ -197,37 +183,25 @@ def write_grid_tsv(rows, path):
             c = row.condition
             # seed conditions, and only they, use predictions and iterate
             bootstrapped = "yes" if c.true_labels == "seed" else "no"
-            cols = [c.cid, c.true_labels, c.ref_policy or "none", bootstrapped, bootstrapped,
-                    c.output]
-            for v in (row.matcher_precision, row.matcher_recall):
-                cols.append("" if v is None else repr(float(v)))
-            for rep in (row.seed_report, row.aug_report):
-                if rep is None:
-                    cols.extend(["", "", ""])
-                else:
-                    cols.extend(repr(float(v)) for v in (rep.precision, rep.recall, rep.f1))
-            fh.write("\t".join(cols) + "\n")
+            cols = (c.cid, c.true_labels, c.ref_policy or "none", bootstrapped, bootstrapped,
+                    c.output, *_scores(row))
+            fh.write("\t".join(map(tsv_cell, cols)) + "\n")
 
 
 def format_grid_table(rows) -> str:
     """Human-readable table with percentage scores."""
+    widths = (8, 8, 7, 7, 8, 7, 7, 8)
     header = (
         f"{'cond':<5} {'labels':<16} {'policy':<6} {'out':<8} "
-        f"{'match P':>8} {'match R':>8} "
-        f"{'seed P':>7} {'seed R':>7} {'seed F1':>8} "
-        f"{'aug P':>7} {'aug R':>7} {'aug F1':>8}"
+        + " ".join(f"{h:>{w}}" for h, w in zip(
+            ("match P", "match R", "seed P", "seed R", "seed F1", "aug P", "aug R", "aug F1"),
+            widths))
     )
     lines = [header, "-" * len(header)]
     for row in rows:
         c = row.condition
-        seed = row.seed_report
-        aug = row.aug_report
         lines.append(
             f"{c.cid:<5} {c.true_labels:<16} {c.ref_policy or '-':<6} {c.output:<8} "
-            f"{_fmt_pct(row.matcher_precision):>8} {_fmt_pct(row.matcher_recall):>8} "
-            f"{_fmt_pct(seed.precision if seed else None):>7} "
-            f"{_fmt_pct(seed.recall if seed else None):>7} "
-            f"{_fmt_pct(seed.f1 if seed else None):>8} "
-            f"{_fmt_pct(aug.precision):>7} {_fmt_pct(aug.recall):>7} {_fmt_pct(aug.f1):>8}"
+            + " ".join(f"{_fmt_pct(v):>{w}}" for v, w in zip(_scores(row), widths))
         )
     return "\n".join(lines)

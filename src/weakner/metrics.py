@@ -41,6 +41,18 @@ class EvalReport:
         return f"P={p:.2f} R={r:.2f} F1={f1:.2f}"
 
 
+def prf(report: EvalReport | None) -> tuple:
+    """(precision, recall, F1) of a report, or three Nones without one."""
+    return (None,) * 3 if report is None else (report.precision, report.recall, report.f1)
+
+
+def tsv_cell(value) -> str:
+    """One report TSV cell: empty for None, a float's exact repr, else str."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def score_entities(pred, gold) -> EvalReport:
     """Exact-match entity scoring of two span lists."""
     pred_set, gold_set = set(pred), set(gold)

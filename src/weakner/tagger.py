@@ -65,6 +65,7 @@ from .errors import TrainingDiverged, WeaknerError, check_int
 
 MODEL_FORMAT = "weakner-model"
 MODEL_VERSION = 1
+WINDOW = 2      # neighbour templates read offsets -WINDOW..-1 and 1..WINDOW
 
 
 # on ASCII text the per-character rule below maps exactly these characters
@@ -81,23 +82,18 @@ def _shape(text: str) -> str:
     )
 
 
-@dataclass(frozen=True)
 class FeatureExtractor:
     """Deterministic sparse features of a token in its sentence context.
 
     Templates, in order: token identity, lowercased token, word shape,
     prefixes and suffixes of length 1-3, then the neighbours' identities at
-    offsets -window..-1, 1..window (<s> / </s> past the sentence ends). Each
+    offsets -WINDOW..-1, 1..WINDOW (<s> / </s> past the sentence ends). Each
     reads the text at a fixed offset from the token, 0 for all but the
     neighbour ones, so strings are built once per distinct text.
     """
 
-    window: int = 2
-
-    @property
-    def offsets(self) -> list:
-        """Per template, the offset from the token of the text it reads."""
-        return [0] * 9 + [d for d in range(-self.window, self.window + 1) if d]
+    # per template, the offset from the token of the text it reads
+    offsets = (0,) * 9 + tuple(d for d in range(-WINDOW, WINDOW + 1) if d)
 
     def features(self, texts):
         """One row per distinct text: each template's string, in template
@@ -151,20 +147,16 @@ class TrainConfig:
 class TaggerModel:
     """Emission + transition weights over a frozen-on-predict feature index."""
 
-    def __init__(self, tags: TagSet, window: int = 2):
+    def __init__(self, tags: TagSet):
         self.tags = tags
-        self.extractor = FeatureExtractor(window)
+        self.extractor = FeatureExtractor()
         self.feature_index = {}
         self.weights = np.zeros((0, len(tags)))        # (n_features, n_tags)
         self.transitions = np.zeros((len(tags), len(tags)))
         self.epochs_trained = 0
 
-    @property
-    def window(self) -> int:
-        return self.extractor.window
-
     def clone(self) -> "TaggerModel":
-        other = TaggerModel(self.tags, self.window)
+        other = TaggerModel(self.tags)
         other.feature_index = dict(self.feature_index)
         other.weights = self.weights.copy()
         other.transitions = self.transitions.copy()
@@ -181,7 +173,7 @@ class TaggerModel:
         per type. With grow=True unseen strings first get the next free ids
         in first-seen order (sentence, token, template), and zero weight rows.
         """
-        w, offsets = self.window, self.extractor.offsets
+        w, offsets = WINDOW, self.extractor.offsets
         texts = {"<s>": 0, "</s>": 1}   # the pads past a sentence end
         ids = [texts.setdefault(t.text, len(texts)) for s in sentences for t in s.tokens]
         lens = np.array([len(s) for s in sentences], dtype=np.intp)
@@ -282,7 +274,7 @@ class TaggerModel:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "entity_types": list(self.tags.entity_types),
-            "window": self.window,
+            "window": WINDOW,
             "epochs_trained": self.epochs_trained,
             "features": feats,
         }
@@ -303,13 +295,13 @@ class TaggerModel:
                 MODEL_FORMAT, MODEL_VERSION
             ):
                 raise WeaknerError(f"not a version-{MODEL_VERSION} model file: {path}")
-            for key in ("window", "epochs_trained"):
-                if type(header[key]) is not int or header[key] < 0:
+            for key, low, high in (("window", WINDOW, WINDOW), ("epochs_trained", 0, math.inf)):
+                if type(header[key]) is not int or not low <= header[key] <= high:
                     raise WeaknerError(f"bad {key} {header[key]!r} in model file: {path}")
             for key in ("entity_types", "features"):
                 if type(header[key]) is not list or not set(map(type, header[key])) <= {str}:
                     raise WeaknerError(f"bad {key} in model file, not a list of strings: {path}")
-            model = cls(TagSet(tuple(header["entity_types"])), header["window"])
+            model = cls(TagSet(tuple(header["entity_types"])))
             model.epochs_trained = header["epochs_trained"]
             model.feature_index = {f: i for i, f in enumerate(header["features"])}
             if len(model.feature_index) != len(header["features"]):

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from weakner import experiments
+from weakner import cli, experiments
 from weakner.cli import main
 from weakner.corpus import TagSet, read_conll
+from weakner.errors import WeaknerError
+from weakner.synthetic import SyntheticSpec
 from weakner.tagger import TaggerModel
 
 PROT = TagSet(("PROT",))
@@ -55,6 +57,17 @@ class TestSynthetic:
         assert (tmp_path / "gold.conll").read_bytes() != (synth_dir / "gold.conll").read_bytes()
         ds = read_conll(tmp_path / "gold.conll", PROT)
         assert len(ds) == 120
+
+    def test_corpus_options_default_to_the_spec(self, tmp_path, monkeypatch):
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            raise WeaknerError("stop before generating")
+
+        monkeypatch.setattr(cli, "generate_synthetic", capture)
+        assert main(["synthetic", "--out-dir", str(tmp_path)]) == 2
+        assert specs == [SyntheticSpec()]
 
     def test_bad_rate_is_usage_error(self, tmp_path):
         rc = main(["synthetic", "--out-dir", str(tmp_path), "--ambiguity", "1.5"])
@@ -312,7 +325,7 @@ class TestPredictAndEval:
         assert rc == 2
 
     @pytest.mark.parametrize("damage", [
-        "not_json", "no_entity_types", "not_utf8", "negative_window",
+        "not_json", "no_entity_types", "not_utf8", "negative_window", "wide_window",
         "negative_epochs", "fractional_epochs", "text_epochs",
     ])
     def test_eval_corrupt_model_header_is_data_error(self, boot_dir, split_dir, tmp_path, damage):
@@ -322,6 +335,8 @@ class TestPredictAndEval:
             del header["entity_types"]
         elif damage == "negative_window":
             header["window"] = -3       # would load and silently drop the neighbour features
+        elif damage == "wide_window":
+            header["window"] = 3        # the features read 2; would load as 2
         elif damage.endswith("_epochs"):
             # would load, and fine-tuning would then fail with a bare error
             header["epochs_trained"] = {"negative": -30, "fractional": 2.5, "text": "x"}[damage[:-7]]

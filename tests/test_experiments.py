@@ -15,7 +15,6 @@ from weakner.experiments import (
     format_grid_table,
     mask_to_one_entity,
     run_experiment_grid,
-    spans_as_pins,
     write_grid_tsv,
 )
 from weakner.metrics import evaluate_model
@@ -100,15 +99,6 @@ class TestMaskToOneEntity:
         b, _ = mask_to_one_entity(gold, PROT, 3)
         assert a.labels == b.labels
 
-    def test_spans_as_pins_mention_text(self, bundle):
-        gold, refset, _ = bundle
-        _, kept = mask_to_one_entity(gold, PROT, 3)
-        pins = spans_as_pins(kept, gold.sentences)
-        assert len(pins) == len(kept)
-        for pin in pins[:50]:
-            toks = gold.sentences[pin.sentence].tokens[pin.first:pin.last + 1]
-            assert pin.name == " ".join(t.text for t in toks)
-
 
 class TestGridOrderings:
     def test_full_supervision_is_the_upper_bound(self, grid_rows):
@@ -179,8 +169,7 @@ class TestFinalizeDirection:
         gold, refset, dictionary = generate_synthetic(spec)
         train_gold, _, test = split_seed(gold, 0.8, 0)
         seed_ds, corpus, corpus_gold = split_seed(train_gold, 0.05, 1)
-        _, kept = mask_to_one_entity(corpus_gold, PROT, 17)
-        pins = spans_as_pins(kept, corpus_gold.sentences)
+        _, pins = mask_to_one_entity(corpus_gold, PROT, 17)
         cfg = BootstrapConfig(iterations=5, seed_epochs=12, round_epochs=3, final_epochs=6,
                               learning_rate=0.25, decay=0.08, l2=1e-4, rng_seed=0)
         model, _ = iterative_train(seed_ds, corpus, PROT, cfg, pins=pins)

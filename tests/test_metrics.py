@@ -12,7 +12,7 @@ from weakner.corpus import (
     sentence_from_texts,
 )
 from weakner.errors import UnknownTag
-from weakner.metrics import EvalReport, score_datasets, score_entities
+from weakner.metrics import EvalReport, prf, score_datasets, score_entities, tsv_cell
 
 PROT = TagSet(("PROT",))
 TWO = TagSet(("PROT", "CELL"))
@@ -114,3 +114,24 @@ class TestScoreDatasets:
         pred = Dataset(sents, [[0, -1]], DatasetKind.SEED)
         with pytest.raises(UnknownTag):
             score_datasets(pred, gold, PROT)
+
+
+class TestReportCells:
+    @pytest.mark.parametrize("value, cell", [
+        (None, ""),
+        (0.1, "0.1"),
+        (1 / 3, "0.3333333333333333"),
+        (0.0, "0.0"),
+        (float("nan"), "nan"),
+        (np.float64(0.25), "0.25"),
+        (0, "0"),
+        (205, "205"),
+        ("model_iter_03", "model_iter_03"),
+    ])
+    def test_tsv_cell(self, value, cell):
+        assert tsv_cell(value) == cell
+
+    def test_prf(self):
+        report = EvalReport.from_counts(3, 1, 2)
+        assert prf(report) == (report.precision, report.recall, report.f1)
+        assert prf(None) == (None, None, None)

@@ -642,9 +642,9 @@ def ref_shape(text):
     return out
 
 
-def naive_features(sentence, window=2):
+def naive_features(sentence):
     """Reference feature strings: the per-token template builder, one list
-    per token in template order."""
+    per token in template order, neighbours at offsets -2..-1 and 1..2."""
     texts = sentence.texts()
     out = []
     for i, text in enumerate(texts):
@@ -653,9 +653,7 @@ def naive_features(sentence, window=2):
             if len(text) >= k:
                 feats.append(f"pre{k}={text[:k]}")
                 feats.append(f"suf{k}={text[-k:]}")
-        for d in range(-window, window + 1):
-            if d == 0:
-                continue
+        for d in (-2, -1, 1, 2):
             j = i + d
             neighbor = texts[j] if 0 <= j < len(texts) else ("<s>" if d < 0 else "</s>")
             feats.append(f"w[{d}]={neighbor}")
@@ -663,11 +661,11 @@ def naive_features(sentence, window=2):
     return out
 
 
-def naive_grow(index, sentences, window=2):
+def naive_grow(index, sentences):
     """Reference growth: per-occurrence setdefault, sentence -> token ->
     template."""
     for sent in sentences:
-        for feats in naive_features(sent, window):
+        for feats in naive_features(sent):
             for f in feats:
                 index.setdefault(f, len(index))
     return index
@@ -676,7 +674,7 @@ def naive_grow(index, sentences, window=2):
 def naive_rows(model, sentence):
     """Reference (ids, pos) rows: known feature ids, token by token."""
     ids, pos = [], []
-    for i, feats in enumerate(naive_features(sentence, model.window)):
+    for i, feats in enumerate(naive_features(sentence)):
         row = [model.feature_index[f] for f in feats if f in model.feature_index]
         ids.extend(row)
         pos.extend([i] * len(row))
@@ -687,7 +685,7 @@ def naive_emissions(model, sentence):
     """Reference emissions: per position, add the weight rows of its known
     features one at a time."""
     E = np.zeros((len(sentence), len(model.tags)))
-    for i, feats in enumerate(naive_features(sentence, model.window)):
+    for i, feats in enumerate(naive_features(sentence)):
         for f in feats:
             if f in model.feature_index:
                 E[i] += model.weights[model.feature_index[f]]
@@ -698,7 +696,7 @@ def naive_sgd_epoch(model, data, cfg):
     """Reference epoch of train: emissions from the feature strings, the
     same kernel, then a step on one weight row per firing feature."""
     model = model.clone()
-    naive_grow(model.feature_index, data.sentences, model.window)
+    naive_grow(model.feature_index, data.sentences)
     grown = np.zeros((len(model.feature_index) - len(model.weights), len(model.tags)))
     model.weights = np.vstack([model.weights, grown])
     W, T, index = model.weights, model.transitions, model.feature_index
@@ -712,7 +710,7 @@ def naive_sgd_epoch(model, data, cfg):
             _, gE, gT = _marginal_loss_grad(E, T, q)
         else:
             _, gE, gT = _sequence_loss_grad(E, T, np.asarray(lab))
-        for i, feats in enumerate(naive_features(sent, model.window)):
+        for i, feats in enumerate(naive_features(sent)):
             for f in feats:
                 W[index[f]] -= rate * gE[i]
         T -= rate * gT
@@ -757,9 +755,9 @@ def sentence_emissions(model, sentence):
     return model.emissions([sentence])[0]
 
 
-def token_features(sentence, window=2):
+def token_features(sentence):
     """Per-token feature strings as the factored path assigns them."""
-    model = TaggerModel(PROT, window)
+    model = TaggerModel(PROT)
     M, _ = model._feature_ids([sentence], grow=True)
     names = list(model.feature_index)
     return [[names[f] for f in row if f >= 0] for row in M.tolist()]
@@ -829,11 +827,11 @@ class TestEmissions:
 class TestFactoredFeatures:
     """The per-type feature path against the per-token reference builder."""
 
-    @pytest.mark.parametrize("window", [0, 1, 2, 3])
-    def test_emissions_equal_naive(self, window):
-        rng = np.random.default_rng(48 + window)
+    @pytest.mark.parametrize("draw", [0, 1, 2, 3])
+    def test_emissions_equal_naive(self, draw):
+        rng = np.random.default_rng(48 + draw)
         seen = [odd_sentence(rng) for _ in range(12)]
-        model = TaggerModel(TWO, window)
+        model = TaggerModel(TWO)
         model._feature_ids(seen, grow=True)
         model.weights = rng.normal(size=model.weights.shape)
         model.weights[::5] = -0.0
@@ -851,25 +849,25 @@ class TestFactoredFeatures:
         assert E.shape == (sum(map(len, data)), len(PROT)) and not E.any()
         assert starts.tolist() == np.cumsum([0] + [len(s) for s in data[:-1]]).tolist()
 
-    @pytest.mark.parametrize("window", [0, 1, 2, 3])
-    def test_growth_keeps_first_seen_order(self, window):
-        rng = np.random.default_rng(53 + window)
+    @pytest.mark.parametrize("draw", [0, 1, 2, 3])
+    def test_growth_keeps_first_seen_order(self, draw):
+        rng = np.random.default_rng(53 + draw)
         first = [odd_sentence(rng) for _ in range(10)]
         more = [odd_sentence(rng) for _ in range(10)]
-        model = TaggerModel(PROT, window)
+        model = TaggerModel(PROT)
         model._feature_ids(first, grow=True)
-        assert list(model.feature_index.items()) == list(naive_grow({}, first, window).items())
+        assert list(model.feature_index.items()) == list(naive_grow({}, first).items())
         model._feature_ids(more, grow=True)
-        expected = naive_grow(naive_grow({}, first, window), more, window)
+        expected = naive_grow(naive_grow({}, first), more)
         assert list(model.feature_index.items()) == list(expected.items())
         assert model.weights.shape == (len(expected), len(PROT)) and not model.weights.any()
 
-    @pytest.mark.parametrize("window", [0, 1, 3])
-    def test_rows_equal_naive(self, window):
-        rng = np.random.default_rng(57 + window)
+    @pytest.mark.parametrize("draw", [0, 1, 2, 3])
+    def test_rows_equal_naive(self, draw):
+        rng = np.random.default_rng(57 + draw)
         seen = [odd_sentence(rng) for _ in range(10)]
         unseen = [odd_sentence(rng) for _ in range(10)]
-        model = TaggerModel(PROT, window)
+        model = TaggerModel(PROT)
         grown = model._feature_ids(seen, grow=True)
         for sents, (M, starts) in [(seen, grown), (seen + unseen, model._feature_ids(seen + unseen))]:
             assert M.dtype == np.int32 and M.shape == (sum(map(len, sents)), len(model.extractor.offsets))
@@ -968,6 +966,12 @@ class TestSerialization:
         ("features", ["a", "a"], 2, 3),
         ("entity_types", [1], 1, 3),
         ("entity_types", "PROT", 1, 9),
+        # the features read a window of exactly 2; any other header value is refused
+        ("window", 3, 1, 3),
+        ("window", 0, 1, 3),
+        ("window", 2.0, 1, 3),
+        ("window", True, 1, 3),
+        ("window", "2", 1, 3),
     ])
     def test_malformed_header_field_rejected(self, tmp_path, field, value, n_features, n_tags):
         header = {"format": tagger.MODEL_FORMAT, "version": tagger.MODEL_VERSION,
@@ -988,7 +992,7 @@ class TestFeatureExtractor:
 
     def test_window_and_boundaries(self):
         sent = sentence_from_texts(["a", "b", "c"])
-        feats = token_features(sent, window=2)
+        feats = token_features(sent)
         assert "w[-1]=<s>" in feats[0]
         assert "w[-2]=<s>" in feats[1]
         assert "w[+1]=</s>" in feats[2] or "w[1]=</s>" in feats[2]
