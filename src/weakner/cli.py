@@ -27,7 +27,7 @@ from dataclasses import replace
 
 from .bootstrap import BootstrapConfig, finalize, iterative_train
 from .corpus import DatasetKind, TagSet, read_conll, split_seed, text_lines, write_conll
-from .errors import SpecInvalid, WeaknerError
+from .errors import EmptyDataset, SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
 from .metrics import evaluate_model
 from .refset import (
@@ -105,6 +105,15 @@ def _tags(entity_types: str) -> TagSet:
     return TagSet(types)
 
 
+def _read_gold(path, tags: TagSet):
+    """A labeled file to score against. One with no entity is rejected: its
+    P, R and F1 would read 0 whatever the model or matcher did."""
+    gold = read_conll(path, tags)
+    if not any(any(labels) for labels in gold.labels):     # tag 0 is O
+        raise EmptyDataset(f"no gold entities to score against in {path}")
+    return gold
+
+
 def _build_policy(ns):
     """Policy from --policy preset plus explicit flag overrides."""
     dictionary = load_dictionary(ns.dictionary) if ns.dictionary else None
@@ -160,6 +169,7 @@ def cmd_match(ns) -> int:
     policy = _build_policy(ns)
     refset = load_reference_set(ns.refset, tags.entity_types[0])
     corpus = read_conll(ns.corpus, tags, DatasetKind.CORPUS)
+    gold = _read_gold(ns.gold, tags) if ns.gold else None
     matches = find_matches(corpus, refset, policy)
     os.makedirs(ns.out_dir, exist_ok=True)
     out_path = os.path.join(ns.out_dir, "matches.tsv")
@@ -168,8 +178,7 @@ def cmd_match(ns) -> int:
         for m in matches:
             fh.write(f"{m.sentence}\t{m.first}\t{m.last}\t{m.name}\n")
     print(f"{len(matches)} matches -> {out_path}")
-    if ns.gold:
-        gold = read_conll(ns.gold, tags)
+    if gold is not None:
         p, r = audit_matcher(matches, gold, tags, criterion=ns.criterion)
         print(f"matcher P={100 * p:.2f} R={100 * r:.2f}")
     return 0
@@ -181,7 +190,7 @@ def cmd_bootstrap(ns) -> int:
     corpus = read_conll(ns.corpus, tags, DatasetKind.CORPUS)
     policy = _build_policy(ns)
     refset = load_reference_set(ns.refset, tags.entity_types[0])
-    heldout = read_conll(ns.heldout, tags) if ns.heldout else None
+    heldout = _read_gold(ns.heldout, tags) if ns.heldout else None
 
     cfg = BootstrapConfig(**_loop_settings(ns))
     pins = find_matches(corpus, refset, policy)
@@ -210,7 +219,7 @@ def cmd_predict(ns) -> int:
 
 def cmd_eval(ns) -> int:
     model = TaggerModel.load(ns.model)
-    gold = read_conll(ns.data, model.tags)
+    gold = _read_gold(ns.data, model.tags)
     report = evaluate_model(model, gold, mode=ns.mode)
     print(report)
     return 0

@@ -27,8 +27,13 @@ Two training objectives are supported, both optimized by per-sentence SGD
 with an inverse-time learning-rate decay and L2 regularization:
 
 * MARGINAL: cross-entropy between the model's posterior marginals and
-  per-token soft target rows (accepts mixed one-hot / probabilistic rows);
-* SEQUENCE: conditional log-likelihood of hard tag sequences.
+  per-token soft target rows (accepts mixed one-hot / probabilistic rows).
+  Its loss reads log mu = alpha + beta - log Z, so it runs both passes and
+  differentiates through each;
+* SEQUENCE: conditional log-likelihood of hard tag sequences. Its gradient
+  needs only the forward pass: the node and pairwise expectations are the
+  reverse-mode adjoint of the alpha recursion, one matrix-vector product
+  per position, with no backward pass.
 
 Training reads an (n_tokens, n_templates) feature-id matrix built from the
 same per-type tables. Each sentence's rows are a view of it that indexes a
@@ -324,26 +329,40 @@ class TaggerModel:
 # Log-space dynamic programs
 # ---------------------------------------------------------------------------
 
-def _forward_backward(E, T):
-    """Log-space alpha, beta and the log partition function of one sentence,
-    E (n, k), or of equal-length sentences stacked position-major, E (n, B, k).
-    Each log-sum-exp over tags is one np.logaddexp.reduce call, written
-    straight into its row of alpha or beta."""
+def _forward(E, T):
+    """Log-space alpha of one sentence, E (n, k), or of equal-length
+    sentences stacked position-major, E (n, B, k). Each log-sum-exp over
+    tags is one np.logaddexp.reduce call, written straight into its row."""
     alpha = np.empty_like(E)
-    beta = np.zeros_like(E)
     scores = np.empty(E.shape[1:] + T.shape[-1:])  # (k, k) or (B, k, k)
-    ahead = np.empty_like(E[0])
     alpha[0] = E[0]
     for prev, cur, e in zip(alpha[:-1, ..., :, None], alpha[1:], E[1:]):
         np.add(prev, T, out=scores)
         np.logaddexp.reduce(scores, axis=-2, out=cur)
         cur += e
+    return alpha
+
+
+def _forward_backward(E, T):
+    """_forward's alpha, plus the log-space beta (each row one
+    np.logaddexp.reduce call, like alpha's) and the log partition function."""
+    alpha = _forward(E, T)
+    beta = np.zeros_like(E)
+    scores = np.empty(E.shape[1:] + T.shape[-1:])
+    ahead = np.empty_like(E[0])
     for cur, after, e in zip(beta[-2::-1], beta[:0:-1], E[:0:-1]):
         np.add(e, after, out=ahead)
         np.add(T, ahead[..., None, :], out=scores)
         np.logaddexp.reduce(scores, axis=-1, out=cur)
     log_z = np.logaddexp.reduce(alpha[-1], axis=-1)
     return alpha, beta, log_z
+
+
+def _back(E, T, alpha):
+    """The local derivatives of one sentence's alpha recursion, alpha[i] =
+    E[i] + lse_s(alpha[i-1][s] + T[s, t]): back[i-1][s, t] = P(y_{i-1} = s |
+    y_i = t, prefix), (n-1, k, k), each column summing to 1."""
+    return np.exp(alpha[:-1, :, None] + T - (alpha[1:] - E[1:])[:, None, :])
 
 
 def _viterbi(E, T):
@@ -362,11 +381,6 @@ def _viterbi(E, T):
     for i in range(n - 1, 0, -1):
         paths[i - 1] = back[i, batch, paths[i]]
     return paths
-
-
-def _pairwise_marginals(E, T, alpha, beta, log_z):
-    """xi[i][s, t] = P(y_i = s, y_{i+1} = t | x), for i = 0 .. n-2."""
-    return np.exp(alpha[:-1, :, None] + T + (E[1:] + beta[1:])[:, None, :] - log_z)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +403,7 @@ def _marginal_loss_grad(E, T, q):
     # d loss / d log_z = sum(q); log_z = logsumexp(alpha[n-1])
     ga = -q
     ga[n - 1] += q.sum() * np.exp(alpha[n - 1] - log_z)
-    # alpha recursion: alpha[i] = E[i] + lse_s(alpha[i-1][s] + T[s, t]);
-    # back[i-1][s, t] = P(prev = s | cur = t, prefix), columns sum to 1
-    back = np.exp(alpha[:-1, :, None] + T - (alpha[1:] - E[1:])[:, None, :])
+    back = _back(E, T, alpha)
     rows = list(ga)
     for b, g, g_prev in zip(back[::-1], rows[:0:-1], rows[-2::-1]):
         g_prev += np.dot(b, g)
@@ -413,14 +425,23 @@ def _marginal_loss_grad(E, T, q):
 
 def _sequence_loss_grad(E, T, y):
     """Negative conditional log-likelihood of the tag sequence y, plus the
-    classic expected-minus-empirical sufficient-statistics gradient."""
+    classic expected-minus-empirical sufficient-statistics gradient. The
+    expectations are the adjoint of the alpha recursion: node marginals flow
+    back from the last position through _back's matrices, and the pairwise
+    ones are back[i] * marginal[i+1].
+    """
     n = len(E)
-    alpha, beta, log_z = _forward_backward(E, T)
+    alpha = _forward(E, T)
+    log_z = np.logaddexp.reduce(alpha[-1])
     loss = log_z - (E[np.arange(n), y].sum() + T[y[:-1], y[1:]].sum())
 
-    gE = np.exp(alpha + beta - log_z)
+    back = _back(E, T, alpha)
+    gE = np.empty_like(E)
+    gE[-1] = np.exp(alpha[-1] - log_z)
+    for b, g, row in zip(back[::-1], gE[:0:-1], gE[-2::-1]):
+        np.dot(b, g, out=row)
+    gT = (back * gE[1:, None, :]).sum(axis=0)
     gE[np.arange(n), y] -= 1.0
-    gT = _pairwise_marginals(E, T, alpha, beta, log_z).sum(axis=0)
     np.subtract.at(gT, (y[:-1], y[1:]), 1.0)
     return loss, gE, gT
 

@@ -359,6 +359,27 @@ class TestPredictAndEval:
         assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["bootstrap", "eval", "match"])
+def test_gold_file_without_entities_is_data_error(command, synth_dir, split_dir, boot_dir,
+                                                   tmp_path, capsys):
+    # split writes the corpus's tags as O; scored against, it used to read
+    # P = R = F1 = 0.00 with exit 0, as if the model or matcher had failed
+    all_o = str(split_dir / "corpus.conll")
+    out = tmp_path / "out"
+    args = {
+        "bootstrap": ["--seed", str(split_dir / "seed.conll"), "--corpus", all_o,
+                      "--refset", str(synth_dir / "refset.txt"), "--heldout", all_o],
+        "eval": ["--model", str(boot_dir / "final_soft.model"), "--data", all_o],
+        "match": ["--corpus", all_o, "--refset", str(synth_dir / "refset.txt"), "--gold", all_o],
+    }[command]
+    if command != "eval":
+        args += ["--out-dir", str(out)]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert "no gold entities" in err and all_o in err
+    assert not out.exists()     # rejected before any matching or training
+
+
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

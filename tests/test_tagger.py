@@ -30,6 +30,7 @@ from weakner.tagger import (
     Objective,
     TaggerModel,
     TrainConfig,
+    _forward,
     _forward_backward,
     _marginal_loss_grad,
     _sequence_loss_grad,
@@ -372,11 +373,30 @@ class TestKernelsMatchReference:
         for got, ref in zip(_sequence_loss_grad(E, T, y), ref_sequence_loss_grad(E, T, y)):
             assert_matches_reference(got, ref)
 
+    @pytest.mark.parametrize("scale", [2.0, 200.0, 400.0])
+    @pytest.mark.parametrize("n,k", KERNEL_CASES)
+    def test_sequence_expectations_match_forward_backward(self, n, k, scale):
+        # the SEQUENCE kernel runs only the forward pass and takes its
+        # expectations from the adjoint; they must be forward-backward's
+        E, T, _, y = kernel_inputs(n, k, scale)
+        alpha, beta, log_z = _forward_backward(E, T)
+        mu = np.exp(alpha + beta - log_z)
+        _, gE, gT = _sequence_loss_grad(E, T, y)
+        gE[np.arange(n), y] += 1.0
+        np.add.at(gT, (y[:-1], y[1:]), 1.0)
+        if scale == 2.0:
+            assert np.abs(gE - mu).max() <= 1e-12
+        assert_matches_reference(gE, mu)
+        # summed over the next tag the pairwise expectations are the node
+        # marginals of positions 0..n-2, over the previous tag those of 1..n-1
+        assert_matches_reference(gT.sum(axis=1), mu[:-1].sum(axis=0))
+        assert_matches_reference(gT.sum(axis=0), mu[1:].sum(axis=0))
+
     @pytest.mark.parametrize("scale", [200.0, 400.0])
     def test_large_score_spreads_stay_finite(self, scale):
         # hundreds of nats between tag paths: a probability-space recursion
         # over/underflows here, the log-space one does not
-        for n, k in [(2, 3), (13, 3), (46, 5), (85, 3)]:
+        for n, k in [(2, 3), (13, 3), (46, 5), (85, 3), (85, 5)]:
             E, T, q, y = kernel_inputs(n, k, scale)
             pairs = [
                 (_forward_backward(E, T), ref_forward_backward(E, T)),
@@ -428,18 +448,16 @@ def assert_same_bits(got, want):
 class TestKernelsBitIdentical:
     @pytest.mark.parametrize("scale", [2.0, 300.0])
     @pytest.mark.parametrize("n", [1, 2, 10, 46])
-    def test_against_allocating_kernels(self, n, scale, monkeypatch):
+    def test_against_allocating_kernels(self, n, scale):
         for k in (3, 5):
-            E, T, q, y = kernel_inputs(n, k, scale)
-            assert_same_bits(_forward_backward(E, T), alloc_forward_backward(E, T))
+            E, T, q, _ = kernel_inputs(n, k, scale)
             stacked = np.random.default_rng(n + k).normal(scale=scale, size=(n, 6, k))
-            assert_same_bits(_forward_backward(stacked, T), alloc_forward_backward(stacked, T))
+            for scores in (E, stacked):
+                want = alloc_forward_backward(scores, T)
+                assert_same_bits(_forward_backward(scores, T), want)
+                # the SEQUENCE kernel runs _forward alone
+                assert_same_bits([_forward(scores, T)], want[:1])
             assert_same_bits(_marginal_loss_grad(E, T, q), alloc_marginal_loss_grad(E, T, q))
-            got = _sequence_loss_grad(E, T, y)
-            with monkeypatch.context() as m:
-                m.setattr(tagger, "_forward_backward", alloc_forward_backward)
-                want = _sequence_loss_grad(E, T, y)
-            assert_same_bits(got, want)
 
 
 class TestTraining:
