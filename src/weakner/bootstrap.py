@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, Provenance, TagSet
+from .corpus import Dataset, Provenance, TagSet, gold_spans
 from .errors import ModelTagSetMismatch, WeaknerError, check_int
 from .metrics import EvalReport, evaluate_model, prf, tsv_cell
 from .tagger import Objective, TaggerModel, TrainConfig, harden, predict_dataset_soft, train
@@ -157,11 +157,14 @@ def iterative_train(
 
     pins: the spans to pin on `corpus`, reference matches or gold spans (an
     empty list gives classic self-training). heldout, when given, adds
-    per-round P/R/F1 (softmax-argmax output) to the trace. checkpoint_dir,
-    when given, receives one model file per round plus trace.tsv; it is
-    created once the seed model is trained, so a seed that cannot be trained
-    leaves none.
+    per-round P/R/F1 (softmax-argmax output) to the trace; one that
+    corpus.gold_spans rejects raises EmptyDataset before any training.
+    checkpoint_dir, when given, receives one model file per round plus
+    trace.tsv; it is created once the seed model is trained, so a seed that
+    cannot be trained leaves none.
     """
+    if heldout is not None:
+        gold_spans(heldout, tags)
     model = train(seed, tags, cfg.train_cfg(cfg.seed_epochs), init=None)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)

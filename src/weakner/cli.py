@@ -26,7 +26,7 @@ import sys
 from dataclasses import replace
 
 from .bootstrap import BootstrapConfig, finalize, iterative_train
-from .corpus import DatasetKind, TagSet, read_conll, split_seed, text_lines, write_conll
+from .corpus import DatasetKind, TagSet, gold_spans, read_conll, split_seed, text_lines, write_conll
 from .errors import EmptyDataset, SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
 from .metrics import evaluate_model
@@ -106,11 +106,13 @@ def _tags(entity_types: str) -> TagSet:
 
 
 def _read_gold(path, tags: TagSet):
-    """A labeled file to score against. One with no entity is rejected: its
-    P, R and F1 would read 0 whatever the model or matcher did."""
+    """A labeled file to score against, checked by corpus.gold_spans before
+    any matching or training; its error names the file."""
     gold = read_conll(path, tags)
-    if not any(any(labels) for labels in gold.labels):     # tag 0 is O
-        raise EmptyDataset(f"no gold entities to score against in {path}")
+    try:
+        gold_spans(gold, tags)
+    except EmptyDataset as e:
+        raise EmptyDataset(f"{path}: {e}") from None
     return gold
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EmptyDataset,
     EmptySentence,
     FractionOutOfRange,
     LabelLengthMismatch,
@@ -308,6 +309,20 @@ def bio_decode(labels, tags: TagSet, sentence: int = 0):
     return spans
 
 
+def gold_spans(gold: Dataset, tags: TagSet):
+    """The entity spans of a gold set, the rule of every scorer: hard labels on
+    each sentence and at least one entity, or EmptyDataset (against no
+    entity, P, R and F1 would read 0 whatever was predicted)."""
+    spans = []
+    for s, labels in enumerate(gold.labels):
+        if labels is None or isinstance(labels, SoftLabeling):
+            raise EmptyDataset("scoring needs hard gold labels on every sentence")
+        spans.extend(bio_decode(labels, tags, sentence=s))
+    if not spans:
+        raise EmptyDataset("no gold entities to score against")
+    return spans
+
+
 def bio_encode(spans, n_tokens: int, tags: TagSet, sentence: int = 0):
     """Encode non-overlapping spans as a BIO hard labeling of length n_tokens."""
     labels = [0] * n_tokens
@@ -428,16 +443,20 @@ def read_conll(path, tags: TagSet, kind: DatasetKind = DatasetKind.SEED) -> Data
 def write_conll(dataset: Dataset, path, tags: TagSet):
     """Write token TAB tag lines, one blank line between sentences.
 
-    Unlabeled sentences are written with every token tagged O.
+    Unlabeled sentences are written all O. Every labeling is checked (hard,
+    tags inside `tags`) before the file is opened.
     """
+    rows = []
+    for sent, labels in zip(dataset.sentences, dataset.labels):
+        if isinstance(labels, SoftLabeling):
+            raise WeaknerError("write_conll needs hard labels (harden first)")
+        if labels is None:
+            labels = [0] * len(sent)
+        tags.check(labels)
+        rows.append(labels)
     tag_names = tags.tags
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s, (sent, labels) in enumerate(zip(dataset.sentences, dataset.labels)):
-            if isinstance(labels, SoftLabeling):
-                raise WeaknerError("write_conll needs hard labels (harden first)")
-            if labels is None:
-                labels = [0] * len(sent)
-            tags.check(labels)
+        for s, (sent, labels) in enumerate(zip(dataset.sentences, rows)):
             if s:
                 fh.write("\n")
             for tok, t in zip(sent.tokens, labels):

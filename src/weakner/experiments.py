@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _combine, finalize, iterative_train
-from .corpus import Dataset, TagSet, bio_decode, bio_encode, split_seed
+from .corpus import Dataset, TagSet, bio_decode, bio_encode, gold_spans, split_seed
 from .errors import WeaknerError
 from .metrics import EvalReport, evaluate_model, prf, tsv_cell
 from .refset import ReferenceSet, audit_matcher, exact_policy, filtered_policy, find_matches
@@ -124,10 +124,12 @@ def run_experiment_grid(
     cfg: GridConfig | None = None,
 ):
     """Split gold into train/test, derive the seed/corpus partition, run
-    every condition, and return the rows (in condition order)."""
+    every condition, and return the rows (in condition order). A test split
+    that corpus.gold_spans rejects raises EmptyDataset before any training."""
     cfg = cfg or GridConfig()
     conditions = conditions if conditions is not None else default_conditions()
     train_gold, _, test = split_seed(gold, 1.0 - cfg.test_fraction, cfg.rng_seed)
+    gold_spans(test, tags)
     seed_ds, corpus, corpus_gold = split_seed(train_gold, cfg.seed_fraction, cfg.rng_seed + 1)
     masked, kept = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
     loops = {}  # ref_policy -> (pins, matcher P, matcher R, loop model, trace)

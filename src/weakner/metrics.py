@@ -1,12 +1,12 @@
-"""Entity-level scoring (exact span + type match) and token accuracy."""
+"""Entity-level scoring: exact span + type match against gold spans."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, bio_repair
+from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, gold_spans
 from .errors import WeaknerError
-from .tagger import TaggerModel, harden, predict_dataset_hard, predict_dataset_soft
+from .tagger import TaggerModel, predict_dataset_hard, predict_dataset_soft
 
 
 @dataclass(frozen=True)
@@ -14,7 +14,6 @@ class EvalReport:
     """Precision/recall/F1 over exactly-matched (span, type) pairs.
 
     Ratios are stored in [0, 1]; use percent() for report-style numbers.
-    token_accuracy is None when the evaluation had no token-level view.
     """
 
     tp: int
@@ -23,14 +22,13 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    token_accuracy: float | None = None
 
     @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int, token_accuracy=None) -> "EvalReport":
+    def from_counts(cls, tp: int, fp: int, fn: int) -> "EvalReport":
         p = tp / (tp + fp) if tp + fp else 0.0
         r = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * p * r / (p + r) if p + r else 0.0
-        return cls(tp, fp, fn, p, r, f1, token_accuracy)
+        return cls(tp, fp, fn, p, r, f1)
 
     def percent(self):
         """(P, R, F1) as percentages, Table-style."""
@@ -60,36 +58,27 @@ def score_entities(pred, gold) -> EvalReport:
     return EvalReport.from_counts(tp, len(pred_set) - tp, len(gold_set) - tp)
 
 
-def _hard_labels(labels, tags: TagSet):
-    if labels is None:
-        raise WeaknerError("evaluation needs labels on every sentence")
-    if isinstance(labels, SoftLabeling):
-        return harden(labels, tags)
-    return bio_repair(labels, tags)
-
-
 def score_datasets(pred: Dataset, gold: Dataset, tags: TagSet) -> EvalReport:
-    """Entity P/R/F1 plus token accuracy of a predicted labeling vs gold."""
+    """Entity P/R/F1 of a predicted labeling vs gold, which must pass
+    corpus.gold_spans. A soft prediction is hardened by argmax; decoding
+    repairs a BIO-invalid one."""
     if len(pred) != len(gold):
         raise WeaknerError("datasets differ in sentence count")
-    pred_spans, gold_spans = [], []
-    correct = total = 0
-    for s, (pl, gl) in enumerate(zip(pred.labels, gold.labels)):
-        ph = _hard_labels(pl, tags)
-        gh = _hard_labels(gl, tags)
-        if len(ph) != len(gh):
+    gold_set = gold_spans(gold, tags)
+    pred_spans = []
+    for s, (labels, sent) in enumerate(zip(pred.labels, gold.sentences)):
+        if labels is None:
+            raise WeaknerError("evaluation needs a predicted labeling on every sentence")
+        if isinstance(labels, SoftLabeling):
+            labels = labels.dist.argmax(axis=1).tolist()
+        if len(labels) != len(sent):
             raise WeaknerError(f"sentence {s}: labelings differ in length")
-        pred_spans.extend(bio_decode(ph, tags, sentence=s))
-        gold_spans.extend(bio_decode(gh, tags, sentence=s))
-        correct += sum(a == b for a, b in zip(ph, gh))
-        total += len(gh)
-    base = score_entities(pred_spans, gold_spans)
-    acc = correct / total if total else 0.0
-    return EvalReport(base.tp, base.fp, base.fn, base.precision, base.recall, base.f1, acc)
+        pred_spans.extend(bio_decode(labels, tags, sentence=s))
+    return score_entities(pred_spans, gold_set)
 
 
 def evaluate_model(model: TaggerModel, gold: Dataset, mode: str = "hard") -> EvalReport:
-    """Score a model on a gold dataset.
+    """Score a model on a gold dataset (which score_datasets checks).
 
     mode "hard" decodes with Viterbi; mode "soft" takes the argmax of the
     posterior marginals (the softmax-style output path).

@@ -19,8 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, text_lines
+from .corpus import Dataset, EntitySpan, TagSet, gold_spans, text_lines
 from .errors import EmptyReferenceSet, WeaknerError, check_int
+from .metrics import score_entities
 
 _COMPONENT_SPLIT = re.compile(r"[-/]")
 
@@ -209,46 +210,26 @@ def _resolve_overlaps(candidates):
     return chosen
 
 
-def gold_spans(gold: Dataset, tags: TagSet):
-    """Entity spans of a fully labeled dataset (hard labels required)."""
-    spans = []
-    for s, labels in enumerate(gold.labels):
-        if labels is None or isinstance(labels, SoftLabeling):
-            raise WeaknerError("audit needs a fully hard-labeled gold dataset")
-        spans.extend(bio_decode(labels, tags, sentence=s))
-    return spans
-
-
 def audit_matcher(matches, gold: Dataset, tags: TagSet, criterion: str = "exact"):
-    """Mention-level precision/recall of matches against gold entity spans.
+    """Mention-level (precision, recall) of matches against gold entity spans.
 
     criterion "exact" counts a match only when (sentence, range, type) all
-    agree; "overlap" credits any same-type token overlap.
+    agree, as score_entities does; "overlap" credits any same-type token
+    overlap. Gold must pass corpus.gold_spans, or EmptyDataset.
     """
+    if criterion not in ("exact", "overlap"):
+        raise WeaknerError(f"unknown audit criterion {criterion!r}")
     gold_set = gold_spans(gold, tags)
     if criterion == "exact":
-        gold_keys = {(sp.sentence, sp.first, sp.last, sp.entity_type) for sp in gold_set}
-        tp = sum(
-            (m.sentence, m.first, m.last, m.entity_type) in gold_keys for m in matches
-        )
-        found = {
-            (m.sentence, m.first, m.last, m.entity_type) for m in matches
-        } & gold_keys
-        recall_hits = len(found)
-    elif criterion == "overlap":
-        def overlaps(m, sp):
-            return (
-                m.sentence == sp.sentence
-                and m.entity_type == sp.entity_type
-                and m.first <= sp.last
-                and sp.first <= m.last
-            )
+        spans = [EntitySpan(m.sentence, m.first, m.last, m.entity_type) for m in matches]
+        report = score_entities(spans, gold_set)
+        return report.precision, report.recall
 
-        tp = sum(any(overlaps(m, sp) for sp in gold_set) for m in matches)
-        recall_hits = sum(any(overlaps(m, sp) for m in matches) for sp in gold_set)
-    else:
-        raise WeaknerError(f"unknown audit criterion {criterion!r}")
+    def overlaps(m, sp):
+        same = (m.sentence, m.entity_type) == (sp.sentence, sp.entity_type)
+        return same and m.first <= sp.last and sp.first <= m.last
 
+    tp = sum(any(overlaps(m, sp) for sp in gold_set) for m in matches)
+    recall_hits = sum(any(overlaps(m, sp) for m in matches) for sp in gold_set)
     precision = tp / len(matches) if matches else 0.0
-    recall = recall_hits / len(gold_set) if gold_set else 0.0
-    return precision, recall
+    return precision, recall_hits / len(gold_set)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from weakner import bootstrap
 from weakner.bootstrap import BootstrapConfig, finalize, iterative_train, relabel
 from weakner.corpus import (
     Dataset,
@@ -261,6 +262,17 @@ class TestIterativeTrain:
             iterative_train(Dataset(sentences, labels, DatasetKind.SEED), tiny_corpus(), PROT,
                             quick_cfg(1), pins=[], checkpoint_dir=str(out))
         assert not out.exists()
+
+    def test_heldout_without_entities_rejected_before_training(self, monkeypatch, tmp_path):
+        # every trace row used to read P = R = F1 = 0.00
+        trained = []
+        monkeypatch.setattr(bootstrap, "train", lambda *a, **kw: trained.append(a))
+        all_o = Dataset(tiny_seed().sentences, [[0, 0, 0]] * 3, DatasetKind.SEED)
+        out = tmp_path / "run"
+        with pytest.raises(EmptyDataset, match="no gold entities"):
+            iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(1), pins=[],
+                            heldout=all_o, checkpoint_dir=str(out))
+        assert trained == [] and not out.exists()
 
     def test_refset_config_pins(self):
         seed, corpus = tiny_seed(), tiny_corpus()

@@ -15,6 +15,7 @@ from weakner.corpus import (
     bio_decode,
     bio_encode,
     bio_repair,
+    gold_spans,
     read_conll,
     sentence_from_texts,
     soften,
@@ -23,6 +24,7 @@ from weakner.corpus import (
     write_conll,
 )
 from weakner.errors import (
+    EmptyDataset,
     EmptySentence,
     FractionOutOfRange,
     MalformedLine,
@@ -175,6 +177,23 @@ class TestBioCodec:
         encoded = bio_encode(spans, len(labels), tags)
         assert encoded == bio_repair(labels, tags)
         assert bio_decode(encoded, tags) == spans
+
+
+class TestGoldSpans:
+    def test_spans_of_every_sentence(self):
+        sents = [sentence_from_texts(["a", "b", "c"]), sentence_from_texts(["d", "e"])]
+        gold = Dataset(sents, [[0, 0, 0], [2, 2]])      # I-PROT I-PROT is repaired
+        assert gold_spans(gold, PROT) == [EntitySpan(1, 0, 1, "PROT")]
+
+    @pytest.mark.parametrize("labels, message", [
+        ([[0, 0], [0]], "no gold entities"),
+        ([[1, 0], None], "hard gold labels"),
+        ([[1, 0], soften([1], PROT)], "hard gold labels"),
+    ], ids=["all-O", "unlabeled", "soft"])
+    def test_unscorable_gold_rejected(self, labels, message):
+        sents = [sentence_from_texts(["a", "b"]), sentence_from_texts(["c"])]
+        with pytest.raises(EmptyDataset, match=message):
+            gold_spans(Dataset(sents, labels), PROT)
 
 
 class TestSoftLabeling:
@@ -348,6 +367,16 @@ class TestConllIo:
         out = tmp_path / "out.conll"
         write_conll(read_conll(src, PROT), out, PROT)
         assert out.read_bytes() == normalized.encode("utf-8")
+
+    @pytest.mark.parametrize("second", [soften([0], PROT), [3]], ids=["soft", "outside"])
+    def test_rejected_labeling_leaves_no_file(self, second, tmp_path):
+        # the first sentence used to be on disk by the time the second raised
+        ds = Dataset([sentence_from_texts(["a", "b"]), sentence_from_texts(["c"])],
+                     [[1, 0], second])
+        out = tmp_path / "out.conll"
+        with pytest.raises(WeaknerError):
+            write_conll(ds, out, PROT)
+        assert not out.exists()
 
     def test_space_separated_normalizes_to_tabs(self, tmp_path):
         src = tmp_path / "in.conll"

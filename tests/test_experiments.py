@@ -4,10 +4,10 @@ directional orderings the conditions are designed to exhibit."""
 import numpy as np
 import pytest
 
-from weakner import experiments
+from weakner import bootstrap, experiments
 from weakner.bootstrap import BootstrapConfig, finalize, iterative_train
-from weakner.corpus import TagSet, bio_decode, split_seed
-from weakner.errors import WeaknerError
+from weakner.corpus import Dataset, TagSet, bio_decode, sentence_from_texts, split_seed
+from weakner.errors import EmptyDataset, WeaknerError
 from weakner.experiments import (
     Condition,
     GridConfig,
@@ -18,7 +18,7 @@ from weakner.experiments import (
     write_grid_tsv,
 )
 from weakner.metrics import evaluate_model
-from weakner.refset import filter_names, filtered_policy, find_matches
+from weakner.refset import ReferenceSet, filter_names, filtered_policy, find_matches
 from weakner.synthetic import SyntheticSpec, generate_synthetic
 
 PROT = TagSet(("PROT",))
@@ -125,6 +125,18 @@ class TestGridOrderings:
 
     def test_models_attached(self, grid_rows):
         assert all(r.model is not None for r in grid_rows)
+
+
+def test_gold_without_entities_rejected_before_training(monkeypatch):
+    # the grid used to train every condition and report F1 = 0.00 on test
+    trained = []
+    for module in (experiments, bootstrap):
+        monkeypatch.setattr(module, "train", lambda *a, **kw: trained.append(a))
+    gold = Dataset([sentence_from_texts(["w", str(i)]) for i in range(20)], [[0, 0]] * 20)
+    refset = ReferenceSet(frozenset({"w"}), "PROT")
+    with pytest.raises(EmptyDataset, match="no gold entities"):
+        run_experiment_grid(gold, PROT, refset, frozenset(), cfg=GridConfig(seed_fraction=0.2))
+    assert trained == []
 
 
 class TestLoopSharing:

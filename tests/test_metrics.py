@@ -10,9 +10,18 @@ from weakner.corpus import (
     TagSet,
     bio_encode,
     sentence_from_texts,
+    soften,
 )
-from weakner.errors import UnknownTag
-from weakner.metrics import EvalReport, prf, score_datasets, score_entities, tsv_cell
+from weakner.errors import EmptyDataset, UnknownTag
+from weakner.metrics import (
+    EvalReport,
+    evaluate_model,
+    prf,
+    score_datasets,
+    score_entities,
+    tsv_cell,
+)
+from weakner.tagger import TrainConfig, train
 
 PROT = TagSet(("PROT",))
 TWO = TagSet(("PROT", "CELL"))
@@ -91,12 +100,11 @@ class TestScoreEntities:
 
 
 class TestScoreDatasets:
-    def test_token_accuracy(self):
+    def test_spurious_span_is_false_positive(self):
         sents = [sentence_from_texts(["a", "b", "c", "d"])]
         gold = Dataset(sents, [[1, 2, 0, 0]], DatasetKind.SEED)
         pred = Dataset(sents, [[1, 2, 0, 1]], DatasetKind.SEED)
         report = score_datasets(pred, gold, PROT)
-        assert report.token_accuracy == pytest.approx(3 / 4)
         assert report.tp == 1  # the [0,1] span survives, the spurious one is FP
         assert report.fp == 1
 
@@ -114,6 +122,31 @@ class TestScoreDatasets:
         pred = Dataset(sents, [[0, -1]], DatasetKind.SEED)
         with pytest.raises(UnknownTag):
             score_datasets(pred, gold, PROT)
+
+    def test_soft_pred_hardened_by_argmax_then_repaired(self):
+        sents = [sentence_from_texts(["a", "b", "c"])]
+        gold = Dataset(sents, [[1, 0, 1]])
+        pred = Dataset(sents, [soften([2, 0, 1], PROT)])     # leading I-PROT
+        report = score_datasets(pred, gold, PROT)
+        assert (report.tp, report.fp, report.fn) == (2, 0, 0)
+
+    def test_gold_without_entities_rejected(self):
+        # both used to score P = R = F1 = 0.00, as if the prediction had failed
+        sents = [sentence_from_texts(["a", "b"])]
+        gold = Dataset(sents, [[0, 0]])
+        with pytest.raises(EmptyDataset, match="no gold entities"):
+            score_datasets(Dataset(sents, [[1, 0]]), gold, PROT)
+        model = train(Dataset(sents, [[1, 0]]), PROT, TrainConfig(epochs=1))
+        for mode in ("hard", "soft"):
+            with pytest.raises(EmptyDataset, match="no gold entities"):
+                evaluate_model(model, gold, mode=mode)
+
+    @pytest.mark.parametrize("gold_labels", [soften([1, 0], PROT), None], ids=["soft", "none"])
+    def test_gold_without_hard_labels_rejected(self, gold_labels):
+        # soft gold used to be hardened by argmax and scored
+        sents = [sentence_from_texts(["a", "b"])]
+        with pytest.raises(EmptyDataset, match="hard gold labels"):
+            score_datasets(Dataset(sents, [[1, 0]]), Dataset(sents, [gold_labels]), PROT)
 
 
 class TestReportCells:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weakner.corpus import Dataset, DatasetKind, TagSet, bio_encode, sentence_from_texts
-from weakner.errors import EmptyReferenceSet, WeaknerError
+from weakner.errors import EmptyDataset, EmptyReferenceSet, WeaknerError
 from weakner.refset import (
     MatchPolicy,
     ReferenceSet,
@@ -396,8 +396,17 @@ class TestAuditMatcher:
         assert audit_matcher(matches, gold, PROT, criterion="overlap") == (1.0, 1.0)
 
     def test_unknown_criterion(self):
-        with pytest.raises(WeaknerError):
+        with pytest.raises(WeaknerError, match="criterion"):
             audit_matcher([], self._gold([[]]), PROT, criterion="fuzzy")
+
+    @pytest.mark.parametrize("criterion", ["exact", "overlap"])
+    def test_gold_without_entities_rejected(self, criterion):
+        # used to return (0.0, 0.0): a matcher audited against nothing
+        from weakner.refset import RefMatch
+
+        with pytest.raises(EmptyDataset, match="no gold entities"):
+            audit_matcher([RefMatch(0, 1, 2, "x", "PROT")], self._gold([[], []]), PROT,
+                          criterion=criterion)
 
 
 class TestLoadDictionary:
