@@ -38,7 +38,7 @@ cfg = BootstrapConfig(iterations=6, seed_epochs=12, round_epochs=3, final_epochs
 model, trace = iterative_train(seed, corpus, tags, cfg, pins=pins, heldout=test)
 
 print("iter  pinned  mean-entropy   held-out")
-for row in trace.rows:
+for row in trace:
     ent = f"{row.mean_entropy:.3f}" if row.iteration else "  -  "
     print(f"{row.iteration:4d}  {row.pinned_tokens:6d}  {ent:>12}   {row.report}")
 

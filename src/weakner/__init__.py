@@ -46,7 +46,6 @@ from .tagger import (
 )
 from .bootstrap import (
     BootstrapConfig,
-    IterationTrace,
     finalize,
     iterative_train,
     relabel,

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Dataset, Provenance, TagSet, gold_spans
 from .errors import ModelTagSetMismatch, WeaknerError, check_int
-from .metrics import EvalReport, evaluate_model, prf, tsv_cell
+from .metrics import EvalReport, evaluate_model, prf, write_tsv
 from .tagger import Objective, TaggerModel, TrainConfig, harden, predict_dataset_soft, train
 
 
@@ -61,6 +61,9 @@ class BootstrapConfig:
 
 @dataclass
 class IterationRow:
+    """Model M_i's trace entry: the pinned tokens and mean entropy of the
+    labeling it was fine-tuned on (0 and nan for M_0), its held-out report."""
+
     iteration: int
     pinned_tokens: int
     mean_entropy: float
@@ -70,24 +73,6 @@ class IterationRow:
 def _checkpoint_id(iteration: int) -> str:
     """The name of round `iteration`'s model file (without .model) and trace entry."""
     return f"model_iter_{iteration:02d}"
-
-
-@dataclass
-class IterationTrace:
-    """One row per model M_0 .. M_K."""
-
-    rows: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def write_tsv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration\tcheckpoint\tpinned_tokens\tmean_entropy\tprecision\trecall\tf1\n")
-            for row in self.rows:
-                cols = (row.iteration, _checkpoint_id(row.iteration), row.pinned_tokens,
-                        row.mean_entropy, *prf(row.report))
-                fh.write("\t".join(map(tsv_cell, cols)) + "\n")
 
 
 def relabel(corpus: Dataset, model: TaggerModel, matches) -> Dataset:
@@ -153,7 +138,8 @@ def iterative_train(
     heldout: Dataset | None = None,
     checkpoint_dir=None,
 ):
-    """Run the full iterative loop; returns (final model, trace).
+    """Run the full iterative loop; returns (final model, trace), the trace
+    a list of one IterationRow per model M_0 .. M_K.
 
     pins: the spans to pin on `corpus`, reference matches or gold spans (an
     empty list gives classic self-training). heldout, when given, adds
@@ -168,7 +154,7 @@ def iterative_train(
     model = train(seed, tags, cfg.train_cfg(cfg.seed_epochs), init=None)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-    trace = IterationTrace()
+    trace = []
     pinned, entropy = 0, math.nan      # round 0, the seed model, saw no corpus labeling
     for i in range(cfg.iterations + 1):
         if i:
@@ -179,10 +165,13 @@ def iterative_train(
         if checkpoint_dir is not None:
             model.save(os.path.join(checkpoint_dir, _checkpoint_id(i) + ".model"))
         report = evaluate_model(model, heldout, mode="soft") if heldout is not None else None
-        trace.rows.append(IterationRow(i, pinned, entropy, report))
+        trace.append(IterationRow(i, pinned, entropy, report))
 
     if checkpoint_dir is not None:
-        trace.write_tsv(os.path.join(checkpoint_dir, "trace.tsv"))
+        write_tsv(os.path.join(checkpoint_dir, "trace.tsv"),
+                  "iteration checkpoint pinned_tokens mean_entropy precision recall f1".split(),
+                  ((r.iteration, _checkpoint_id(r.iteration), r.pinned_tokens, r.mean_entropy,
+                    *prf(r.report)) for r in trace))
     return model, trace
 
 

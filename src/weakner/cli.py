@@ -23,13 +23,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bootstrap import BootstrapConfig, finalize, iterative_train
 from .corpus import DatasetKind, TagSet, gold_spans, read_conll, split_seed, text_lines, write_conll
 from .errors import EmptyDataset, SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
-from .metrics import evaluate_model
+from .metrics import evaluate_model, write_tsv
 from .refset import (
     MatchPolicy,
     audit_matcher,
@@ -60,14 +60,22 @@ def _yes_no(raw):
     raise argparse.ArgumentTypeError(f"expected yes or no, not {raw!r}")
 
 
-def _opt(parser, name, help_text, type=str, default=None, **kw):
-    parser.add_argument("--" + name.replace("_", "-"), dest=name, type=type, default=default,
-                        help=help_text, metavar=name.upper(), **kw)
+def _opt(parser, name, help_text, type=str, default=None, field=None, **kw):
+    """--name, stored under `field`, the config field it fills (else under name)."""
+    parser.add_argument("--" + name.replace("_", "-"), dest=field or name, type=type,
+                        default=default, help=help_text, metavar=name.upper(), **kw)
 
 
-def _flag(parser, name, help_text):
+def _flag(parser, name, help_text, default=False):
     parser.add_argument("--" + name.replace("_", "-"), dest=name, type=_yes_no, nargs="?",
-                        const=True, default=False, help=help_text, metavar="yes|no")
+                        const=True, default=default, help=help_text, metavar="yes|no")
+
+
+def _config(cls, ns):
+    """A BootstrapConfig, GridConfig or SyntheticSpec from the options whose
+    dest is one of its fields; the others keep the class default."""
+    given = vars(ns)
+    return cls(**{f.name: given[f.name] for f in fields(cls) if f.name in given})
 
 
 def _with_config(argv):
@@ -117,7 +125,8 @@ def _read_gold(path, tags: TagSet):
 
 
 def _build_policy(ns):
-    """Policy from --policy preset plus explicit flag overrides."""
+    """Policy from the --policy preset; an option given explicitly (yes or
+    no for a flag) overrides the preset's value, one not given keeps it."""
     dictionary = load_dictionary(ns.dictionary) if ns.dictionary else None
     if ns.policy == "c2":
         if dictionary is None:
@@ -126,28 +135,13 @@ def _build_policy(ns):
     else:
         base = MatchPolicy(dictionary_filter=dictionary)
     changes = {}
-    if ns.min_name_len is not None:
-        changes["min_name_length"] = ns.min_name_len
-    if ns.case_insensitive:
-        changes["case_sensitive"] = False
-    if ns.partial:
-        changes["allow_partial"] = True
-    return replace(base, **changes) if changes else base
-
-
-def _loop_settings(ns):
-    """BootstrapConfig fields from the options; --seed-epochs, when not
-    given, is --epochs."""
-    return dict(
-        iterations=ns.iterations,
-        seed_epochs=ns.epochs if ns.seed_epochs is None else ns.seed_epochs,
-        round_epochs=ns.epochs,
-        final_epochs=ns.final_epochs,
-        learning_rate=ns.learning_rate,
-        decay=ns.decay,
-        l2=ns.l2,
-        rng_seed=ns.rng_seed,
-    )
+    if ns.min_name_length is not None:
+        changes["min_name_length"] = ns.min_name_length
+    if ns.case_insensitive is not None:
+        changes["case_sensitive"] = not ns.case_insensitive
+    if ns.partial is not None:
+        changes["allow_partial"] = ns.partial
+    return replace(base, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +169,8 @@ def cmd_match(ns) -> int:
     matches = find_matches(corpus, refset, policy)
     os.makedirs(ns.out_dir, exist_ok=True)
     out_path = os.path.join(ns.out_dir, "matches.tsv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sentence\tfirst\tlast\tname\n")
-        for m in matches:
-            fh.write(f"{m.sentence}\t{m.first}\t{m.last}\t{m.name}\n")
+    write_tsv(out_path, ("sentence", "first", "last", "name"),
+              ((m.sentence, m.first, m.last, m.name) for m in matches))
     print(f"{len(matches)} matches -> {out_path}")
     if gold is not None:
         p, r = audit_matcher(matches, gold, tags, criterion=ns.criterion)
@@ -194,7 +186,9 @@ def cmd_bootstrap(ns) -> int:
     refset = load_reference_set(ns.refset, tags.entity_types[0])
     heldout = _read_gold(ns.heldout, tags) if ns.heldout else None
 
-    cfg = BootstrapConfig(**_loop_settings(ns))
+    if ns.seed_epochs is None:
+        ns.seed_epochs = ns.round_epochs
+    cfg = _config(BootstrapConfig, ns)
     pins = find_matches(corpus, refset, policy)
     model, trace = iterative_train(
         seed, corpus, tags, cfg, pins, heldout=heldout, checkpoint_dir=ns.out_dir
@@ -203,7 +197,7 @@ def cmd_bootstrap(ns) -> int:
     if not ns.no_final:
         crf_model = finalize(model, seed, corpus, tags, cfg, pins)
         crf_model.save(os.path.join(ns.out_dir, "final_crf.model"))
-    last = trace.rows[-1]
+    last = trace[-1]
     print(f"done: {len(trace)} checkpoints, {last.pinned_tokens} pinned tokens/round")
     if last.report is not None:
         print(f"held-out {last.report}")
@@ -229,18 +223,7 @@ def cmd_eval(ns) -> int:
 
 def cmd_synthetic(ns) -> int:
     try:
-        spec = SyntheticSpec(
-            n_sentences=ns.sentences,
-            n_entity_names=ns.entity_names,
-            n_context_words=ns.context_words,
-            n_distractors=ns.distractors,
-            ambiguity_rate=ns.ambiguity,
-            hyphenation_rate=ns.hyphenation,
-            short_name_rate=ns.short_rate,
-            multiword_name_rate=ns.multiword_rate,
-            entity_type=ns.entity_type,
-            rng_seed=ns.rng_seed,
-        )
+        spec = _config(SyntheticSpec, ns)
     except SpecInvalid as e:
         raise UsageError(str(e)) from None
     gold, refset, dictionary = generate_synthetic(spec)
@@ -256,14 +239,7 @@ def cmd_synthetic(ns) -> int:
     print(f"{len(gold)} sentences, {len(refset)} names -> {ns.out_dir}")
 
     if ns.grid:
-        grid_cfg = GridConfig(
-            seed_fraction=ns.seed_frac,
-            test_fraction=ns.test_frac,
-            full_epochs=ns.full_epochs,
-            min_name_length=ns.min_name_len,
-            **_loop_settings(ns),
-        )
-        rows = run_experiment_grid(gold, tags, refset, dictionary, cfg=grid_cfg)
+        rows = run_experiment_grid(gold, tags, refset, dictionary, cfg=_config(GridConfig, ns))
         write_grid_tsv(rows, os.path.join(ns.out_dir, "report.tsv"))
         table = format_grid_table(rows)
         with open(os.path.join(ns.out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
@@ -283,13 +259,14 @@ def cmd_synthetic(ns) -> int:
 def _policy_opts(p):
     _opt(p, "policy", "matching policy preset", choices=["c1", "c2"])
     _opt(p, "dictionary", "dictionary word list (one word per line)")
-    _opt(p, "min_name_len", "minimum name length in characters", type=int)
-    _flag(p, "case_insensitive", "case-insensitive matching")
-    _flag(p, "partial", "allow hyphen/slash component matches")
+    _opt(p, "min_name_len", "minimum name length in characters", int, field="min_name_length")
+    _flag(p, "case_insensitive", "case-insensitive matching", default=None)
+    _flag(p, "partial", "allow hyphen/slash component matches", default=None)
 
 
 def _train_opts(p):
-    _opt(p, "epochs", "training epochs per round", int, BootstrapConfig.round_epochs)
+    _opt(p, "epochs", "training epochs per round", int, BootstrapConfig.round_epochs,
+         field="round_epochs")
     _opt(p, "seed_epochs", "epochs for the initial seed model", int)
     _opt(p, "final_epochs", "epochs for the final sequence-mode retrain", int,
          BootstrapConfig.final_epochs)
@@ -306,17 +283,19 @@ def build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
 
-    def add_parser(name, help_text):
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
+    def add_parser(name, help_text, run):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("split", "split a labeled file into seed/corpus/gold")
+    p = add_parser("split", "split a labeled file into seed/corpus/gold", cmd_split)
     _opt(p, "input", "labeled input file", required=True)
     _opt(p, "seed_frac", "fraction of sentences kept as seed", float, 0.03)
     _opt(p, "rng_seed", "random seed", int, 0)
     _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
     _opt(p, "out_dir", "output directory", required=True)
 
-    p = add_parser("match", "find gazetteer mentions in a corpus")
+    p = add_parser("match", "find gazetteer mentions in a corpus", cmd_match)
     _opt(p, "corpus", f"corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set, one name per line", required=True)
     _opt(p, "entity_type", "entity type of the reference set", default="PROT")
@@ -325,7 +304,7 @@ def build_parser():
     _opt(p, "out_dir", "output directory", required=True)
     _policy_opts(p)
 
-    p = add_parser("bootstrap", "iterative weakly-supervised training")
+    p = add_parser("bootstrap", "iterative weakly-supervised training", cmd_bootstrap)
     _opt(p, "seed", "labeled seed file", required=True)
     _opt(p, "corpus", f"unlabeled corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set file", required=True)
@@ -338,50 +317,50 @@ def build_parser():
     _policy_opts(p)
     _train_opts(p)
 
-    p = add_parser("predict", "decode a file with a saved model")
+    p = add_parser("predict", "decode a file with a saved model", cmd_predict)
     _opt(p, "model", "model file", required=True)
     _opt(p, "input", f"input file, {_UNUSED_TAGS}", required=True)
     _opt(p, "out", "output file", required=True)
 
-    p = add_parser("eval", "score a model on a gold file")
+    p = add_parser("eval", "score a model on a gold file", cmd_eval)
     _opt(p, "model", "model file", required=True)
     _opt(p, "data", "gold labeled file", required=True)
     _opt(p, "mode", "decoding mode", default="hard", choices=["hard", "soft"])
 
-    p = add_parser("synthetic", "generate a synthetic corpus (and optionally run the grid)")
+    p = add_parser("synthetic", "generate a synthetic corpus (and optionally run the grid)",
+                   cmd_synthetic)
     spec = SyntheticSpec    # the corpus options default to the spec's fields
-    _opt(p, "sentences", "number of sentences", int, spec.n_sentences)
-    _opt(p, "entity_names", "entity vocabulary size", int, spec.n_entity_names)
-    _opt(p, "context_words", "context vocabulary size", int, spec.n_context_words)
-    _opt(p, "distractors", "name-shaped non-entity vocabulary size", int, spec.n_distractors)
-    _opt(p, "ambiguity", "fraction of names that are dictionary words", float, spec.ambiguity_rate)
-    _opt(p, "hyphenation", "fraction of mentions inside compounds", float, spec.hyphenation_rate)
-    _opt(p, "short_rate", "fraction of names shorter than 4 chars", float, spec.short_name_rate)
-    _opt(p, "multiword_rate", "fraction of two-word names", float, spec.multiword_name_rate)
+    _opt(p, "sentences", "number of sentences", int, spec.n_sentences, field="n_sentences")
+    _opt(p, "entity_names", "entity vocabulary size", int, spec.n_entity_names,
+         field="n_entity_names")
+    _opt(p, "context_words", "context vocabulary size", int, spec.n_context_words,
+         field="n_context_words")
+    _opt(p, "distractors", "name-shaped non-entity vocabulary size", int, spec.n_distractors,
+         field="n_distractors")
+    _opt(p, "ambiguity", "fraction of names that are dictionary words", float,
+         spec.ambiguity_rate, field="ambiguity_rate")
+    _opt(p, "hyphenation", "fraction of mentions inside compounds", float,
+         spec.hyphenation_rate, field="hyphenation_rate")
+    _opt(p, "short_rate", "fraction of names shorter than 4 chars", float,
+         spec.short_name_rate, field="short_name_rate")
+    _opt(p, "multiword_rate", "fraction of two-word names", float, spec.multiword_name_rate,
+         field="multiword_name_rate")
     _opt(p, "entity_type", "entity type name", default=spec.entity_type)
     _opt(p, "rng_seed", "random seed", int, spec.rng_seed)
     _opt(p, "out_dir", "output directory", required=True)
     _flag(p, "grid", "run the E1-E9 experiment grid")
-    _opt(p, "seed_frac", "seed fraction for the grid", float, GridConfig.seed_fraction)
-    _opt(p, "test_frac", "held-out test fraction for the grid", float, GridConfig.test_fraction)
+    _opt(p, "seed_frac", "seed fraction for the grid", float, GridConfig.seed_fraction,
+         field="seed_fraction")
+    _opt(p, "test_frac", "held-out test fraction for the grid", float, GridConfig.test_fraction,
+         field="test_fraction")
     _opt(p, "iterations", "refinement rounds for the grid", int, BootstrapConfig.iterations)
     _opt(p, "full_epochs", "epochs for the fully-supervised rows", int, GridConfig.full_epochs)
     _opt(p, "min_name_len", "minimum name length for the C2 rows", int,
-         GridConfig.min_name_length)
+         GridConfig.min_name_length, field="min_name_length")
     _train_opts(p)
     p.set_defaults(seed_epochs=BootstrapConfig.seed_epochs)
 
     return parser
-
-
-_DISPATCH = {
-    "split": cmd_split,
-    "match": cmd_match,
-    "bootstrap": cmd_bootstrap,
-    "predict": cmd_predict,
-    "eval": cmd_eval,
-    "synthetic": cmd_synthetic,
-}
 
 
 def main(argv=None) -> int:
@@ -390,7 +369,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(_with_config(sys.argv[1:] if argv is None else list(argv)))
         if args.command is None:
             raise UsageError("no command given (see --help)")
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

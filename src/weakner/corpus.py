@@ -222,9 +222,6 @@ class Dataset:
     def __len__(self):
         return len(self.sentences)
 
-    def is_fully_labeled(self) -> bool:
-        return all(lab is not None for lab in self.labels)
-
 
 @dataclass(frozen=True, order=True)
 class EntitySpan:
@@ -363,7 +360,7 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
     """
     if not 0.0 < fraction < 1.0:
         raise FractionOutOfRange(f"fraction must be in (0, 1), got {fraction}")
-    if not dataset.is_fully_labeled():
+    if any(lab is None for lab in dataset.labels):
         raise WeaknerError("split_seed needs a fully labeled dataset")
     n = len(dataset)
     n_seed = round(fraction * n)

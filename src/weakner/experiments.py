@@ -23,7 +23,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, _combine, finalize, iterative_train
 from .corpus import Dataset, TagSet, bio_decode, bio_encode, gold_spans, split_seed
 from .errors import WeaknerError
-from .metrics import EvalReport, evaluate_model, prf, tsv_cell
+from .metrics import EvalReport, evaluate_model, prf, write_tsv
 from .refset import ReferenceSet, audit_matcher, exact_policy, filtered_policy, find_matches
 from .tagger import Objective, train
 
@@ -147,7 +147,7 @@ def run_experiment_grid(
                 model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
                 loops[cond.ref_policy] = (pins, *audit, model, trace)
             pins, match_p, match_r, model, trace = loops[cond.ref_policy]
-            seed_report = trace.rows[0].report
+            seed_report = trace[0].report
             if cond.output == "crf":
                 model = finalize(model, seed_ds, corpus, tags, cfg, pins=pins)
         eval_mode = "soft" if cond.output == "softmax" else "hard"
@@ -179,15 +179,15 @@ def write_grid_tsv(rows, path):
         "seed_precision", "seed_recall", "seed_f1",
         "aug_precision", "aug_recall", "aug_f1",
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            c = row.condition
-            # seed conditions, and only they, use predictions and iterate
-            bootstrapped = "yes" if c.true_labels == "seed" else "no"
-            cols = (c.cid, c.true_labels, c.ref_policy or "none", bootstrapped, bootstrapped,
-                    c.output, *_scores(row))
-            fh.write("\t".join(map(tsv_cell, cols)) + "\n")
+
+    def cells(row):
+        c = row.condition
+        # seed conditions, and only they, use predictions and iterate
+        bootstrapped = "yes" if c.true_labels == "seed" else "no"
+        return (c.cid, c.true_labels, c.ref_policy or "none", bootstrapped, bootstrapped,
+                c.output, *_scores(row))
+
+    write_tsv(path, header, map(cells, rows))
 
 
 def format_grid_table(rows) -> str:

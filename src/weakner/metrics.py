@@ -51,6 +51,15 @@ def tsv_cell(value) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def write_tsv(path, header, rows):
+    """A UTF-8, LF-ended TSV file: the header names, then one line of
+    tsv_cell cells per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write("\t".join(map(tsv_cell, row)) + "\n")
+
+
 def score_entities(pred, gold) -> EvalReport:
     """Exact-match entity scoring of two span lists."""
     pred_set, gold_set = set(pred), set(gold)

@@ -305,8 +305,8 @@ def harness():
 
 
 def test_criterion_5_directional_reproduction(harness):
-    e8_f1 = [row.report.f1 * 100 for row in harness["e8"].rows]
-    e7_f1 = [row.report.f1 * 100 for row in harness["e7"].rows]
+    e8_f1 = [row.report.f1 * 100 for row in harness["e8"]]
+    e7_f1 = [row.report.f1 * 100 for row in harness["e7"]]
     seed_only, e8_final, e7_final = e8_f1[0], e8_f1[-1], e7_f1[-1]
 
     gain = e8_final - seed_only

@@ -176,9 +176,9 @@ class TestIterativeTrain:
     def test_trace_length_is_k_plus_one(self):
         model, trace = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(3), pins=[])
         assert len(trace) == 4
-        assert [r.iteration for r in trace.rows] == [0, 1, 2, 3]
-        assert math.isnan(trace.rows[0].mean_entropy)
-        assert trace.rows[0].pinned_tokens == 0
+        assert [r.iteration for r in trace] == [0, 1, 2, 3]
+        assert math.isnan(trace[0].mean_entropy)
+        assert trace[0].pinned_tokens == 0
 
     def test_empty_corpus_equals_extra_seed_epochs(self):
         seed = tiny_seed()
@@ -203,7 +203,7 @@ class TestIterativeTrain:
         pins = [RefMatch(0, 0, 0, "MDM2", "PROT"), RefMatch(1, 1, 1, "TIGAR", "PROT")]
         cfg = quick_cfg(3)
         model, trace = iterative_train(seed, corpus, PROT, cfg, pins=pins)
-        assert [r.pinned_tokens for r in trace.rows] == [0, 2, 2, 2]
+        assert [r.pinned_tokens for r in trace] == [0, 2, 2, 2]
         # re-derive the last round's labeling: pinned rows are one-hot
         # regardless of how far the model drifted
         labeled = relabel(corpus, model, pins)
@@ -243,11 +243,20 @@ class TestIterativeTrain:
             "precision", "recall", "f1",
         ]
 
+    def test_trace_rows_written(self, tmp_path):
+        _, trace = iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(1), pins=[],
+                                   checkpoint_dir=tmp_path)
+        lines = (tmp_path / "trace.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + len(trace)
+        # the seed model saw no corpus labeling, and no held-out gold was given
+        assert lines[1] == "0\tmodel_iter_00\t0\tnan\t\t\t"
+        assert lines[2] == f"1\tmodel_iter_01\t0\t{trace[1].mean_entropy!r}\t\t\t"
+
     def test_heldout_reports_in_trace(self):
         model, trace = iterative_train(
             tiny_seed(), tiny_corpus(), PROT, quick_cfg(1), pins=[], heldout=tiny_seed()
         )
-        assert all(r.report is not None for r in trace.rows)
+        assert all(r.report is not None for r in trace)
 
     def test_unlabeled_seed_rejected(self):
         bad = Dataset([sentence_from_texts(["a"])], [None], DatasetKind.SEED)
@@ -279,7 +288,7 @@ class TestIterativeTrain:
         pins = find_matches(corpus, ReferenceSet(frozenset({"TIGAR"}), "PROT"), MatchPolicy())
         assert [(m.sentence, m.first, m.last) for m in pins] == [(1, 1, 1)]
         _, trace = iterative_train(seed, corpus, PROT, quick_cfg(1), pins=pins)
-        assert trace.rows[1].pinned_tokens == 1
+        assert trace[1].pinned_tokens == 1
 
     def test_refset_config_pins_apply_policy_filters(self):
         # the refset is unfiltered: the policy itself must drop the
@@ -443,6 +452,6 @@ class TestLoopMatchesReference:
             assert np.abs(a.weights - b.weights).max() <= 1e-12
             assert np.abs(a.transitions - b.transitions).max() <= 1e-12
         assert [g.epochs_trained for g in got] == [3, 5, 7] and final.epochs_trained == 2
-        for row, (pinned, entropy) in zip(trace.rows[1:], stats):
+        for row, (pinned, entropy) in zip(trace[1:], stats):
             assert row.pinned_tokens == pinned
             assert abs(row.mean_entropy - entropy) <= 1e-12

@@ -2,15 +2,19 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weakner import cli, experiments
+from weakner.bootstrap import BootstrapConfig
 from weakner.cli import main
 from weakner.corpus import TagSet, read_conll
 from weakner.errors import WeaknerError
-from weakner.synthetic import SyntheticSpec
+from weakner.experiments import GridConfig
+from weakner.refset import MatchPolicy, filtered_policy, load_dictionary
+from weakner.synthetic import SyntheticSpec, generate_synthetic
 from weakner.tagger import TaggerModel
 
 PROT = TagSet(("PROT",))
@@ -168,6 +172,50 @@ class TestMatch:
             "--policy", "c2", "--out-dir", str(tmp_path),
         ])
         assert rc == 1
+
+    def test_matches_tsv_rows(self, tmp_path):
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text("the\tO\nassay\tO\n\nMDM2\tO\nbinds\tO\np53\tO\n", encoding="utf-8")
+        refset = tmp_path / "names.txt"
+        refset.write_text("binds p53\nMDM2\n", encoding="utf-8")
+        rc = main(["match", "--corpus", str(corpus), "--refset", str(refset),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "matches.tsv").read_bytes() == (
+            b"sentence\tfirst\tlast\tname\n1\t0\t0\tMDM2\n1\t1\t2\tbinds p53\n")
+
+    @pytest.mark.parametrize("policy, flags, changes", [
+        ("c2", [], {}),
+        # explicit "no" used to be dropped, so c2 still matched components
+        ("c2", ["--partial=no", "--case-insensitive=no"],
+         dict(allow_partial=False, case_sensitive=True)),
+        ("c2", ["--partial=yes", "--case-insensitive", "--min-name-len", "2"],
+         dict(min_name_length=2)),
+        ("c1", [], {}),
+        ("c1", ["--partial", "--case-insensitive=yes", "--min-name-len", "3"],
+         dict(allow_partial=True, case_sensitive=False, min_name_length=3)),
+        ("c1", ["--partial=no", "--case-insensitive=no"], {}),
+    ])
+    def test_explicit_policy_options_override_the_preset(self, synth_dir, split_dir, tmp_path,
+                                                         monkeypatch, policy, flags, changes):
+        policies = []
+
+        def capture(corpus, refset, policy):
+            policies.append(policy)
+            raise WeaknerError("stop before matching")
+
+        monkeypatch.setattr(cli, "find_matches", capture)
+        rc = main([
+            "match", "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"),
+            "--dictionary", str(synth_dir / "dictionary.txt"),
+            "--policy", policy, *flags, "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        dictionary = load_dictionary(synth_dir / "dictionary.txt")
+        preset = (filtered_policy(dictionary) if policy == "c2"
+                  else MatchPolicy(dictionary_filter=dictionary))
+        assert policies == [replace(preset, **changes)]
 
     def test_no_matches_writes_empty_file(self, split_dir, tmp_path):
         refset = tmp_path / "names.txt"
@@ -378,6 +426,69 @@ def test_gold_file_without_entities_is_data_error(command, synth_dir, split_dir,
     err = capsys.readouterr().err
     assert "no gold entities" in err and all_o in err
     assert not out.exists()     # rejected before any matching or training
+
+
+class TestOptionsFillConfigs:
+    """Every loop, grid and corpus option, set to a value other than its
+    default, lands in the config field it names."""
+
+    LOOP = ["--iterations", "4", "--epochs", "5", "--final-epochs", "7",
+            "--learning-rate", "0.3", "--decay", "0.05", "--l2", "0.002", "--rng-seed", "9"]
+    LOOP_FIELDS = dict(iterations=4, round_epochs=5, final_epochs=7, learning_rate=0.3,
+                       decay=0.05, l2=0.002, rng_seed=9)
+    CORPUS = ["--sentences", "40", "--entity-names", "50", "--context-words", "90",
+              "--distractors", "7", "--ambiguity", "0.2", "--hyphenation", "0.1",
+              "--short-rate", "0.15", "--multiword-rate", "0.25", "--entity-type", "GENE"]
+    CORPUS_FIELDS = dict(n_sentences=40, n_entity_names=50, n_context_words=90, n_distractors=7,
+                         ambiguity_rate=0.2, hyphenation_rate=0.1, short_name_rate=0.15,
+                         multiword_name_rate=0.25, entity_type="GENE", rng_seed=9)
+    GRID = ["--seed-frac", "0.05", "--test-frac", "0.3", "--full-epochs", "2",
+            "--min-name-len", "3"]
+    GRID_FIELDS = dict(seed_fraction=0.05, test_fraction=0.3, full_epochs=2, min_name_length=3)
+
+    def test_values_are_not_the_defaults(self):
+        for cls, given in ((BootstrapConfig, self.LOOP_FIELDS), (SyntheticSpec, self.CORPUS_FIELDS),
+                           (GridConfig, self.GRID_FIELDS)):
+            assert all(getattr(cls, k) != v for k, v in given.items())
+
+    @pytest.mark.parametrize("seed_epochs, expected", [(["--seed-epochs", "11"], 11), ([], 5)])
+    def test_bootstrap(self, synth_dir, split_dir, tmp_path, monkeypatch, seed_epochs, expected):
+        # without --seed-epochs, the seed model trains for --epochs
+        configs = []
+
+        def capture(seed, corpus, tags, cfg, pins, **kw):
+            configs.append(cfg)
+            raise WeaknerError("stop before training")
+
+        monkeypatch.setattr(cli, "iterative_train", capture)
+        rc = main([
+            "bootstrap", "--seed", str(split_dir / "seed.conll"),
+            "--corpus", str(split_dir / "corpus.conll"), "--refset", str(synth_dir / "refset.txt"),
+            *self.LOOP, *seed_epochs, "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        assert configs == [BootstrapConfig(seed_epochs=expected, **self.LOOP_FIELDS)]
+
+    @pytest.mark.parametrize("seed_epochs, expected", [(["--seed-epochs", "11"], 11), ([], 12)])
+    def test_synthetic_grid(self, tmp_path, monkeypatch, seed_epochs, expected):
+        # the grid's seed model trains 12 epochs unless --seed-epochs says otherwise
+        specs, configs = [], []
+
+        def capture_spec(spec):
+            specs.append(spec)
+            return generate_synthetic(spec)
+
+        def capture_grid(gold, tags, refset, dictionary, cfg):
+            configs.append(cfg)
+            raise WeaknerError("stop before the grid")
+
+        monkeypatch.setattr(cli, "generate_synthetic", capture_spec)
+        monkeypatch.setattr(cli, "run_experiment_grid", capture_grid)
+        rc = main(["synthetic", "--grid", *self.CORPUS, *self.GRID, *self.LOOP, *seed_epochs,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert specs == [SyntheticSpec(**self.CORPUS_FIELDS)]
+        assert configs == [GridConfig(seed_epochs=expected, **self.GRID_FIELDS, **self.LOOP_FIELDS)]
 
 
 class TestConfigFile:

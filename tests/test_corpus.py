@@ -317,8 +317,14 @@ class TestSplitSeed:
         assert sorted(all_texts) == sorted(s.texts()[0] for s in ds.sentences)
         # corpus labels stripped, gold retains them
         assert all(lab is None for lab in corpus.labels)
-        assert gold.is_fully_labeled()
+        assert gold.labels == [[0, 0]] * len(corpus)
         assert [s.source for s in gold.sentences] == [s.source for s in corpus.sentences]
+
+    def test_unlabeled_sentence_rejected(self):
+        ds = self._dataset(10)
+        ds.labels[4] = None
+        with pytest.raises(WeaknerError, match="fully labeled"):
+            split_seed(ds, 0.5, 0)
 
     def test_fraction_out_of_range(self):
         for bad in (0.0, 1.0, -0.1, 1.5):

@@ -20,6 +20,7 @@ from weakner.metrics import (
     score_datasets,
     score_entities,
     tsv_cell,
+    write_tsv,
 )
 from weakner.tagger import TrainConfig, train
 
@@ -163,6 +164,11 @@ class TestReportCells:
     ])
     def test_tsv_cell(self, value, cell):
         assert tsv_cell(value) == cell
+
+    def test_write_tsv(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_tsv(path, ["a", "b", "c"], [(1, "x", 0.5), (None, 2, float("nan"))])
+        assert path.read_bytes() == b"a\tb\tc\n1\tx\t0.5\n\t2\tnan\n"
 
     def test_prf(self):
         report = EvalReport.from_counts(3, 1, 2)
