@@ -264,10 +264,14 @@ def _policy_opts(p):
     _flag(p, "partial", "allow hyphen/slash component matches", default=None)
 
 
-def _train_opts(p):
+def _train_opts(p, seed_epochs=None):
+    """The loop's training options; seed_epochs is --seed-epochs's default,
+    None for the value of --epochs."""
     _opt(p, "epochs", "training epochs per round", int, BootstrapConfig.round_epochs,
          field="round_epochs")
-    _opt(p, "seed_epochs", "epochs for the initial seed model", int)
+    seed_default = "the value of --epochs" if seed_epochs is None else seed_epochs
+    _opt(p, "seed_epochs", f"epochs for the initial seed model (default: {seed_default})", int,
+         seed_epochs)
     _opt(p, "final_epochs", "epochs for the final sequence-mode retrain", int,
          BootstrapConfig.final_epochs)
     _opt(p, "learning_rate", "initial SGD learning rate", float, BootstrapConfig.learning_rate)
@@ -357,8 +361,7 @@ def build_parser():
     _opt(p, "full_epochs", "epochs for the fully-supervised rows", int, GridConfig.full_epochs)
     _opt(p, "min_name_len", "minimum name length for the C2 rows", int,
          GridConfig.min_name_length, field="min_name_length")
-    _train_opts(p)
-    p.set_defaults(seed_epochs=BootstrapConfig.seed_epochs)
+    _train_opts(p, BootstrapConfig.seed_epochs)
 
     return parser
 

@@ -490,6 +490,16 @@ class TestOptionsFillConfigs:
         assert specs == [SyntheticSpec(**self.CORPUS_FIELDS)]
         assert configs == [GridConfig(seed_epochs=expected, **self.GRID_FIELDS, **self.LOOP_FIELDS)]
 
+    def test_help_states_each_seed_epochs_default(self, capsys):
+        # the two defaults above differ, so each command's help names its own
+        helps = {}
+        for command in ("bootstrap", "synthetic"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            helps[command] = " ".join(capsys.readouterr().out.split())
+        assert "initial seed model (default: the value of --epochs)" in helps["bootstrap"]
+        assert f"initial seed model (default: {BootstrapConfig.seed_epochs})" in helps["synthetic"]
+
 
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, synth_dir, tmp_path):

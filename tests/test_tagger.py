@@ -327,6 +327,9 @@ def assert_matches_reference(got, ref):
 
 
 KERNEL_CASES = [(n, k) for n in (1, 2, 13, 46, 85) for k in (3, 5)]
+# the SEQUENCE adjoint doubles its span each step: n - 1 on and either side
+# of a power of two
+SEQUENCE_CASES = KERNEL_CASES + [(n, k) for n in (3, 4, 5, 9, 17, 33, 65, 129) for k in (3, 5)]
 
 
 def kernel_inputs(n, k, scale=2.0):
@@ -367,14 +370,14 @@ class TestKernelsMatchReference:
             assert_matches_reference(got, ref)
         assert np.array_equal(q, q_before)
 
-    @pytest.mark.parametrize("n,k", KERNEL_CASES)
+    @pytest.mark.parametrize("n,k", SEQUENCE_CASES)
     def test_sequence_loss_grad(self, n, k):
         E, T, _, y = kernel_inputs(n, k)
         for got, ref in zip(_sequence_loss_grad(E, T, y), ref_sequence_loss_grad(E, T, y)):
             assert_matches_reference(got, ref)
 
     @pytest.mark.parametrize("scale", [2.0, 200.0, 400.0])
-    @pytest.mark.parametrize("n,k", KERNEL_CASES)
+    @pytest.mark.parametrize("n,k", SEQUENCE_CASES)
     def test_sequence_expectations_match_forward_backward(self, n, k, scale):
         # the SEQUENCE kernel runs only the forward pass and takes its
         # expectations from the adjoint; they must be forward-backward's
@@ -396,7 +399,7 @@ class TestKernelsMatchReference:
     def test_large_score_spreads_stay_finite(self, scale):
         # hundreds of nats between tag paths: a probability-space recursion
         # over/underflows here, the log-space one does not
-        for n, k in [(2, 3), (13, 3), (46, 5), (85, 3), (85, 5)]:
+        for n, k in [(2, 3), (13, 3), (46, 5), (85, 3), (85, 5), (129, 5), (200, 3)]:
             E, T, q, y = kernel_inputs(n, k, scale)
             pairs = [
                 (_forward_backward(E, T), ref_forward_backward(E, T)),
@@ -753,6 +756,10 @@ class TestSgdStep:
         rng = np.random.default_rng(60)
         sents = [sentence_from_texts(t) for t in self.TEXTS]
         sents += [odd_sentence(rng) for _ in range(8)]
+        # long sentences run several doubling steps of the SEQUENCE adjoint;
+        # the first two are in both datasets
+        sents[5:5] = [sentence_from_texts([ODD_VOCAB[i] for i in rng.integers(len(ODD_VOCAB), size=n)])
+                      for n in (60, 97, 130)]
         labels = [[int(t) for t in rng.integers(0, len(PROT), size=len(x))] for x in sents]
         first = Dataset(sents[:7], labels[:7], DatasetKind.SEED)
         more = Dataset(sents[3:], labels[3:], DatasetKind.SEED)
