@@ -107,10 +107,10 @@ def _with_config(argv):
 
 
 def _tags(entity_types: str) -> TagSet:
-    types = tuple(t.strip() for t in entity_types.split(",") if t.strip())
-    if not types:
-        raise UsageError("empty --entity-type")
-    return TagSet(types)
+    try:
+        return TagSet(tuple(t.strip() for t in entity_types.split(",") if t.strip()))
+    except WeaknerError as e:
+        raise UsageError(f"--entity-type: {e}") from None
 
 
 def _read_gold(path, tags: TagSet):

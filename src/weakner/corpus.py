@@ -79,13 +79,20 @@ class TagSet:
     """BIO tag inventory derived from an ordered list of entity type names.
 
     Index 0 is always O; each entity type t contributes B-t and I-t, in
-    order, so there are ``1 + 2 * len(entity_types)`` tags.
+    order, so there are ``1 + 2 * len(entity_types)`` tags. There is at
+    least one type, and each name is non-empty with no whitespace, so every
+    tag is one column of a label file.
     """
 
     entity_types: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "entity_types", tuple(self.entity_types))
+        if not self.entity_types:
+            raise WeaknerError("no entity types")
+        for t in self.entity_types:
+            if t.split() != [t]:
+                raise WeaknerError(f"bad entity type {t!r}: empty or contains whitespace")
         if len(set(self.entity_types)) != len(self.entity_types):
             raise WeaknerError("duplicate entity types")
 

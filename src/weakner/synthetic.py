@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset, DatasetKind, TagSet, sentence_from_texts
-from .errors import SpecInvalid, check_int
+from .errors import SpecInvalid, WeaknerError, check_int
 from .refset import ReferenceSet
 
 _CONSONANTS = list("bcdfghjklmnprstvz")
@@ -84,6 +84,10 @@ class SyntheticSpec:
             raise SpecInvalid("mention_weights must be a probability vector")
         if self.ambiguity_rate * self.n_entity_names > self.n_context_words - self.n_triggers:
             raise SpecInvalid("not enough context words to plant that much ambiguity")
+        try:
+            TagSet((self.entity_type,))
+        except WeaknerError as e:
+            raise SpecInvalid(str(e)) from None
 
 
 class _Vocab:

@@ -44,8 +44,13 @@ unknown or absent feature) names. A sentence's emissions are one gather and
 sum in template order. Its SGD step is one np.subtract.at over every firing,
 token by token in template order, after which the zero row is reset to zero.
 
-All dynamic programs run in log space. Tie-breaking in argmax/Viterbi is
-by lowest tag index, so results are deterministic.
+All dynamic programs run in log space. In each step's scores the tag being
+summed out (or maximised over) comes first, (k, k) for one sentence and
+(k, B, k) for a stack, so a log-sum-exp or max is one ufunc reduce over
+axis 0: k - 1 elementwise passes over a row, not one short inner loop per
+output element. The additions and their order are those of a reduce over
+the middle or last axis, so the bits are too. Tie-breaking in
+argmax/Viterbi is by lowest tag index, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -308,7 +313,10 @@ class TaggerModel:
             for key in ("entity_types", "features"):
                 if type(header[key]) is not list or not set(map(type, header[key])) <= {str}:
                     raise WeaknerError(f"bad {key} in model file, not a list of strings: {path}")
-            model = cls(TagSet(tuple(header["entity_types"])))
+            try:
+                model = cls(TagSet(tuple(header["entity_types"])))
+            except WeaknerError as e:
+                raise WeaknerError(f"bad entity_types in model file, {e}: {path}") from None
             model.epochs_trained = header["epochs_trained"]
             model.feature_index = {f: i for i, f in enumerate(header["features"])}
             if len(model.feature_index) != len(header["features"]):
@@ -333,29 +341,35 @@ class TaggerModel:
 
 def _forward(E, T):
     """Log-space alpha of one sentence, E (n, k), or of equal-length
-    sentences stacked position-major, E (n, B, k). Each log-sum-exp over
-    tags is one np.logaddexp.reduce call, written straight into its row."""
+    sentences stacked position-major, E (n, B, k). A step's scores put the
+    previous tag, the one summed out, first: (k, k), or (k, B, k) for a
+    stack. So each log-sum-exp is one np.logaddexp.reduce over axis 0, k - 1
+    elementwise passes over a row, written straight into that row."""
     alpha = np.empty_like(E)
-    scores = np.empty(E.shape[1:] + T.shape[-1:])  # (k, k) or (B, k, k)
+    scores = np.empty(E.shape[-1:] + E.shape[1:])  # (k, k) or (k, B, k)
+    T = T.reshape(scores.shape[:1] + (1,) * (E.ndim - 2) + T.shape[1:])
     alpha[0] = E[0]
-    for prev, cur, e in zip(alpha[:-1, ..., :, None], alpha[1:], E[1:]):
+    for prev, cur, e in zip(alpha.swapaxes(-1, 1)[:-1, ..., None], alpha[1:], E[1:]):
         np.add(prev, T, out=scores)
-        np.logaddexp.reduce(scores, axis=-2, out=cur)
+        np.logaddexp.reduce(scores, axis=0, out=cur)
         cur += e
     return alpha
 
 
 def _forward_backward(E, T):
-    """_forward's alpha, plus the log-space beta (each row one
-    np.logaddexp.reduce call, like alpha's) and the log partition function."""
+    """_forward's alpha, plus the log-space beta and the log partition
+    function. Beta's scores put the next tag, the one summed out, first,
+    so each row is one np.logaddexp.reduce over axis 0, like alpha's."""
     alpha = _forward(E, T)
     beta = np.zeros_like(E)
-    scores = np.empty(E.shape[1:] + T.shape[-1:])
+    scores = np.empty(E.shape[-1:] + E.shape[1:])
     ahead = np.empty_like(E[0])
+    first = ahead.swapaxes(-1, 0)[..., None]        # ahead, next tag first
+    T = T.T.reshape(scores.shape[:1] + (1,) * (E.ndim - 2) + T.shape[:1])
     for cur, after, e in zip(beta[-2::-1], beta[:0:-1], E[:0:-1]):
         np.add(e, after, out=ahead)
-        np.add(T, ahead[..., None, :], out=scores)
-        np.logaddexp.reduce(scores, axis=-1, out=cur)
+        np.add(T, first, out=scores)
+        np.logaddexp.reduce(scores, axis=0, out=cur)
     log_z = np.logaddexp.reduce(alpha[-1], axis=-1)
     return alpha, beta, log_z
 
@@ -368,15 +382,20 @@ def _back(E, T, alpha):
 
 
 def _viterbi(E, T):
-    """Best tag paths (n, B) of equal-length sentences E (n, B, k); the
-    first max, i.e. the lowest previous tag, wins ties."""
+    """Best tag paths (n, B) of equal-length sentences E (n, B, k). A step's
+    scores put the previous tag first, (k, B, k), so its max and argmax are
+    reduces over axis 0; the first max, i.e. the lowest previous tag, wins
+    ties."""
     n, b, k = E.shape
-    delta = E[0]
-    back = np.zeros((n, b, k), dtype=np.intp)
-    for i in range(1, n):
-        scores = delta[:, :, None] + T
-        back[i] = scores.argmax(axis=1)
-        delta = E[i] + scores.max(axis=1)
+    back = np.empty((n, b, k), dtype=np.intp)     # row 0 is never read
+    delta = E[0].copy()
+    scores = np.empty((k, b, k))
+    prev, T = delta.T[:, :, None], T[:, None, :]
+    for row, e in zip(back[1:], E[1:]):
+        np.add(prev, T, out=scores)
+        scores.argmax(axis=0, out=row)
+        np.maximum.reduce(scores, axis=0, out=delta)
+        delta += e
     paths = np.empty((n, b), dtype=np.intp)
     paths[-1] = delta.argmax(axis=1)
     batch = np.arange(b)

@@ -86,6 +86,15 @@ class TestSynthetic:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("entity_type", ["a b", ""])
+    def test_entity_type_no_label_file_can_carry_is_usage_error(self, tmp_path, entity_type):
+        # "a b" used to exit 0 and write tags that split then read as three
+        # columns; "" wrote bare B- and I- tags
+        rc = main(["synthetic", "--out-dir", str(tmp_path / "out"), "--sentences", "10",
+                   "--entity-type", entity_type])
+        assert rc == 1
+        assert not (tmp_path / "out" / "gold.conll").exists()
+
     def test_grid_with_an_empty_seed_is_data_error(self, tmp_path, monkeypatch):
         # used to train the full-label rows E1-E4 before failing on the empty seed
         def no_condition_runs(*args, **kwargs):
@@ -146,6 +155,16 @@ class TestSplit:
             "split", "--input", str(tmp_path / "nope.conll"), "--out-dir", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("entity_type", ["a b", "PROT,a b", " , "])
+    def test_entity_type_no_label_file_can_carry_is_usage_error(self, synth_dir, tmp_path,
+                                                                entity_type):
+        rc = main([
+            "split", "--input", str(synth_dir / "gold.conll"), "--entity-type", entity_type,
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestMatch:

@@ -117,6 +117,15 @@ class TestTagSet:
         with pytest.raises(UnknownTag):
             PROT.index("B-XYZ")
 
+    @pytest.mark.parametrize("types", [
+        (), ("",), ("a b",), ("PROT", "a\tb"), (" PROT",), ("PROT\n",), ("PROT", "PROT"),
+    ])
+    def test_names_no_label_file_can_carry_rejected(self, types):
+        # all but the duplicate used to be accepted: no tag but O, a bare
+        # "B-", or a tag that read_conll splits into two columns
+        with pytest.raises(WeaknerError):
+            TagSet(types)
+
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_hard_tag_outside_tag_set_rejected(self, bad, tmp_path):
         # -1 used to read as I-PROT; 3 passed bio_repair and broke write_conll

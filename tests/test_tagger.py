@@ -37,6 +37,7 @@ from weakner.tagger import (
     _sentence_loss_grad,
     _shape,
     _targets_for,
+    _viterbi,
     harden,
     train,
 )
@@ -448,14 +449,58 @@ def assert_same_bits(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def ref_viterbi(E, T):
+    """Best path of one sentence, E (n, k), one tag at a time; a tag's best
+    predecessor is the first strict maximum, so the lowest tag wins ties.
+    Also returns how many of those choices were ties."""
+    n, k = E.shape
+    delta, back, ties = list(E[0]), [], 0
+    for i in range(1, n):
+        row, new = [], []
+        for t in range(k):
+            cands = [delta[s] + T[s, t] for s in range(k)]
+            best = max(range(k), key=lambda s: (cands[s], -s))
+            ties += cands.count(cands[best]) > 1
+            row.append(best)
+            new.append(E[i, t] + cands[best])
+        back.append(row)
+        delta = new
+    path = [max(range(k), key=lambda t: (delta[t], -t))]
+    for row in reversed(back):
+        path.append(row[path[-1]])
+    return path[::-1], ties
+
+
+class TestViterbi:
+    @pytest.mark.parametrize("b", [1, 6, 170])
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (13, 3), (13, 5), (46, 5)])
+    def test_stacked_equals_one_sentence_at_a_time(self, n, k, b):
+        # integer scores from a narrow range tie often; the lowest previous
+        # tag must win every tie, in a stack as for one sentence
+        rng = np.random.default_rng(100 * n + k + b)
+        E = rng.integers(-1, 2, size=(n, b, k)).astype(float)
+        T = rng.integers(-1, 2, size=(k, k)).astype(float)
+        paths = _viterbi(E, T)
+        assert paths.shape == (n, b)
+        ties = 0
+        for j in range(b):
+            want, tied = ref_viterbi(E[:, j], T)
+            ties += tied
+            assert paths[:, j].tolist() == want
+            assert _viterbi(E[:, j:j + 1], T)[:, 0].tolist() == want
+        assert ties > 0 or n == 1
+
+
 class TestKernelsBitIdentical:
     @pytest.mark.parametrize("scale", [2.0, 300.0])
     @pytest.mark.parametrize("n", [1, 2, 10, 46])
     def test_against_allocating_kernels(self, n, scale):
         for k in (3, 5):
             E, T, q, _ = kernel_inputs(n, k, scale)
-            stacked = np.random.default_rng(n + k).normal(scale=scale, size=(n, 6, k))
-            for scores in (E, stacked):
+            rng = np.random.default_rng(n + k)
+            # B = 170 is about decode's batch per sentence length
+            stacks = [rng.normal(scale=scale, size=(n, b, k)) for b in (6, 170)]
+            for scores in (E, *stacks):
                 want = alloc_forward_backward(scores, T)
                 assert_same_bits(_forward_backward(scores, T), want)
                 # the SEQUENCE kernel runs _forward alone
@@ -991,6 +1036,10 @@ class TestSerialization:
         ("features", ["a", "a"], 2, 3),
         ("entity_types", [1], 1, 3),
         ("entity_types", "PROT", 1, 9),
+        # names no label file can carry; [] used to load and decode all O
+        ("entity_types", [], 1, 1),
+        ("entity_types", [""], 1, 3),
+        ("entity_types", ["A B"], 1, 3),
         # the features read a window of exactly 2; any other header value is refused
         ("window", 3, 1, 3),
         ("window", 0, 1, 3),
