@@ -42,8 +42,8 @@ for row in trace:
     ent = f"{row.mean_entropy:.3f}" if row.iteration else "  -  "
     print(f"{row.iteration:4d}  {row.pinned_tokens:6d}  {ent:>12}   {row.report}")
 
-# -- finishing step: harden the labels, retrain a CRF-mode model ---------------
-final = finalize(model, seed, corpus, tags, cfg, pins=pins)
+# -- finishing step: relabel, retrain a CRF-mode model on the hardened labels --
+final = finalize(model, seed, corpus, cfg, pins=pins)
 print("\nsoft-output model :", evaluate_model(model, test, mode="soft"))
 print("final CRF model   :", evaluate_model(final, test, mode="hard"))
 print("\nthe jump from iteration 0 to 1 is the pins + predictions kicking in;")

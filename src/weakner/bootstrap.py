@@ -13,8 +13,9 @@ them once and passes the same list to every function here; this module
 never searches a reference set. Every pass of a model over a dataset goes
 through ``predict_dataset_soft`` / ``predict_dataset_hard``.
 
-An optional final step hardens the last corpus labeling and retrains a
-fresh sequence-likelihood (CRF-style) model from scratch on it.
+An optional final step relabels the corpus once more and retrains a fresh
+sequence-likelihood (CRF-style) model from scratch on it; sequence training
+hardens the soft labels.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .corpus import Dataset, Provenance, TagSet, gold_spans
 from .errors import ModelTagSetMismatch, WeaknerError, check_int
 from .metrics import EvalReport, evaluate_model, prf, write_tsv
-from .tagger import Objective, TaggerModel, TrainConfig, harden, predict_dataset_soft, train
+from .tagger import Objective, TaggerModel, TrainConfig, predict_dataset_soft, train
 
 
 @dataclass
@@ -106,19 +107,15 @@ def relabel(corpus: Dataset, model: TaggerModel, matches) -> Dataset:
 
 
 def _labeling_stats(labeled: Dataset):
-    """(pinned token count, mean entropy in nats of the PREDICTED rows)."""
-    pinned = 0
-    entropy_sum = 0.0
-    n_pred = 0
-    for soft in labeled.labels:
-        prov = soft.provenance
-        pinned += int((prov == Provenance.REFERENCE).sum())
-        pred_rows = soft.dist[prov == Provenance.PREDICTED]
-        if len(pred_rows):
-            p = np.clip(pred_rows, 1e-300, None)
-            entropy_sum += float(-(pred_rows * np.log(p)).sum())
-            n_pred += len(pred_rows)
-    return pinned, (entropy_sum / n_pred if n_pred else math.nan)
+    """(pinned token count, mean entropy in nats of the PREDICTED rows),
+    from the rows of all sentences at once."""
+    if not labeled.labels:
+        return 0, math.nan
+    prov = np.concatenate([soft.provenance for soft in labeled.labels])
+    rows = np.concatenate([soft.dist for soft in labeled.labels])[prov == Provenance.PREDICTED]
+    entropy_sum = float(-(rows * np.log(np.clip(rows, 1e-300, None))).sum())
+    pinned = int((prov == Provenance.REFERENCE).sum())
+    return pinned, (entropy_sum / len(rows) if len(rows) else math.nan)
 
 
 def _combine(seed: Dataset, labeled: Dataset) -> Dataset:
@@ -175,22 +172,11 @@ def iterative_train(
     return model, trace
 
 
-def finalize(
-    model: TaggerModel,
-    seed: Dataset,
-    corpus: Dataset,
-    tags: TagSet,
-    cfg: BootstrapConfig,
-    pins,
-) -> TaggerModel:
-    """Harden the final corpus labeling (with the same pins the loop used)
-    and train a fresh sequence-mode model on seed + hardened corpus (the
-    CRF-style finishing step)."""
-    labeled = relabel(corpus, model, pins)
-    hardened = Dataset(
-        list(labeled.sentences),
-        [harden(soft, tags) for soft in labeled.labels],
-        labeled.kind,
-    )
+def finalize(model: TaggerModel, seed: Dataset, corpus: Dataset, cfg: BootstrapConfig,
+             pins) -> TaggerModel:
+    """Relabel the corpus with the loop's last model and the same pins, and
+    train a fresh sequence-mode model on seed + that labeling (the CRF-style
+    finishing step). The result carries the model's tag set; SEQUENCE
+    training hardens the soft labels itself (tagger.harden)."""
     sequence = cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE)
-    return train(_combine(seed, hardened), tags, sequence, init=None)
+    return train(_combine(seed, relabel(corpus, model, pins)), model.tags, sequence)

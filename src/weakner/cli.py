@@ -195,7 +195,7 @@ def cmd_bootstrap(ns) -> int:
     )
     model.save(os.path.join(ns.out_dir, "final_soft.model"))
     if not ns.no_final:
-        crf_model = finalize(model, seed, corpus, tags, cfg, pins)
+        crf_model = finalize(model, seed, corpus, cfg, pins)
         crf_model.save(os.path.join(ns.out_dir, "final_crf.model"))
     last = trace[-1]
     print(f"done: {len(trace)} checkpoints, {last.pinned_tokens} pinned tokens/round")
@@ -226,6 +226,7 @@ def cmd_synthetic(ns) -> int:
         spec = _config(SyntheticSpec, ns)
     except SpecInvalid as e:
         raise UsageError(str(e)) from None
+    grid_cfg = _config(GridConfig, ns) if ns.grid else None    # checked before any file is written
     gold, refset, dictionary = generate_synthetic(spec)
     tags = TagSet((spec.entity_type,))
     os.makedirs(ns.out_dir, exist_ok=True)
@@ -238,8 +239,8 @@ def cmd_synthetic(ns) -> int:
             fh.write(word + "\n")
     print(f"{len(gold)} sentences, {len(refset)} names -> {ns.out_dir}")
 
-    if ns.grid:
-        rows = run_experiment_grid(gold, tags, refset, dictionary, cfg=_config(GridConfig, ns))
+    if grid_cfg is not None:
+        rows = run_experiment_grid(gold, tags, refset, dictionary, cfg=grid_cfg)
         write_grid_tsv(rows, os.path.join(ns.out_dir, "report.tsv"))
         table = format_grid_table(rows)
         with open(os.path.join(ns.out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
@@ -379,8 +380,6 @@ def main(argv=None) -> int:
     except (WeaknerError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -23,6 +23,7 @@ from .errors import (
     OverlappingSpans,
     UnknownTag,
     WeaknerError,
+    check_fraction,
 )
 
 # A hard labeling is just one tag index per token.
@@ -365,8 +366,7 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
     for held-out simulation. A split that leaves either part empty raises
     FractionOutOfRange.
     """
-    if not 0.0 < fraction < 1.0:
-        raise FractionOutOfRange(f"fraction must be in (0, 1), got {fraction}")
+    check_fraction("fraction", fraction)
     if any(lab is None for lab in dataset.labels):
         raise WeaknerError("split_seed needs a fully labeled dataset")
     n = len(dataset)

@@ -33,7 +33,7 @@ class UnknownTag(WeaknerError):
 
 
 class FractionOutOfRange(WeaknerError):
-    """Seed fraction must lie strictly between 0 and 1."""
+    """A split fraction must lie strictly between 0 and 1."""
 
 
 class EmptyReferenceSet(WeaknerError):
@@ -65,3 +65,9 @@ def check_int(name, value, minimum, error=WeaknerError):
     bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise error(f"{name} must be an integer >= {minimum}, not {value!r}")
+
+
+def check_fraction(name, value):
+    """Raise FractionOutOfRange unless 0 < value < 1."""
+    if not 0.0 < value < 1.0:
+        raise FractionOutOfRange(f"{name} must be in (0, 1), got {value}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, _combine, finalize, iterative_train
 from .corpus import Dataset, TagSet, bio_decode, bio_encode, gold_spans, split_seed
-from .errors import WeaknerError
+from .errors import WeaknerError, check_fraction
 from .metrics import EvalReport, evaluate_model, prf, write_tsv
 from .refset import ReferenceSet, audit_matcher, exact_policy, filtered_policy, find_matches
 from .tagger import Objective, train
@@ -71,6 +71,8 @@ class GridConfig(BootstrapConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        check_fraction("seed_fraction", self.seed_fraction)
+        check_fraction("test_fraction", self.test_fraction)
         self.train_cfg(self.full_epochs)
         filtered_policy((), self.min_name_length)
 
@@ -149,7 +151,7 @@ def run_experiment_grid(
             pins, match_p, match_r, model, trace = loops[cond.ref_policy]
             seed_report = trace[0].report
             if cond.output == "crf":
-                model = finalize(model, seed_ds, corpus, tags, cfg, pins=pins)
+                model = finalize(model, seed_ds, corpus, cfg, pins=pins)
         eval_mode = "soft" if cond.output == "softmax" else "hard"
         rows.append(GridRow(cond, seed_report, evaluate_model(model, test, mode=eval_mode),
                             match_p, match_r, model))

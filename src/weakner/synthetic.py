@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, DatasetKind, TagSet, sentence_from_texts
+from .corpus import Dataset, DatasetKind, EntitySpan, TagSet, bio_encode, sentence_from_texts
 from .errors import SpecInvalid, WeaknerError, check_int
 from .refset import ReferenceSet
 
@@ -222,14 +222,9 @@ def generate_synthetic(spec: SyntheticSpec):
             else:
                 first = len(texts)
                 texts.extend(payload)
-                spans.append((first, len(texts) - 1))
+                spans.append(EntitySpan(0, first, len(texts) - 1, spec.entity_type))
         sentences.append(sentence_from_texts(texts))
-        hard = [0] * len(texts)
-        for first, last in spans:
-            hard[first] = tags.b_index(spec.entity_type)
-            for i in range(first + 1, last + 1):
-                hard[i] = tags.i_index(spec.entity_type)
-        labels.append(hard)
+        labels.append(bio_encode(spans, len(texts), tags))
 
     gold = Dataset(sentences, labels, DatasetKind.SEED)
     refset = ReferenceSet(frozenset(v.names), spec.entity_type)

@@ -485,8 +485,6 @@ def _sequence_loss_grad(E, T, y):
 def _targets_for(labels, tags: TagSet, objective: Objective):
     """Training targets of one labeling: soft rows (n, k) for MARGINAL, a
     tag-index array for SEQUENCE. Rejects rows or tags outside the tag set."""
-    if labels is None:
-        raise EmptyDataset("training requires labels on every sentence")
     k = len(tags)
     if isinstance(labels, SoftLabeling):
         if labels.dist.shape[1] != k:

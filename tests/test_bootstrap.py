@@ -1,7 +1,9 @@
 """The iterative loop: pin semantics, degenerate cases, trace, determinism."""
 
+import inspect
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from weakner.corpus import (
 from weakner.errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
 from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy, find_matches
 from weakner.synthetic import SyntheticSpec, generate_synthetic
-from weakner.tagger import Objective, TaggerModel, TrainConfig, train
+from weakner.tagger import Objective, TaggerModel, TrainConfig, harden, train
 
 from test_tagger import naive_emissions, naive_sgd_epoch, ref_forward_backward
 
@@ -315,7 +317,7 @@ class TestFinalize:
         empty = Dataset([], [], DatasetKind.CORPUS)
         cfg = quick_cfg(1)
         base, _ = iterative_train(seed, empty, PROT, cfg, pins=[])
-        final = finalize(base, seed, empty, PROT, cfg, pins=[])
+        final = finalize(base, seed, empty, cfg, pins=[])
         direct = train(seed, PROT, cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE))
         assert np.array_equal(final.weights, direct.weights)
 
@@ -323,16 +325,52 @@ class TestFinalize:
         seed, corpus = tiny_seed(), tiny_corpus()
         cfg = quick_cfg(1)
         base, _ = iterative_train(seed, corpus, PROT, cfg, pins=[])
-        final = finalize(base, seed, corpus, PROT, cfg, pins=[])
+        final = finalize(base, seed, corpus, cfg, pins=[])
         assert final.epochs_trained == cfg.final_epochs
 
     def test_deterministic(self):
         seed, corpus = tiny_seed(), tiny_corpus()
         cfg = quick_cfg(1)
         base, _ = iterative_train(seed, corpus, PROT, cfg, pins=[])
-        a = finalize(base, seed, corpus, PROT, cfg, pins=[])
-        b = finalize(base, seed, corpus, PROT, cfg, pins=[])
+        a = finalize(base, seed, corpus, cfg, pins=[])
+        b = finalize(base, seed, corpus, cfg, pins=[])
         assert np.array_equal(a.weights, b.weights)
+
+    def test_two_types_keep_the_model_tags_and_equal_direct_training(self):
+        # finalize used to take a tag set of its own: a model over (PROT, GENE)
+        # finalized under (GENE, PROT) swapped the two types without an error
+        assert list(inspect.signature(finalize).parameters) == [
+            "model", "seed", "corpus", "cfg", "pins"]
+        tags = TagSet(("PROT", "GENE"))
+        gene = tags.b_index("GENE")
+        seed = Dataset(tiny_seed().sentences, [[1, 0, gene], [0, 0, 0], [1, 0, 0]],
+                       DatasetKind.SEED)
+        corpus = tiny_corpus()
+        pins = [RefMatch(0, 0, 0, "MDM2", "GENE"), RefMatch(1, 1, 1, "TIGAR", "PROT")]
+        cfg = quick_cfg(1)
+        model, _ = iterative_train(seed, corpus, tags, cfg, pins)
+        final = finalize(model, seed, corpus, cfg, pins)
+        hardened = [harden(soft, tags) for soft in relabel(corpus, model, pins).labels]
+        direct = train(Dataset(seed.sentences + corpus.sentences, seed.labels + hardened),
+                       tags, cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE))
+        assert final.tags == model.tags == tags
+        assert final.feature_index == direct.feature_index
+        assert final.weights.tobytes() == direct.weights.tobytes()
+        assert final.transitions.tobytes() == direct.transitions.tobytes()
+
+
+class TestLabelingStats:
+    def test_empty_and_all_pinned_corpus_read_nan_without_warning(self):
+        model = train(tiny_seed(), PROT, TrainConfig(epochs=2))
+        corpus = tiny_corpus()
+        every_token = [RefMatch(s, 0, len(sent) - 1, "x", "PROT")
+                       for s, sent in enumerate(corpus.sentences)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = bootstrap._labeling_stats(Dataset([], [], DatasetKind.CORPUS))
+            pinned = bootstrap._labeling_stats(relabel(corpus, model, every_token))
+        assert empty[0] == 0 and math.isnan(empty[1])
+        assert pinned[0] == 9 and math.isnan(pinned[1])
 
 
 class TestBootstrapConfig:
@@ -441,7 +479,7 @@ class TestLoopMatchesReference:
         cfg = BootstrapConfig(iterations=2, seed_epochs=3, round_epochs=2, final_epochs=2,
                               learning_rate=0.3, decay=0.2, l2=1e-3, rng_seed=3)
         model, trace = iterative_train(seed, corpus, PROT, cfg, pins, checkpoint_dir=tmp_path)
-        final = finalize(model, seed, corpus, PROT, cfg, pins)
+        final = finalize(model, seed, corpus, cfg, pins)
         models, stats, want_final = reference_loop(seed, corpus, PROT, cfg, pins)
 
         assert len(pins) > 5

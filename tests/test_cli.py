@@ -73,6 +73,21 @@ class TestSynthetic:
         assert main(["synthetic", "--out-dir", str(tmp_path)]) == 2
         assert specs == [SyntheticSpec()]
 
+    @pytest.mark.parametrize("option, named", [
+        (["--seed-frac", "1.5"], "seed_fraction must be in (0, 1), got 1.5"),
+        (["--test-frac", "0"], "test_fraction must be in (0, 1), got 0.0"),
+        (["--full-epochs", "0"], "epochs"),
+    ])
+    def test_bad_grid_setting_is_data_error_and_writes_nothing(self, tmp_path, capsys, option,
+                                                                named):
+        # used to write gold.conll, refset.txt and dictionary.txt first, and
+        # --test-frac 0 read "got 1.0"
+        rc = main(["synthetic", "--out-dir", str(tmp_path / "out"), "--sentences", "10",
+                   "--grid", *option])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_rate_is_usage_error(self, tmp_path):
         rc = main(["synthetic", "--out-dir", str(tmp_path), "--ambiguity", "1.5"])
         assert rc == 1
@@ -133,7 +148,7 @@ class TestSplit:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_fraction_out_of_bounds_is_data_error(self, synth_dir, tmp_path):
-        # split_seed holds the one range rule, as for synthetic --grid
+        # errors.check_fraction holds the range rule, as for synthetic --grid
         rc = main([
             "split", "--input", str(synth_dir / "gold.conll"), "--seed-frac", "1.5",
             "--out-dir", str(tmp_path / "out"),
@@ -513,8 +528,9 @@ class TestOptionsFillConfigs:
         # the two defaults above differ, so each command's help names its own
         helps = {}
         for command in ("bootstrap", "synthetic"):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as exit_:
                 main([command, "--help"])
+            assert exit_.value.code == 0
             helps[command] = " ".join(capsys.readouterr().out.split())
         assert "initial seed model (default: the value of --epochs)" in helps["bootstrap"]
         assert f"initial seed model (default: {BootstrapConfig.seed_epochs})" in helps["synthetic"]

@@ -30,12 +30,14 @@ PROT = TagSet(("PROT",))
     {"round_epochs": 2.5}, {"seed_epochs": 0},
     {"iterations": -1}, {"iterations": 2.5}, {"iterations": True}, {"min_name_length": 0},
     {"round_epochs": True}, {"rng_seed": True}, {"min_name_length": 2.5},
-    {"min_name_length": "3"},
+    {"min_name_length": "3"}, {"seed_fraction": 1.5}, {"seed_fraction": float("nan")},
+    {"test_fraction": 0.0}, {"test_fraction": 1.0},
 ])
 def test_grid_config_rejects_bad_training_settings(setting):
     # these used to pass and surface mid-grid (2.5 iterations as a bare TypeError),
     # or never (a NaN l2 trains with no L2, round_epochs=True trains one epoch);
-    # min_name_length="3" was a bare TypeError
+    # min_name_length="3" was a bare TypeError; a test_fraction of 0 failed
+    # in split_seed as "got 1.0"
     with pytest.raises(WeaknerError):
         GridConfig(**setting)
 
@@ -187,7 +189,7 @@ class TestFinalizeDirection:
         model, _ = iterative_train(seed_ds, corpus, PROT, cfg, pins=pins)
         soft = evaluate_model(model, test, mode="soft")
         crf = evaluate_model(
-            finalize(model, seed_ds, corpus, PROT, cfg, pins=pins), test, mode="hard"
+            finalize(model, seed_ds, corpus, cfg, pins=pins), test, mode="hard"
         )
         assert crf.f1 >= soft.f1 - 0.01  # one F1 point, ratios in [0, 1]
 

@@ -604,6 +604,21 @@ class TestTraining:
         model = train(data, PROT, TrainConfig(epochs=3))
         assert len(model.feature_index) > 0
 
+    @pytest.mark.parametrize("tags", [PROT, TWO])
+    def test_sequence_on_soft_labels_equals_training_on_hardened(self, tags):
+        # finalize hands SEQUENCE training soft labels and relies on this rule
+        rng = np.random.default_rng(11)
+        soft = _random_training_set(rng, tags, n_sentences=12, soft_targets=True)
+        soft.labels[0] = [0] * len(soft.sentences[0])      # a hard seed sentence
+        hard = Dataset(soft.sentences,
+                       [lab if isinstance(lab, list) else harden(lab, tags) for lab in soft.labels],
+                       DatasetKind.SEED)
+        cfg = TrainConfig(epochs=3, rng_seed=4, objective=Objective.SEQUENCE)
+        a, b = train(soft, tags, cfg), train(hard, tags, cfg)
+        assert a.feature_index == b.feature_index
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.transitions.tobytes() == b.transitions.tobytes()
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
             train(Dataset([], [], DatasetKind.SEED), PROT, TrainConfig())

@@ -61,7 +61,7 @@ def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
             refset.filtered_policy({"assay"}, 4),
         )
         model, _ = bootstrap.iterative_train(seed, corpus, PROT, cfg, pins, heldout=seed)
-        final = bootstrap.finalize(model, seed, corpus, PROT, cfg, pins)
+        final = bootstrap.finalize(model, seed, corpus, cfg, pins)
         path = tmp_path / "final.model"
         final.save(path)
         loaded = tagger.TaggerModel.load(path)
