@@ -49,7 +49,7 @@ soft = model.predict_soft([probe])[0]
 print(f"\nmarginals for {probe.texts()}:")
 with np.printoptions(precision=3, suppress=True):
     for tok, row in zip(probe.tokens, soft.dist):
-        print(f"  {tok.text:8} {row}")
+        print(f"  {tok:8} {row}")
 
 # -- hard mode: Viterbi decoding ---------------------------------------------
 hard = model.predict_hard([probe])[0]

@@ -11,7 +11,6 @@ from .corpus import (
     Sentence,
     SoftLabeling,
     TagSet,
-    Token,
     bio_decode,
     bio_encode,
     bio_repair,

@@ -51,10 +51,12 @@ class BootstrapConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # build every config the loop will use, so bad settings fail here
+        # check each epoch count under its own name and the shared schedule,
+        # so bad settings fail here
         check_int("iterations", self.iterations, 0)
-        for epochs in (self.seed_epochs, self.round_epochs, self.final_epochs):
-            self.train_cfg(epochs)
+        for name in ("round_epochs", "seed_epochs", "final_epochs"):
+            check_int(name, getattr(self, name), 1)
+        self.train_cfg(self.round_epochs)
 
     def train_cfg(self, epochs: int, objective: Objective = Objective.MARGINAL) -> TrainConfig:
         return TrainConfig(epochs, self.learning_rate, self.decay, self.l2, self.rng_seed, objective)

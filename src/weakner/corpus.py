@@ -1,4 +1,4 @@
-"""Corpus data model: tokens, sentences, BIO tag sets, labelings and CoNLL I/O.
+"""Corpus data model: sentences of token strings, BIO tag sets, labelings and CoNLL I/O.
 
 Everything here is a plain immutable value; operations return new objects.
 Labelings come in two flavours: hard (a list of tag indices, one per token)
@@ -32,47 +32,32 @@ HardLabeling = list
 _PUNCT = set(string.punctuation)
 
 
-@dataclass(frozen=True)
-class Token:
-    """A token with character offsets into its source sentence."""
-
-    text: str
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not self.text:
-            raise WeaknerError("empty token text")
-        if self.start < 0 or self.end <= self.start:
-            raise WeaknerError(f"bad token offsets [{self.start}, {self.end})")
+def _check_column(kind, text):
+    """Raise WeaknerError unless text can be one column of a label file: a
+    non-empty string with no whitespace."""
+    if not (isinstance(text, str) and text.split() == [text]):
+        raise WeaknerError(f"bad {kind} {text!r}: not a string, empty or contains whitespace")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
-    """A non-empty token sequence plus the original string it came from."""
+    """A non-empty tuple of token strings, each one column of a label file
+    (see _check_column). The strings are the caller's own objects, not copies."""
 
     tokens: tuple
-    source: str
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise EmptySentence("sentence has no tokens")
-        prev_end = -1
         for tok in self.tokens:
-            if tok.start < prev_end:
-                raise WeaknerError("tokens overlap or are out of order")
-            if self.source[tok.start:tok.end] != tok.text:
-                raise WeaknerError(
-                    f"token {tok.text!r} does not match source at [{tok.start}, {tok.end})"
-                )
-            prev_end = tok.end
+            _check_column("token", tok)
 
     def __len__(self):
         return len(self.tokens)
 
     def texts(self):
-        return [t.text for t in self.tokens]
+        return list(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -92,8 +77,7 @@ class TagSet:
         if not self.entity_types:
             raise WeaknerError("no entity types")
         for t in self.entity_types:
-            if t.split() != [t]:
-                raise WeaknerError(f"bad entity type {t!r}: empty or contains whitespace")
+            _check_column("entity type", t)
         if len(set(self.entity_types)) != len(self.entity_types):
             raise WeaknerError("duplicate entity types")
 
@@ -246,36 +230,27 @@ def tokenize(text: str) -> Sentence:
     punctuation as separate one-character tokens.
 
     Internal punctuation is kept, so hyphen/slash compounds such as
-    "Flag-tagged-TIGAR" stay single tokens and remain matchable units.
-    Offsets index into the original string.
+    "Flag-tagged-TIGAR" stay single tokens and remain matchable units. No
+    character offsets are kept: joined without separators, the tokens are
+    the text's non-space characters in order.
     """
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        # run [i, j): peel leading punctuation ...
-        a = i
-        while a < j and text[a] in _PUNCT:
-            tokens.append(Token(text[a], a, a + 1))
+    for run in text.split():
+        # peel leading punctuation ...
+        a, b = 0, len(run)
+        while a < b and run[a] in _PUNCT:
             a += 1
-        # ... find the trailing punctuation tail ...
-        b = j
-        while b > a and text[b - 1] in _PUNCT:
+        # ... and the trailing punctuation tail, keeping the core (with any
+        # internal punctuation) as one token
+        while b > a and run[b - 1] in _PUNCT:
             b -= 1
-        # ... keep the core (with any internal punctuation) as one token.
+        tokens.extend(run[:a])      # one token per punctuation character
         if b > a:
-            tokens.append(Token(text[a:b], a, b))
-        for k in range(b, j):
-            tokens.append(Token(text[k], k, k + 1))
-        i = j
+            tokens.append(run[a:b])
+        tokens.extend(run[b:])
     if not tokens:
         raise EmptySentence(f"no tokens in {text!r}")
-    return Sentence(tuple(tokens), text)
+    return Sentence(tokens)
 
 
 def bio_repair(labels, tags: TagSet):
@@ -399,13 +374,8 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
 # ---------------------------------------------------------------------------
 
 def sentence_from_texts(texts):
-    """Rebuild a Sentence from bare token strings (single-space joined)."""
-    toks = []
-    pos = 0
-    for t in texts:
-        toks.append(Token(t, pos, pos + len(t)))
-        pos += len(t) + 1
-    return Sentence(tuple(toks), " ".join(texts))
+    """A Sentence holding the given token strings."""
+    return Sentence(texts)
 
 
 def text_lines(path):
@@ -464,4 +434,4 @@ def write_conll(dataset: Dataset, path, tags: TagSet):
             if s:
                 fh.write("\n")
             for tok, t in zip(sent.tokens, labels):
-                fh.write(f"{tok.text}\t{tag_names[t]}\n")
+                fh.write(f"{tok}\t{tag_names[t]}\n")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, _combine, finalize, iterative_train
 from .corpus import Dataset, TagSet, bio_decode, bio_encode, gold_spans, split_seed
-from .errors import WeaknerError, check_fraction
+from .errors import WeaknerError, check_fraction, check_int
 from .metrics import EvalReport, evaluate_model, prf, write_tsv
 from .refset import ReferenceSet, audit_matcher, exact_policy, filtered_policy, find_matches
 from .tagger import Objective, train
@@ -73,7 +73,7 @@ class GridConfig(BootstrapConfig):
         super().__post_init__()
         check_fraction("seed_fraction", self.seed_fraction)
         check_fraction("test_fraction", self.test_fraction)
-        self.train_cfg(self.full_epochs)
+        check_int("full_epochs", self.full_epochs, 1)
         filtered_policy((), self.min_name_length)
 
 

@@ -165,14 +165,13 @@ def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
 
     matches = []
     for s, sent in enumerate(corpus.sentences):
-        texts = sent.texts()
-        for text in texts:
+        for text in sent.tokens:
             if text not in types:
                 key = _fold(text, policy.case_sensitive)
                 comps = [c.casefold() for c in token_components(text)]
                 hits = [partial[c] for c in comps if c in partial]
                 types[text] = (key, windows.get(key), hits)
-        info = [types[text] for text in texts]
+        info = [types[text] for text in sent.tokens]
         candidates = []
         for i in [i for i, (_, step, hits) in enumerate(info) if step or hits]:
             key, step, hits = info[i]

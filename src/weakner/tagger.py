@@ -187,7 +187,7 @@ class TaggerModel:
         """
         w, offsets = WINDOW, self.extractor.offsets
         texts = {"<s>": 0, "</s>": 1}   # the pads past a sentence end
-        ids = [texts.setdefault(t.text, len(texts)) for s in sentences for t in s.tokens]
+        ids = [texts.setdefault(t, len(texts)) for s in sentences for t in s.tokens]
         lens = np.array([len(s) for s in sentences], dtype=np.intp)
         block = w * (2 * np.arange(len(lens)) + 1)     # the pads before each sentence's tokens
         token = np.arange(len(ids)) + np.repeat(block, lens)

@@ -166,7 +166,7 @@ def _naive_matches(corpus, names, policy):
 
     out = []
     for s, sent in enumerate(corpus.sentences):
-        texts = [t.text for t in sent.tokens]
+        texts = sent.texts()
         cands = set()
         for i in range(len(texts)):
             for j in range(i, len(texts)):

@@ -388,6 +388,12 @@ class TestBootstrapConfig:
         with pytest.raises(WeaknerError):
             BootstrapConfig(**setting)
 
+    @pytest.mark.parametrize("field", ["seed_epochs", "round_epochs", "final_epochs"])
+    def test_bad_epoch_count_names_its_field(self, field):
+        # all three used to read "epochs must be an integer >= 1"
+        with pytest.raises(WeaknerError, match=f"^{field} must be an integer >= 1, not 0$"):
+            BootstrapConfig(**{field: 0})
+
     def test_one_schedule_marginal_then_sequence(self):
         cfg = BootstrapConfig(seed_epochs=5, round_epochs=2, final_epochs=4,
                               learning_rate=0.3, decay=0.1, l2=1e-3, rng_seed=7)

@@ -76,7 +76,10 @@ class TestSynthetic:
     @pytest.mark.parametrize("option, named", [
         (["--seed-frac", "1.5"], "seed_fraction must be in (0, 1), got 1.5"),
         (["--test-frac", "0"], "test_fraction must be in (0, 1), got 0.0"),
-        (["--full-epochs", "0"], "epochs"),
+        (["--full-epochs", "0"], "full_epochs must be an integer >= 1, not 0"),
+        (["--epochs", "0"], "round_epochs must be an integer >= 1, not 0"),
+        (["--seed-epochs", "0"], "seed_epochs must be an integer >= 1, not 0"),
+        (["--final-epochs", "0"], "final_epochs must be an integer >= 1, not 0"),
     ])
     def test_bad_grid_setting_is_data_error_and_writes_nothing(self, tmp_path, capsys, option,
                                                                 named):
@@ -332,6 +335,22 @@ class TestBootstrap:
             "--iterations", "1", "--epochs", "1", flag, value, "--out-dir", str(tmp_path),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--epochs", "round_epochs"), ("--seed-epochs", "seed_epochs"),
+        ("--final-epochs", "final_epochs"),
+    ])
+    def test_bad_epoch_count_names_its_field(self, synth_dir, split_dir, tmp_path, capsys, flag,
+                                             field):
+        # all three used to read "epochs must be an integer >= 1, not 0"
+        rc = main([
+            "bootstrap", "--seed", str(split_dir / "seed.conll"),
+            "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"),
+            "--iterations", "1", flag, "0", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        assert f"{field} must be an integer >= 1, not 0" in capsys.readouterr().err
 
     def test_empty_seed_is_data_error_and_writes_nothing(self, synth_dir, split_dir, tmp_path):
         # used to leave an empty output directory behind

@@ -1,5 +1,7 @@
 """Tokenizer, BIO codec, labelings, splitting and file round-trips."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from weakner.corpus import (
     DatasetKind,
     EntitySpan,
     Provenance,
+    Sentence,
     SoftLabeling,
     TagSet,
     bio_decode,
@@ -77,33 +80,54 @@ class TestTokenize:
     def test_slash_kept_inside(self):
         assert tokenize("and/or").texts() == ["and/or"]
 
-    def test_offsets_reconstruct_source(self):
-        text = "The  (Flag-tagged-TIGAR)  assay, twice."
-        sent = tokenize(text)
-        rebuilt = list(" " * len(text))
-        for tok in sent.tokens:
-            rebuilt[tok.start:tok.end] = tok.text
-        assert "".join(rebuilt) == text
+    def test_tokens_cover_the_non_space_text(self):
+        sent = tokenize("The  (Flag-tagged-TIGAR)  assay, twice.")
+        assert sent.tokens == ("The", "(", "Flag-tagged-TIGAR", ")", "assay", ",", "twice", ".")
 
     @given(st.text(max_size=60))
     @settings(max_examples=300, deadline=None)
-    def test_deterministic_and_offset_faithful(self, text):
+    def test_deterministic_and_covering(self, text):
         if not text.strip():
             with pytest.raises(EmptySentence):
                 tokenize(text)
             return
         a = tokenize(text)
         b = tokenize(text)
-        assert a.texts() == b.texts()
+        assert a.tokens == b.tokens
         for tok in a.tokens:
-            assert text[tok.start:tok.end] == tok.text
-        # every non-whitespace char is covered by exactly one token
-        covered = set()
-        for tok in a.tokens:
-            span = set(range(tok.start, tok.end))
-            assert not (span & covered)
-            covered |= span
-        assert covered == {i for i, c in enumerate(text) if not c.isspace()}
+            assert tok and tok.split() == [tok]
+        # every non-whitespace char is covered by exactly one token, in order
+        assert "".join(a.tokens) == "".join(text.split())
+
+
+class TestSentence:
+    def test_keeps_the_callers_strings(self):
+        texts = ["".join(["p5", "3"]), "binds"]
+        sent = sentence_from_texts(texts)
+        assert all(a is b for a, b in zip(sent.tokens, texts))
+        assert len(sent) == 2 and sent.texts() == texts
+
+    def test_slotted_and_frozen(self):
+        sent = sentence_from_texts(["p53"])
+        assert not hasattr(sent, "__dict__")
+        with pytest.raises(AttributeError):
+            sent.tokens = ("MDM2",)
+
+    def test_pickle_round_trip(self):
+        sent = sentence_from_texts(["p53", "binds", "MDM2"])
+        back = pickle.loads(pickle.dumps(sent))
+        assert back == sent and back.tokens == sent.tokens and type(back) is Sentence
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptySentence):
+            sentence_from_texts([])
+
+    @pytest.mark.parametrize("bad", ["", "p53 MDM2", "p53\n", "\tp53", 53, None, b"p53"])
+    def test_token_no_label_file_can_carry_rejected(self, bad, tmp_path):
+        # "p53 MDM2" used to build, and write_conll wrote a line that
+        # read_conll rejects as having 3 columns
+        with pytest.raises(WeaknerError):
+            sentence_from_texts(["binds", bad])
 
 
 class TestTagSet:
@@ -119,10 +143,12 @@ class TestTagSet:
 
     @pytest.mark.parametrize("types", [
         (), ("",), ("a b",), ("PROT", "a\tb"), (" PROT",), ("PROT\n",), ("PROT", "PROT"),
+        ("PROT", None), (53,),
     ])
     def test_names_no_label_file_can_carry_rejected(self, types):
         # all but the duplicate used to be accepted: no tag but O, a bare
-        # "B-", or a tag that read_conll splits into two columns
+        # "B-", or a tag that read_conll splits into two columns; a
+        # non-string name raised a bare AttributeError
         with pytest.raises(WeaknerError):
             TagSet(types)
 
@@ -327,7 +353,7 @@ class TestSplitSeed:
         # corpus labels stripped, gold retains them
         assert all(lab is None for lab in corpus.labels)
         assert gold.labels == [[0, 0]] * len(corpus)
-        assert [s.source for s in gold.sentences] == [s.source for s in corpus.sentences]
+        assert gold.sentences == corpus.sentences
 
     def test_unlabeled_sentence_rejected(self):
         ds = self._dataset(10)

@@ -42,6 +42,13 @@ def test_grid_config_rejects_bad_training_settings(setting):
         GridConfig(**setting)
 
 
+@pytest.mark.parametrize("field", ["seed_epochs", "round_epochs", "final_epochs", "full_epochs"])
+def test_grid_config_bad_epoch_count_names_its_field(field):
+    # all four used to read "epochs must be an integer >= 1"
+    with pytest.raises(WeaknerError, match=f"^{field} must be an integer >= 1, not 0$"):
+        GridConfig(**{field: 0})
+
+
 @pytest.mark.parametrize("settings", [
     ("all", None, "softmax"),        # ran as a seed row, with self-training
     ("seed", "c2", "CRF"),           # trained SEQUENCE but was scored as softmax

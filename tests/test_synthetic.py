@@ -65,8 +65,7 @@ class TestGenerator:
         names = refset.names
         for s, labels in enumerate(gold.labels):
             for span in bio_decode(labels, PROT, sentence=s):
-                toks = [t.text for t in gold.sentences[s].tokens[span.first:span.last + 1]]
-                mention = " ".join(toks)
+                mention = " ".join(gold.sentences[s].tokens[span.first:span.last + 1])
                 if "-" in mention and mention not in names:
                     # embedded compound: one component must be a name
                     assert any(c in names for c in mention.split("-"))
