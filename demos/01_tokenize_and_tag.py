@@ -7,7 +7,6 @@ import numpy as np
 
 from weakner import (
     Dataset,
-    DatasetKind,
     TagSet,
     TrainConfig,
     bio_decode,
@@ -39,7 +38,7 @@ labels = [
     [0, 0, 0, 0, 0],
     [1, 0, 1, 0],
 ]
-data = Dataset(sentences, labels, DatasetKind.SEED)
+data = Dataset(sentences, labels)
 
 model = train(data, tags, TrainConfig(epochs=20, learning_rate=0.3, rng_seed=0))
 

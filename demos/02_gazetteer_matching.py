@@ -6,7 +6,6 @@ Run:  python demos/02_gazetteer_matching.py
 
 from weakner import (
     Dataset,
-    DatasetKind,
     MatchPolicy,
     ReferenceSet,
     TagSet,
@@ -31,7 +30,7 @@ sents = [
     tokenize("the Flag-tagged-TIGAR construct"),    # embedded mention
     tokenize("p53 binds TIGAR today"),
 ]
-corpus = Dataset(list(sents), [None] * len(sents), DatasetKind.CORPUS)
+corpus = Dataset(list(sents), [None] * len(sents))
 
 print("exact case-sensitive search:")
 for m in find_matches(corpus, refset, exact_policy()):

@@ -5,7 +5,6 @@ soft labels by iterative retraining.
 
 from .corpus import (
     Dataset,
-    DatasetKind,
     EntitySpan,
     Provenance,
     Sentence,

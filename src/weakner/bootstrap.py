@@ -121,11 +121,7 @@ def _labeling_stats(labeled: Dataset):
 
 
 def _combine(seed: Dataset, labeled: Dataset) -> Dataset:
-    return Dataset(
-        list(seed.sentences) + list(labeled.sentences),
-        list(seed.labels) + list(labeled.labels),
-        seed.kind,
-    )
+    return Dataset([*seed.sentences, *labeled.sentences], [*seed.labels, *labeled.labels])
 
 
 def iterative_train(

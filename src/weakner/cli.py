@@ -26,7 +26,7 @@ import sys
 from dataclasses import fields, replace
 
 from .bootstrap import BootstrapConfig, finalize, iterative_train
-from .corpus import DatasetKind, TagSet, gold_spans, read_conll, split_seed, text_lines, write_conll
+from .corpus import TagSet, gold_spans, read_conll, split_seed, text_lines, write_conll
 from .errors import EmptyDataset, SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
 from .metrics import evaluate_model, write_tsv
@@ -164,7 +164,7 @@ def cmd_match(ns) -> int:
     tags = _tags(ns.entity_type)
     policy = _build_policy(ns)
     refset = load_reference_set(ns.refset, tags.entity_types[0])
-    corpus = read_conll(ns.corpus, tags, DatasetKind.CORPUS)
+    corpus = read_conll(ns.corpus, tags)
     gold = _read_gold(ns.gold, tags) if ns.gold else None
     matches = find_matches(corpus, refset, policy)
     os.makedirs(ns.out_dir, exist_ok=True)
@@ -181,7 +181,7 @@ def cmd_match(ns) -> int:
 def cmd_bootstrap(ns) -> int:
     tags = _tags(ns.entity_type)
     seed = read_conll(ns.seed, tags)
-    corpus = read_conll(ns.corpus, tags, DatasetKind.CORPUS)
+    corpus = read_conll(ns.corpus, tags)
     policy = _build_policy(ns)
     refset = load_reference_set(ns.refset, tags.entity_types[0])
     heldout = _read_gold(ns.heldout, tags) if ns.heldout else None
@@ -206,7 +206,7 @@ def cmd_bootstrap(ns) -> int:
 
 def cmd_predict(ns) -> int:
     model = TaggerModel.load(ns.model)
-    data = read_conll(ns.input, model.tags, DatasetKind.CORPUS)
+    data = read_conll(ns.input, model.tags)
     pred = predict_dataset_hard(model, data)
     write_conll(pred, ns.out, model.tags)
     print(f"{len(pred)} sentences -> {ns.out}")

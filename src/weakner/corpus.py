@@ -26,9 +26,6 @@ from .errors import (
     check_fraction,
 )
 
-# A hard labeling is just one tag index per token.
-HardLabeling = list
-
 _PUNCT = set(string.punctuation)
 
 
@@ -185,6 +182,7 @@ class SoftLabeling:
         return len(self.dist)
 
 
+# only perfbench/workloads.py still uses DatasetKind and Dataset.kind (ROADMAP item 7)
 class DatasetKind(enum.Enum):
     SEED = "seed"
     CORPUS = "corpus"
@@ -194,7 +192,7 @@ class DatasetKind(enum.Enum):
 class Dataset:
     """Sentences plus (optionally) one labeling per sentence.
 
-    ``labels[i]`` is a HardLabeling (list of tag indices), a SoftLabeling,
+    ``labels[i]`` is a hard labeling (list of tag indices), a SoftLabeling,
     or None for an unlabeled sentence.
     """
 
@@ -306,16 +304,14 @@ def gold_spans(gold: Dataset, tags: TagSet):
 def bio_encode(spans, n_tokens: int, tags: TagSet, sentence: int = 0):
     """Encode non-overlapping spans as a BIO hard labeling of length n_tokens."""
     labels = [0] * n_tokens
-    occupied = [False] * n_tokens
     for span in spans:
         if span.sentence != sentence:
             continue
         if not (0 <= span.first <= span.last < n_tokens):
             raise WeaknerError(f"span {span} out of bounds for {n_tokens} tokens")
         for i in range(span.first, span.last + 1):
-            if occupied[i]:
+            if labels[i]:       # a covered token's tag is B- or I-, never O (0)
                 raise OverlappingSpans(f"token {i} covered twice")
-            occupied[i] = True
         labels[span.first] = tags.b_index(span.entity_type)
         for i in range(span.first + 1, span.last + 1):
             labels[i] = tags.i_index(span.entity_type)
@@ -351,21 +347,9 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
     order = np.random.default_rng(rng_seed).permutation(n)
     seed_idx = sorted(order[:n_seed].tolist())
     corpus_idx = sorted(order[n_seed:].tolist())
-    seed = Dataset(
-        [dataset.sentences[i] for i in seed_idx],
-        [dataset.labels[i] for i in seed_idx],
-        DatasetKind.SEED,
-    )
-    corpus = Dataset(
-        [dataset.sentences[i] for i in corpus_idx],
-        [None] * len(corpus_idx),
-        DatasetKind.CORPUS,
-    )
-    gold = Dataset(
-        [dataset.sentences[i] for i in corpus_idx],
-        [dataset.labels[i] for i in corpus_idx],
-        DatasetKind.CORPUS,
-    )
+    seed = Dataset([dataset.sentences[i] for i in seed_idx], [dataset.labels[i] for i in seed_idx])
+    corpus = Dataset([dataset.sentences[i] for i in corpus_idx], [None] * len(corpus_idx))
+    gold = Dataset(list(corpus.sentences), [dataset.labels[i] for i in corpus_idx])
     return seed, corpus, gold
 
 
@@ -388,10 +372,12 @@ def text_lines(path):
             raise WeaknerError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
-def read_conll(path, tags: TagSet, kind: DatasetKind = DatasetKind.SEED) -> Dataset:
-    """Read a two-column (token, tag) file, blank lines separating sentences."""
+def read_conll(path, tags: TagSet) -> Dataset:
+    """Read a two-column (token, tag) file, blank lines separating sentences.
+    Equal token texts share one string object."""
     sentences, labels = [], []
     cur_toks, cur_tags = [], []
+    texts = {}
 
     def flush():
         if cur_toks:
@@ -408,10 +394,13 @@ def read_conll(path, tags: TagSet, kind: DatasetKind = DatasetKind.SEED) -> Data
         cols = line.split()
         if len(cols) != 2:
             raise MalformedLine(path, line_no, f"expected 2 columns, got {len(cols)}")
-        cur_toks.append(cols[0])
-        cur_tags.append(tags.index(cols[1]))
+        cur_toks.append(texts.setdefault(cols[0], cols[0]))
+        try:
+            cur_tags.append(tags.index(cols[1]))
+        except UnknownTag as e:
+            raise UnknownTag(f"{path}:{line_no}: {e}") from None
     flush()
-    return Dataset(sentences, labels, kind)
+    return Dataset(sentences, labels)
 
 
 def write_conll(dataset: Dataset, path, tags: TagSet):

@@ -74,7 +74,7 @@ class GridConfig(BootstrapConfig):
         check_fraction("seed_fraction", self.seed_fraction)
         check_fraction("test_fraction", self.test_fraction)
         check_int("full_epochs", self.full_epochs, 1)
-        filtered_policy((), self.min_name_length)
+        check_int("min_name_length", self.min_name_length, 1)
 
 
 @dataclass
@@ -102,7 +102,7 @@ def mask_to_one_entity(gold_corpus: Dataset, tags: TagSet, rng_seed: int):
             labels.append(bio_encode([choice], len(hard), tags, sentence=s))
         else:
             labels.append([0] * len(hard))
-    return Dataset(list(gold_corpus.sentences), labels, gold_corpus.kind), kept
+    return Dataset(list(gold_corpus.sentences), labels), kept
 
 
 def _pins_for(policy, corpus, kept, refset, dictionary, cfg):

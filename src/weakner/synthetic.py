@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, DatasetKind, EntitySpan, TagSet, bio_encode, sentence_from_texts
+from .corpus import Dataset, EntitySpan, TagSet, bio_encode, sentence_from_texts
 from .errors import SpecInvalid, WeaknerError, check_int
 from .refset import ReferenceSet
 
@@ -41,6 +41,10 @@ _SHORT_O_RATE = 0.03
 _DISTRACTOR_RATE = 0.10
 _TRIGGER_RATE = 0.7
 _FINAL_PERIOD_RATE = 0.85
+# the first _N_TRIGGERS context words are triggers; a sentence holds i
+# mentions with probability _MENTION_WEIGHTS[i]
+_N_TRIGGERS = 12
+_MENTION_WEIGHTS = (0.2, 0.55, 0.25)
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ class SyntheticSpec:
     """Size and difficulty knobs of the generated corpus.
 
     The sentence template is: 6-10 context tokens, 0-2 entity mentions
-    inserted between them (weighted by mention_weights), an optional
+    inserted between them (weighted by _MENTION_WEIGHTS), an optional
     trailing period. ambiguity_rate / short_name_rate / multiword_name_rate
     are fractions of the entity vocabulary; hyphenation_rate is a fraction
     of mentions.
@@ -58,12 +62,10 @@ class SyntheticSpec:
     n_entity_names: int = 300
     n_context_words: int = 400
     n_distractors: int = 60
-    n_triggers: int = 12
     ambiguity_rate: float = 0.3
     hyphenation_rate: float = 0.2
     short_name_rate: float = 0.05
     multiword_name_rate: float = 0.05
-    mention_weights: tuple = (0.2, 0.55, 0.25)
     entity_type: str = "PROT"
     rng_seed: int = 0
 
@@ -73,16 +75,13 @@ class SyntheticSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise SpecInvalid(f"{name} must be in [0, 1], got {v}")
-        # the generator draws distractors and triggers, so neither list may be empty
-        for name, minimum in (("n_sentences", 1), ("n_entity_names", 1), ("n_context_words", 2),
-                              ("n_distractors", 1), ("n_triggers", 1), ("rng_seed", 0)):
+        # the generator draws distractors, and the context words hold the
+        # triggers and at least one plain word
+        for name, minimum in (("n_sentences", 1), ("n_entity_names", 1),
+                              ("n_context_words", _N_TRIGGERS + 1), ("n_distractors", 1),
+                              ("rng_seed", 0)):
             check_int(name, getattr(self, name), minimum, SpecInvalid)
-        if self.n_triggers >= self.n_context_words:
-            raise SpecInvalid("n_triggers must be smaller than n_context_words")
-        w = self.mention_weights
-        if len(w) < 1 or any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise SpecInvalid("mention_weights must be a probability vector")
-        if self.ambiguity_rate * self.n_entity_names > self.n_context_words - self.n_triggers:
+        if self.ambiguity_rate * self.n_entity_names > self.n_context_words - _N_TRIGGERS:
             raise SpecInvalid("not enough context words to plant that much ambiguity")
         try:
             TagSet((self.entity_type,))
@@ -121,7 +120,7 @@ def _build_vocab(spec: SyntheticSpec, rng) -> _Vocab:
     used = set()
     v = _Vocab()
     v.context = [_fresh(rng, used, _pseudo_word) for _ in range(spec.n_context_words)]
-    v.triggers = v.context[: spec.n_triggers]
+    v.triggers = v.context[:_N_TRIGGERS]
 
     n_amb = round(spec.ambiguity_rate * spec.n_entity_names)
     n_short = round(spec.short_name_rate * spec.n_entity_names)
@@ -129,7 +128,7 @@ def _build_vocab(spec: SyntheticSpec, rng) -> _Vocab:
     n_plain = max(spec.n_entity_names - n_amb - n_short - n_multi, 0)
 
     # ambiguous names: uppercase forms of (non-trigger) dictionary words
-    amb_pool = v.context[spec.n_triggers:]
+    amb_pool = v.context[_N_TRIGGERS:]
     amb_words = [amb_pool[i] for i in rng.choice(len(amb_pool), size=n_amb, replace=False)]
     amb_names = [w.upper() for w in amb_words]
 
@@ -195,10 +194,10 @@ def generate_synthetic(spec: SyntheticSpec):
     tags = TagSet((spec.entity_type,))
 
     sentences, labels = [], []
-    mention_counts = np.arange(len(spec.mention_weights))
+    mention_counts = np.arange(len(_MENTION_WEIGHTS))
     ambiguous = spec.ambiguity_rate > 0
     for _ in range(spec.n_sentences):
-        n_mentions = int(rng.choice(mention_counts, p=spec.mention_weights))
+        n_mentions = int(rng.choice(mention_counts, p=_MENTION_WEIGHTS))
         cells = [
             ["ctx", _context_token(rng, v, ambiguous)]
             for _ in range(int(rng.integers(6, 11)))
@@ -226,7 +225,7 @@ def generate_synthetic(spec: SyntheticSpec):
         sentences.append(sentence_from_texts(texts))
         labels.append(bio_encode(spans, len(texts), tags))
 
-    gold = Dataset(sentences, labels, DatasetKind.SEED)
+    gold = Dataset(sentences, labels)
     refset = ReferenceSet(frozenset(v.names), spec.entity_type)
     dictionary = frozenset(v.context)
     return gold, refset, dictionary

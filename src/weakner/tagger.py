@@ -65,7 +65,6 @@ import numpy as np
 
 from .corpus import (
     Dataset,
-    HardLabeling,
     Provenance,
     SoftLabeling,
     TagSet,
@@ -146,12 +145,12 @@ class TrainConfig:
     def __post_init__(self):
         check_int("epochs", self.epochs, 1)
         check_int("rng_seed", self.rng_seed, 0)
-        if not all(map(math.isfinite, (self.learning_rate, self.decay, self.l2))):
-            raise WeaknerError("learning_rate, decay and l2 must be finite")
-        if self.learning_rate <= 0 or self.decay < 0:
-            raise WeaknerError("learning_rate must be > 0 and decay >= 0")
-        if self.l2 < 0:
-            raise WeaknerError("l2 must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise WeaknerError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
+        for name in ("decay", "l2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise WeaknerError(f"{name} must be finite and >= 0, not {value!r}")
         if self.learning_rate * self.l2 >= 1.0:  # the decayed rate is never larger
             raise WeaknerError("learning_rate * l2 must be < 1 (the L2 step would zero the model)")
 
@@ -566,7 +565,7 @@ def train(
     return model
 
 
-def harden(soft: SoftLabeling, tags: TagSet) -> HardLabeling:
+def harden(soft: SoftLabeling, tags: TagSet) -> list:
     """Per-token argmax (lowest index wins ties) followed by BIO repair."""
     idx = [int(i) for i in np.argmax(soft.dist, axis=1)]
     return bio_repair(idx, tags)
@@ -574,8 +573,8 @@ def harden(soft: SoftLabeling, tags: TagSet) -> HardLabeling:
 
 def predict_dataset_soft(model: TaggerModel, data: Dataset) -> Dataset:
     """Model marginals for every sentence (labels of `data` are ignored)."""
-    return Dataset(list(data.sentences), model.predict_soft(data.sentences), data.kind)
+    return Dataset(list(data.sentences), model.predict_soft(data.sentences))
 
 
 def predict_dataset_hard(model: TaggerModel, data: Dataset) -> Dataset:
-    return Dataset(list(data.sentences), model.predict_hard(data.sentences), data.kind)
+    return Dataset(list(data.sentences), model.predict_hard(data.sentences))

@@ -24,7 +24,6 @@ from weakner.bootstrap import BootstrapConfig, iterative_train, relabel
 from weakner.cli import main
 from weakner.corpus import (
     Dataset,
-    DatasetKind,
     EntitySpan,
     TagSet,
     bio_decode,
@@ -130,7 +129,7 @@ def test_criterion_2_gradient_checks():
                 ))
             else:
                 labels.append([int(t) for t in rng.integers(0, k, size=len(sent))])
-        data = Dataset(sents, labels, DatasetKind.SEED)
+        data = Dataset(sents, labels)
         model = _random_model(rng, tags, sents, scale=0.5)
         cfg = TrainConfig(objective=objective, l2=1e-3 if trial % 2 else 0.0)
         _, gW, gT = dataset_loss_and_gradient(model, data, cfg)
@@ -213,7 +212,7 @@ def test_criterion_3_matcher_oracle():
                 else:
                     toks.append(word() + "-" + word())
             sents.append(sentence_from_texts(toks))
-        corpus = Dataset(sents, [None] * len(sents), DatasetKind.CORPUS)
+        corpus = Dataset(sents, [None] * len(sents))
         refset = ReferenceSet(frozenset(names), "PROT")
         for policy in (c1, c2):
             got = [(m.sentence, m.first, m.last, m.name) for m in find_matches(corpus, refset, policy)]
@@ -359,13 +358,11 @@ def test_criterion_7_degenerate_cases():
          sentence_from_texts(["the", "assay", "ran"]),
          sentence_from_texts(["TIGAR", "level", "rose"])],
         [[1, 0, 1], [0, 0, 0], [1, 0, 0]],
-        DatasetKind.SEED,
     )
     corpus = Dataset(
         [sentence_from_texts(["MDM2", "binds", "p53"]),
          sentence_from_texts(["the", "TIGAR", "assay"])],
         [None, None],
-        DatasetKind.CORPUS,
     )
     kw = dict(seed_epochs=2, round_epochs=2, final_epochs=2,
               learning_rate=0.2, decay=0.1, l2=1e-4, rng_seed=0)
@@ -389,7 +386,7 @@ def test_criterion_7_degenerate_cases():
     )
 
     # empty corpus: every round is a plain fine-tune on the seed
-    empty = Dataset([], [], DatasetKind.CORPUS)
+    empty = Dataset([], [])
     ec_model, _ = iterative_train(seed, empty, PROT, cfg, pins=[])
     manual = train(seed, PROT, cfg.train_cfg(cfg.seed_epochs))
     for _ in range(cfg.iterations):

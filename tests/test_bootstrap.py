@@ -12,7 +12,6 @@ from weakner import bootstrap
 from weakner.bootstrap import BootstrapConfig, finalize, iterative_train, relabel
 from weakner.corpus import (
     Dataset,
-    DatasetKind,
     Provenance,
     SoftLabeling,
     TagSet,
@@ -35,7 +34,7 @@ def tiny_seed():
         sentence_from_texts(["TIGAR", "level", "rose"]),
     ]
     labels = [[1, 0, 1], [0, 0, 0], [1, 0, 0]]
-    return Dataset(sents, labels, DatasetKind.SEED)
+    return Dataset(sents, labels)
 
 
 def tiny_corpus():
@@ -44,7 +43,7 @@ def tiny_corpus():
         sentence_from_texts(["the", "TIGAR", "assay"]),
         sentence_from_texts(["nothing", "here"]),
     ]
-    return Dataset(sents, [None] * 3, DatasetKind.CORPUS)
+    return Dataset(sents, [None] * 3)
 
 
 def quick_cfg(iterations=2):
@@ -69,7 +68,7 @@ class TestRelabel:
         model = self._model()
         a = sentence_from_texts(["MDM2", "binds", "p53"])
         b = sentence_from_texts(["the", "TIGAR", "assay"])
-        corpus = Dataset([a, b], [None, None], DatasetKind.CORPUS)
+        corpus = Dataset([a, b], [None, None])
         out = relabel(corpus, model, [RefMatch(0, 0, 2, "MDM2 binds p53", "PROT")])
         assert list(out.labels[0].provenance) == [Provenance.REFERENCE] * 3
         expected = model.predict_soft([b])[0]
@@ -93,7 +92,7 @@ class TestRelabel:
         sent = sentence_from_texts(["p53"])
         model.weights[model.feature_index["w=p53"], 1] += 50.0
         assert model.predict_soft([sent])[0].dist[0, 1] > 0.99
-        corpus = Dataset([sent], [None], DatasetKind.CORPUS)
+        corpus = Dataset([sent], [None])
         out = relabel(corpus, model, [RefMatch(0, 0, 0, "p53", "PROT")])
         assert out.labels[0].dist[0, 1] == 1.0  # exactly one, not a blend
 
@@ -184,7 +183,7 @@ class TestIterativeTrain:
 
     def test_empty_corpus_equals_extra_seed_epochs(self):
         seed = tiny_seed()
-        empty = Dataset([], [], DatasetKind.CORPUS)
+        empty = Dataset([], [])
         cfg = quick_cfg(iterations=2)
         model, trace = iterative_train(seed, empty, PROT, cfg, pins=[])
         manual = train(seed, PROT, cfg.train_cfg(cfg.seed_epochs))
@@ -261,7 +260,7 @@ class TestIterativeTrain:
         assert all(r.report is not None for r in trace)
 
     def test_unlabeled_seed_rejected(self):
-        bad = Dataset([sentence_from_texts(["a"])], [None], DatasetKind.SEED)
+        bad = Dataset([sentence_from_texts(["a"])], [None])
         with pytest.raises(WeaknerError):
             iterative_train(bad, tiny_corpus(), PROT, quick_cfg(1), pins=[])
 
@@ -270,7 +269,7 @@ class TestIterativeTrain:
         sentences = tiny_seed().sentences[:len(labels)]
         out = tmp_path / "run"
         with pytest.raises(EmptyDataset):
-            iterative_train(Dataset(sentences, labels, DatasetKind.SEED), tiny_corpus(), PROT,
+            iterative_train(Dataset(sentences, labels), tiny_corpus(), PROT,
                             quick_cfg(1), pins=[], checkpoint_dir=str(out))
         assert not out.exists()
 
@@ -278,7 +277,7 @@ class TestIterativeTrain:
         # every trace row used to read P = R = F1 = 0.00
         trained = []
         monkeypatch.setattr(bootstrap, "train", lambda *a, **kw: trained.append(a))
-        all_o = Dataset(tiny_seed().sentences, [[0, 0, 0]] * 3, DatasetKind.SEED)
+        all_o = Dataset(tiny_seed().sentences, [[0, 0, 0]] * 3)
         out = tmp_path / "run"
         with pytest.raises(EmptyDataset, match="no gold entities"):
             iterative_train(tiny_seed(), tiny_corpus(), PROT, quick_cfg(1), pins=[],
@@ -301,7 +300,6 @@ class TestIterativeTrain:
                 sentence_from_texts(["the", "Flag-tagged-TIGAR", "construct"]),
             ],
             [None, None],
-            DatasetKind.CORPUS,
         )
         pins = find_matches(
             corpus,
@@ -314,7 +312,7 @@ class TestIterativeTrain:
 class TestFinalize:
     def test_empty_corpus_equals_sequence_training_on_seed(self):
         seed = tiny_seed()
-        empty = Dataset([], [], DatasetKind.CORPUS)
+        empty = Dataset([], [])
         cfg = quick_cfg(1)
         base, _ = iterative_train(seed, empty, PROT, cfg, pins=[])
         final = finalize(base, seed, empty, cfg, pins=[])
@@ -343,8 +341,7 @@ class TestFinalize:
             "model", "seed", "corpus", "cfg", "pins"]
         tags = TagSet(("PROT", "GENE"))
         gene = tags.b_index("GENE")
-        seed = Dataset(tiny_seed().sentences, [[1, 0, gene], [0, 0, 0], [1, 0, 0]],
-                       DatasetKind.SEED)
+        seed = Dataset(tiny_seed().sentences, [[1, 0, gene], [0, 0, 0], [1, 0, 0]])
         corpus = tiny_corpus()
         pins = [RefMatch(0, 0, 0, "MDM2", "GENE"), RefMatch(1, 1, 1, "TIGAR", "PROT")]
         cfg = quick_cfg(1)
@@ -367,7 +364,7 @@ class TestLabelingStats:
                        for s, sent in enumerate(corpus.sentences)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            empty = bootstrap._labeling_stats(Dataset([], [], DatasetKind.CORPUS))
+            empty = bootstrap._labeling_stats(Dataset([], []))
             pinned = bootstrap._labeling_stats(relabel(corpus, model, every_token))
         assert empty[0] == 0 and math.isnan(empty[1])
         assert pinned[0] == 9 and math.isnan(pinned[1])
@@ -450,12 +447,12 @@ def reference_loop(seed, corpus, tags, cfg, pins):
     per-round (pinned tokens, mean entropy) and the final model."""
     def fit(model, labels, epochs, objective=Objective.MARGINAL):
         data = Dataset(list(seed.sentences) + list(corpus.sentences),
-                       list(seed.labels) + labels, DatasetKind.SEED)
+                       list(seed.labels) + labels)
         for _ in range(epochs):
             model = naive_sgd_epoch(model, data, cfg.train_cfg(1, objective))
         return model
 
-    seed_only = Dataset(seed.sentences, seed.labels, DatasetKind.SEED)
+    seed_only = Dataset(seed.sentences, seed.labels)
     models = [TaggerModel(tags)]
     for _ in range(cfg.seed_epochs):
         models[0] = naive_sgd_epoch(models[0], seed_only, cfg.train_cfg(1))
@@ -476,8 +473,8 @@ class TestLoopMatchesReference:
 
     def test_two_rounds_with_overlapping_pins(self, tmp_path):
         gold, ref, dictionary = generate_synthetic(SyntheticSpec(n_sentences=40, rng_seed=5))
-        seed = Dataset(gold.sentences[:8], gold.labels[:8], DatasetKind.SEED)
-        corpus = Dataset(gold.sentences[8:], [None] * 32, DatasetKind.CORPUS)
+        seed = Dataset(gold.sentences[:8], gold.labels[:8])
+        corpus = Dataset(gold.sentences[8:], [None] * 32)
         pins = find_matches(corpus, ref, filtered_policy(dictionary, 4))
         m = next(m for m in pins if m.first > 0)
         # overlaps m's first token, which must then take this later pin's I- row

@@ -104,6 +104,13 @@ class TestSynthetic:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    def test_too_few_context_words_names_the_option_field(self, tmp_path, capsys):
+        # used to read "n_triggers must be smaller than n_context_words", a
+        # field no option sets
+        rc = main(["synthetic", "--out-dir", str(tmp_path / "out"), "--context-words", "12"])
+        assert rc == 1
+        assert "n_context_words must be an integer >= 13" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entity_type", ["a b", ""])
     def test_entity_type_no_label_file_can_carry_is_usage_error(self, tmp_path, entity_type):
         # "a b" used to exit 0 and write tags that split then read as three
@@ -253,6 +260,17 @@ class TestMatch:
         preset = (filtered_policy(dictionary) if policy == "c2"
                   else MatchPolicy(dictionary_filter=dictionary))
         assert policies == [replace(preset, **changes)]
+
+    def test_unknown_tag_names_file_and_line(self, tmp_path, capsys):
+        # used to print only "tag 'B-GENE' not in tag set [...]"
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text("p53\tB-PROT\n\nMDM2\tB-GENE\n", encoding="utf-8")
+        refset = tmp_path / "names.txt"
+        refset.write_text("MDM2\n", encoding="utf-8")
+        rc = main(["match", "--corpus", str(corpus), "--refset", str(refset),
+                   "--entity-type", "PROT", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"{corpus}:3: tag 'B-GENE'" in capsys.readouterr().err
 
     def test_no_matches_writes_empty_file(self, split_dir, tmp_path):
         refset = tmp_path / "names.txt"

@@ -1,6 +1,7 @@
 """Tokenizer, BIO codec, labelings, splitting and file round-trips."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from weakner.corpus import (
     Dataset,
-    DatasetKind,
     EntitySpan,
     Provenance,
     Sentence,
@@ -326,7 +326,7 @@ class TestSoftLabelingSplit:
 class TestSplitSeed:
     def _dataset(self, n):
         sents = [sentence_from_texts([f"tok{i}", "x"]) for i in range(n)]
-        return Dataset(sents, [[0, 0] for _ in range(n)], DatasetKind.SEED)
+        return Dataset(sents, [[0, 0] for _ in range(n)])
 
     def test_three_percent_of_hundred(self):
         seed, corpus, gold = split_seed(self._dataset(100), 0.03, 0)
@@ -393,6 +393,20 @@ class TestConllIo:
         path.write_text("p53\tB-XYZ\n", encoding="utf-8")
         with pytest.raises(UnknownTag):
             read_conll(path, PROT)
+
+    def test_unknown_tag_reports_position(self, tmp_path):
+        # used to name the tag but neither the file nor the line
+        path = tmp_path / "bad.conll"
+        path.write_text("p53\tB-PROT\n\nMDM2\tB-GENE\n", encoding="utf-8")
+        with pytest.raises(UnknownTag, match=f"^{re.escape(str(path))}:3: tag 'B-GENE'"):
+            read_conll(path, PROT)
+
+    def test_equal_tokens_share_one_string(self, tmp_path):
+        # each line used to keep its own copy of the token text
+        path = tmp_path / "a.conll"
+        path.write_text("p53\tB-PROT\nbinds\tO\n\nthe\tO\np53\tB-PROT\n", encoding="utf-8")
+        ds = read_conll(path, PROT)
+        assert ds.sentences[0].tokens[0] is ds.sentences[1].tokens[1]
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.conll"

@@ -5,7 +5,6 @@ import pytest
 
 from weakner.corpus import (
     Dataset,
-    DatasetKind,
     EntitySpan,
     TagSet,
     bio_encode,
@@ -103,24 +102,24 @@ class TestScoreEntities:
 class TestScoreDatasets:
     def test_spurious_span_is_false_positive(self):
         sents = [sentence_from_texts(["a", "b", "c", "d"])]
-        gold = Dataset(sents, [[1, 2, 0, 0]], DatasetKind.SEED)
-        pred = Dataset(sents, [[1, 2, 0, 1]], DatasetKind.SEED)
+        gold = Dataset(sents, [[1, 2, 0, 0]])
+        pred = Dataset(sents, [[1, 2, 0, 1]])
         report = score_datasets(pred, gold, PROT)
         assert report.tp == 1  # the [0,1] span survives, the spurious one is FP
         assert report.fp == 1
 
     def test_invalid_pred_repaired_before_scoring(self):
         sents = [sentence_from_texts(["a", "b"])]
-        gold = Dataset(sents, [[1, 0]], DatasetKind.SEED)
-        pred = Dataset(sents, [[2, 0]], DatasetKind.SEED)  # leading I-PROT
+        gold = Dataset(sents, [[1, 0]])
+        pred = Dataset(sents, [[2, 0]])  # leading I-PROT
         report = score_datasets(pred, gold, PROT)
         assert report.tp == 1 and report.fp == 0 and report.fn == 0
 
     def test_tag_outside_tag_set_rejected(self):
         # a predicted -1 used to decode as PROT, and this pair scored F1 100
         sents = [sentence_from_texts(["a", "b"])]
-        gold = Dataset(sents, [[0, 1]], DatasetKind.SEED)
-        pred = Dataset(sents, [[0, -1]], DatasetKind.SEED)
+        gold = Dataset(sents, [[0, 1]])
+        pred = Dataset(sents, [[0, -1]])
         with pytest.raises(UnknownTag):
             score_datasets(pred, gold, PROT)
 

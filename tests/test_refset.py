@@ -4,7 +4,7 @@ window-scan oracle that re-implements the matching contract from scratch."""
 import numpy as np
 import pytest
 
-from weakner.corpus import Dataset, DatasetKind, TagSet, bio_encode, sentence_from_texts
+from weakner.corpus import Dataset, TagSet, bio_encode, sentence_from_texts
 from weakner.errors import EmptyDataset, EmptyReferenceSet, WeaknerError
 from weakner.refset import (
     MatchPolicy,
@@ -67,7 +67,7 @@ def _resplit(token):
 
 def corpus_of(*sentences):
     sents = [sentence_from_texts(toks) for toks in sentences]
-    return Dataset(sents, [None] * len(sents), DatasetKind.CORPUS)
+    return Dataset(sents, [None] * len(sents))
 
 
 class TestLoadReferenceSet:
@@ -332,7 +332,7 @@ class TestAuditMatcher:
         for s, spans in enumerate(spans_per_sentence):
             sents.append(sentence_from_texts([f"t{s}{i}" for i in range(n_tokens)]))
             labels.append(bio_encode(spans, n_tokens, PROT, sentence=s))
-        return Dataset(sents, labels, DatasetKind.SEED)
+        return Dataset(sents, labels)
 
     def test_perfect(self):
         from weakner.corpus import EntitySpan

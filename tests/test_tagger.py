@@ -9,7 +9,6 @@ import pytest
 
 from weakner.corpus import (
     Dataset,
-    DatasetKind,
     Provenance,
     SoftLabeling,
     TagSet,
@@ -244,7 +243,7 @@ def _random_training_set(rng, tags, n_sentences=5, soft_targets=False, max_len=6
             lab = [int(t) for t in rng.integers(0, k, size=len(sent))]
         sents.append(sent)
         labels.append(lab)
-    return Dataset(sents, labels, DatasetKind.SEED)
+    return Dataset(sents, labels)
 
 
 class TestGradients:
@@ -511,7 +510,7 @@ class TestKernelsBitIdentical:
 class TestTraining:
     def _one_sentence_data(self):
         sent = sentence_from_texts(["p53", "binds", "MDM2"])
-        return Dataset([sent], [[1, 0, 1]], DatasetKind.SEED)
+        return Dataset([sent], [[1, 0, 1]])
 
     def test_loss_decreases_monotonically(self):
         data = self._one_sentence_data()
@@ -599,7 +598,6 @@ class TestTraining:
             sents,
             [[1, 0], SoftLabeling(np.array([[0.0, 1.0, 0.0]]),
                                   np.array([Provenance.SEED], dtype=np.int8))],
-            DatasetKind.SEED,
         )
         model = train(data, PROT, TrainConfig(epochs=3))
         assert len(model.feature_index) > 0
@@ -611,8 +609,7 @@ class TestTraining:
         soft = _random_training_set(rng, tags, n_sentences=12, soft_targets=True)
         soft.labels[0] = [0] * len(soft.sentences[0])      # a hard seed sentence
         hard = Dataset(soft.sentences,
-                       [lab if isinstance(lab, list) else harden(lab, tags) for lab in soft.labels],
-                       DatasetKind.SEED)
+                       [lab if isinstance(lab, list) else harden(lab, tags) for lab in soft.labels])
         cfg = TrainConfig(epochs=3, rng_seed=4, objective=Objective.SEQUENCE)
         a, b = train(soft, tags, cfg), train(hard, tags, cfg)
         assert a.feature_index == b.feature_index
@@ -621,15 +618,15 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
-            train(Dataset([], [], DatasetKind.SEED), PROT, TrainConfig())
+            train(Dataset([], []), PROT, TrainConfig())
 
     def test_unlabeled_sentence_rejected(self):
-        data = Dataset([sentence_from_texts(["a"])], [None], DatasetKind.SEED)
+        data = Dataset([sentence_from_texts(["a"])], [None])
         with pytest.raises(EmptyDataset):
             train(data, PROT, TrainConfig())
 
     def test_tag_set_mismatch_on_init(self):
-        data = Dataset([sentence_from_texts(["a"])], [[0]], DatasetKind.SEED)
+        data = Dataset([sentence_from_texts(["a"])], [[0]])
         base = train(data, PROT, TrainConfig(epochs=1))
         with pytest.raises(ModelTagSetMismatch):
             train(data, TWO, TrainConfig(epochs=1), init=base)
@@ -641,6 +638,17 @@ class TestTraining:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(WeaknerError):
             TrainConfig(l2=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value)
+        for field, bad in (("learning_rate", 0.0), ("decay", -1.0), ("l2", -1e-4))
+        for value in (float("nan"), float("inf"), bad)
+    ])
+    def test_bad_rate_names_its_field(self, field, value):
+        # decay=-1 used to read "learning_rate must be > 0 and decay >= 0", and
+        # a non-finite value "learning_rate, decay and l2 must be finite"
+        with pytest.raises(WeaknerError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("setting", [
         {"l2": float("nan")}, {"learning_rate": float("nan")},
@@ -673,7 +681,7 @@ class TestTraining:
     @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
     def test_negative_hard_tag_rejected(self, objective):
         # -1 used to index the last tag (I-PROT) and train silently
-        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, -1]], DatasetKind.SEED)
+        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, -1]])
         cfg = TrainConfig(epochs=1, objective=objective)
         with pytest.raises(UnknownTag):
             train(data, PROT, cfg)
@@ -682,7 +690,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
     def test_hard_tag_past_tag_set_rejected(self, objective):
-        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, 7]], DatasetKind.SEED)
+        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, 7]])
         cfg = TrainConfig(epochs=1, objective=objective)
         with pytest.raises(UnknownTag):
             train(data, PROT, cfg)
@@ -693,7 +701,7 @@ class TestTraining:
     def test_soft_rows_of_wrong_width_rejected(self, objective):
         rows = SoftLabeling(np.array([[0.5, 0.5], [1.0, 0.0]]),
                             np.full(2, Provenance.PREDICTED, dtype=np.int8))
-        data = Dataset([sentence_from_texts(["p53", "binds"])], [rows], DatasetKind.SEED)
+        data = Dataset([sentence_from_texts(["p53", "binds"])], [rows])
         cfg = TrainConfig(epochs=1, objective=objective)
         with pytest.raises(ModelTagSetMismatch):
             train(data, PROT, cfg)
@@ -821,8 +829,8 @@ class TestSgdStep:
         sents[5:5] = [sentence_from_texts([ODD_VOCAB[i] for i in rng.integers(len(ODD_VOCAB), size=n)])
                       for n in (60, 97, 130)]
         labels = [[int(t) for t in rng.integers(0, len(PROT), size=len(x))] for x in sents]
-        first = Dataset(sents[:7], labels[:7], DatasetKind.SEED)
-        more = Dataset(sents[3:], labels[3:], DatasetKind.SEED)
+        first = Dataset(sents[:7], labels[:7])
+        more = Dataset(sents[3:], labels[3:])
         cfg = TrainConfig(epochs=1, learning_rate=0.3, decay=0.1, l2=0.01, rng_seed=4,
                           objective=objective)
         base, want = train(first, PROT, cfg), naive_sgd_epoch(TaggerModel(PROT), first, cfg)
@@ -860,7 +868,7 @@ def odd_sentence(rng, max_len=9):
 
 class TestEmissions:
     def _p53_model(self):
-        data = Dataset([sentence_from_texts(["p53"])], [[1]], DatasetKind.SEED)
+        data = Dataset([sentence_from_texts(["p53"])], [[1]])
         return train(data, PROT, TrainConfig(epochs=2))
 
     def test_position_without_known_feature_gets_zero_row(self):
@@ -1101,7 +1109,7 @@ class TestFeatureExtractor:
             "x", "x", "XX", "ǅ", "xd", "d", "<x>"]
 
     def test_unknown_features_ignored_at_prediction(self):
-        data = Dataset([sentence_from_texts(["p53"])], [[1]], DatasetKind.SEED)
+        data = Dataset([sentence_from_texts(["p53"])], [[1]])
         model = train(data, PROT, TrainConfig(epochs=2))
         out = model.predict_soft([sentence_from_texts(["neverseen", "tokens"])])[0]
         assert np.abs(out.dist.sum(axis=1) - 1.0).max() < 1e-9
