@@ -77,6 +77,8 @@ class TagSet:
             _check_column("entity type", t)
         if len(set(self.entity_types)) != len(self.entity_types):
             raise WeaknerError("duplicate entity types")
+        # tag name -> index, for index(); not a field, so equality, hash and repr ignore it
+        object.__setattr__(self, "_positions", {tag: i for i, tag in enumerate(self.tags)})
 
     @property
     def tags(self):
@@ -91,8 +93,8 @@ class TagSet:
 
     def index(self, tag: str) -> int:
         try:
-            return self.tags.index(tag)
-        except ValueError:
+            return self._positions[tag]
+        except KeyError:
             raise UnknownTag(f"tag {tag!r} not in tag set {self.tags}") from None
 
     def b_index(self, entity_type: str) -> int:

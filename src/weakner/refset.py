@@ -146,10 +146,14 @@ def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
     text equals a name under the policy's case rule. A window grows only
     while its text is the part of some name before one of its spaces.
     Partial mode additionally matches a single token when one of its
-    hyphen/slash components equals a name under case folding. Each distinct
-    token text is folded and split into components once, and only tokens
-    that can start a match are visited: those whose text is a name or such
-    a part of one, or has a component hit.
+    hyphen/slash components equals a name under case folding.
+
+    The work is per distinct token text, not per token: each text of the
+    corpus is folded once, and split into components only if it holds a
+    hyphen or slash. A text can start a match when it is a name or such a
+    part of one, or has a component hit. A sentence holding no such text
+    is skipped with one set test; in the others only the positions of such
+    texts are visited, and a lone candidate needs no overlap resolution.
 
     Only names the policy keeps are searched (see filter_names). Overlaps
     resolve leftmost-longest; ties go to the longer matched name, then the
@@ -162,40 +166,46 @@ def find_matches(corpus: Dataset, refset: ReferenceSet, policy: MatchPolicy):
     # folded window text -> (the name it equals or None, whether it grows)
     windows = {key: (exact.get(key), key in heads) for key in exact.keys() | heads}
     types = {}   # token text -> (folded text, its windows entry, component hits)
+    for text in set().union(*(sent.tokens for sent in corpus.sentences)):
+        key = _fold(text, policy.case_sensitive)
+        step = windows.get(key)
+        own = step and step[0]      # the name the token alone equals, if any
+        comps = token_components(text) if "-" in text or "/" in text else [text]
+        # a component naming own would only repeat that candidate
+        hits = [partial[c] for c in map(str.casefold, comps) if c in partial and partial[c] != own]
+        types[text] = (key, step, hits)
+    starts = {text for text, (_, step, hits) in types.items() if step or hits}
 
     matches = []
     for s, sent in enumerate(corpus.sentences):
-        for text in sent.tokens:
-            if text not in types:
-                key = _fold(text, policy.case_sensitive)
-                comps = [c.casefold() for c in token_components(text)]
-                hits = [partial[c] for c in comps if c in partial]
-                types[text] = (key, windows.get(key), hits)
-        info = [types[text] for text in sent.tokens]
+        tokens = sent.tokens
+        if starts.isdisjoint(tokens):
+            continue
         candidates = []
-        for i in [i for i, (_, step, hits) in enumerate(info) if step or hits]:
-            key, step, hits = info[i]
+        for i in [i for i, text in enumerate(tokens) if text in starts]:
+            key, step, hits = types[tokens[i]]
             last = i
             while step is not None:
                 name, grows = step
                 if name is not None:
                     candidates.append((i, last, name))
                 last += 1
-                if not grows or last == len(info):
+                if not grows or last == len(tokens):
                     break
-                key += " " + info[last][0]
+                key += " " + types[tokens[last]][0]
                 step = windows.get(key)
             candidates += [(i, i, name) for name in hits]
-        if candidates:
-            matches.extend(
-                RefMatch(s, first, last, name, refset.entity_type)
-                for first, last, name in _resolve_overlaps(candidates)
-            )
+        matches.extend(
+            RefMatch(s, first, last, name, refset.entity_type)
+            for first, last, name in _resolve_overlaps(candidates)
+        )
     return matches
 
 
 def _resolve_overlaps(candidates):
     """Greedy leftmost-longest selection over (first, last, name) triples."""
+    if len(candidates) < 2:
+        return candidates
     ranked = sorted(
         set(candidates),
         key=lambda c: (c[0], -(c[1] - c[0]), -len(c[2]), c[2]),

@@ -17,11 +17,13 @@ input order. Every feature template reads one text, the token's own or a
 neighbour's, so feature strings are built and looked up once per distinct
 text. The own-text templates' rows are summed once per distinct text, and
 each token adds its neighbour templates' rows to its text's sum, in
-template order. An unknown feature adds a zero row, so the sums equal, bit
-for bit, the in-order sums over each token's known features. Sentences of
-equal length then share one dynamic program: their rows are gathered
-position-major into an (n, B, k) array, so the per-position work is one
-numpy call per length, not per sentence.
+template order. A neighbour template's rows are gathered per type, then
+per token with np.take, so no per-token id array is built. An unknown
+feature adds a zero row, so the sums equal, bit for bit, the in-order sums
+over each token's known features. Sentences of equal length then share one
+dynamic program: their rows are gathered position-major into an (n, B, k)
+array, so the per-position work is one numpy call per length, not per
+sentence.
 
 Two training objectives are supported, both optimized by per-sentence SGD
 with an inverse-time learning-rate decay and L2 regularization:
@@ -60,6 +62,7 @@ import json
 import math
 import string
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -187,7 +190,7 @@ class TaggerModel:
         w, offsets = WINDOW, self.extractor.offsets
         texts = {"<s>": 0, "</s>": 1}   # the pads past a sentence end
         ids = [texts.setdefault(t, len(texts)) for s in sentences for t in s.tokens]
-        lens = np.array([len(s) for s in sentences], dtype=np.intp)
+        lens = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
         block = w * (2 * np.arange(len(lens)) + 1)     # the pads before each sentence's tokens
         token = np.arange(len(ids)) + np.repeat(block, lens)
         padded = np.zeros(len(ids) + 2 * w * len(lens), dtype=np.intp)
@@ -207,7 +210,8 @@ class TaggerModel:
                     index.setdefault(flat[p], len(index))
             new = np.zeros((len(index) - len(self.weights), len(self.tags)))
             self.weights = np.vstack([self.weights, new])
-        table = np.array([index.get(f, -1) for f in flat], dtype=np.intp).reshape(len(texts), -1)
+        table = np.fromiter(map(index.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
+        table = table.reshape(len(texts), -1)
         return table, source, lens.cumsum() - lens
 
     def _feature_ids(self, sentences, grow=False):
@@ -224,17 +228,18 @@ class TaggerModel:
         the sentences concatenated, and each sentence's first row. The
         own-text templates, which come first, are summed once per type in
         template order from zeros; each token gathers its type's sum and adds
-        its neighbour templates in order, an unknown feature adding zeros."""
+        its neighbour templates in order, an unknown feature adding zeros.
+        A neighbour template's rows are gathered per type, then per token."""
         table, source, starts = self._type_table(sentences)
         R = np.vstack([self.weights, np.zeros((1, len(self.tags)))])    # id -1: zeros
         own = np.zeros((len(table), len(self.tags)))
         for c, d in enumerate(self.extractor.offsets):
             if d == 0:
                 own += R[table[:, c]]
-        E = own[source[0]]
+        E = np.take(own, source[0], axis=0)
         for c, d in enumerate(self.extractor.offsets):
             if d:
-                E += R[table[source[d], c]]
+                E += np.take(R[table[:, c]], source[d], axis=0)
         return E, starts
 
     # -- inference ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tokenizer, BIO codec, labelings, splitting and file round-trips."""
 
+import dataclasses
 import pickle
 import re
 
@@ -140,6 +141,17 @@ class TestTagSet:
     def test_unknown_tag(self):
         with pytest.raises(UnknownTag):
             PROT.index("B-XYZ")
+
+    def test_index_table_is_no_field(self):
+        assert [TWO.index(t) for t in TWO.tags] == list(range(len(TWO)))
+        # index's lookup table is no field: equality, hash, repr and pickling
+        # see the entity types alone
+        assert [f.name for f in dataclasses.fields(TagSet)] == ["entity_types"]
+        again = TagSet(("PROT", "CELL"))
+        assert again == TWO and hash(again) == hash(TWO) and TWO != TagSet(("CELL", "PROT"))
+        assert repr(TWO) == "TagSet(entity_types=('PROT', 'CELL'))"
+        copy = pickle.loads(pickle.dumps(TWO))
+        assert copy == TWO and copy.index("I-CELL") == 4
 
     @pytest.mark.parametrize("types", [
         (), ("",), ("a b",), ("PROT", "a\tb"), (" PROT",), ("PROT\n",), ("PROT", "PROT"),

@@ -1,6 +1,11 @@
 """Gazetteer loading, filtering and matching, checked against a naive
 window-scan oracle that re-implements the matching contract from scratch."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from weakner.corpus import Dataset, TagSet, bio_encode, sentence_from_texts
 from weakner.errors import EmptyDataset, EmptyReferenceSet, WeaknerError
 from weakner.refset import (
     MatchPolicy,
+    RefMatch,
     ReferenceSet,
     audit_matcher,
     exact_policy,
@@ -26,27 +32,34 @@ PROT = TagSet(("PROT",))
 # Naive oracle: scan every window x every name, then greedy resolution
 # ---------------------------------------------------------------------------
 
-def naive_matches(corpus, names, policy):
-    """O(sentences * windows * names) scan; same contract, separate code."""
+def naive_candidates(texts, names, policy):
+    """Every (first, last, name) that a window of texts, or under partial
+    matching one token's component, matches: O(windows * names)."""
 
     def fold(s, sensitive):
         return s if sensitive else s.casefold()
 
+    cands = set()
+    for i in range(len(texts)):
+        for j in range(i, len(texts)):
+            window = " ".join(texts[i:j + 1])
+            for name in names:
+                if fold(window, policy.case_sensitive) == fold(name, policy.case_sensitive):
+                    cands.add((i, j, name))
+        if policy.allow_partial:
+            comps = [c for c in _resplit(texts[i]) if c]
+            for name in names:
+                if any(c.casefold() == name.casefold() for c in comps):
+                    cands.add((i, i, name))
+    return cands
+
+
+def naive_matches(corpus, names, policy):
+    """Scan every window x every name, then greedy resolution; same
+    contract, separate code."""
     out = []
     for s, sent in enumerate(corpus.sentences):
-        texts = sent.texts()
-        cands = set()
-        for i in range(len(texts)):
-            for j in range(i, len(texts)):
-                window = " ".join(texts[i:j + 1])
-                for name in names:
-                    if fold(window, policy.case_sensitive) == fold(name, policy.case_sensitive):
-                        cands.add((i, j, name))
-            if policy.allow_partial:
-                comps = [c for c in _resplit(texts[i]) if c]
-                for name in names:
-                    if any(c.casefold() == name.casefold() for c in comps):
-                        cands.add((i, i, name))
+        cands = naive_candidates(sent.texts(), names, policy)
         # greedy leftmost-longest, longer name, lexicographically smaller name
         chosen = []
         free = 0
@@ -317,6 +330,112 @@ class TestFindMatches:
                 )
             }
             assert c1 <= c2
+
+
+class TestMatcherCases:
+    """find_matches against naive_matches, as whole RefMatch lists in order,
+    under both case rules with partial matching off and on."""
+
+    POLICIES = [MatchPolicy(case_sensitive=c, allow_partial=p)
+                for c in (True, False) for p in (False, True)]
+    # ß folds to ss, so folding can lengthen a text
+    NAME_WORDS = ["Ras", "RAS", "ras", "p53", "P53", "mTOR", "ß", "SS"]
+    FILLER = ["the", "of", "cells", "and", "in", "x"]     # part of no name
+
+    def _case(self, rng):
+        """Mostly filler sentences; the rest end on a name or one token
+        after it, run two names together, or hold a token of several
+        hyphen/slash components (some empty)."""
+        def pick(seq):
+            return seq[int(rng.integers(len(seq)))]
+
+        names = {" ".join(pick(self.NAME_WORDS) for _ in range(rng.integers(1, 4)))
+                 for _ in range(rng.integers(2, 6))}
+        pieces = [name.split(" ") for name in sorted(names)]
+        sentences = []
+        for _ in range(rng.integers(10, 25)):
+            toks = [pick(self.FILLER) for _ in range(rng.integers(1, 6))]
+            r = rng.random()
+            if r < 0.1:
+                toks += pick(pieces) + [pick(self.FILLER)] * int(rng.integers(2))
+            elif r < 0.2:
+                toks += pick(pieces) + pick(pieces)
+            elif r < 0.3:
+                words = self.NAME_WORDS + self.FILLER + [""]
+                parts = [pick(words) for _ in range(rng.integers(2, 5))]
+                token = parts[0] + "".join(pick("-/") + part for part in parts[1:])
+                toks.insert(int(rng.integers(len(toks) + 1)), token)
+            sentences.append(toks)
+        return corpus_of(*sentences), ReferenceSet(frozenset(names), "PROT")
+
+    def _cases(self):
+        rng = np.random.default_rng(2024)
+        return [self._case(rng) for _ in range(60)]
+
+    @pytest.mark.parametrize("policy", POLICIES,
+                             ids=lambda p: f"cs{p.case_sensitive:d}-partial{p.allow_partial:d}")
+    def test_equals_oracle(self, policy):
+        for trial, (corpus, rs) in enumerate(self._cases()):
+            want = [RefMatch(s, first, last, name, "PROT")
+                    for s, first, last, name in naive_matches(corpus, rs.names, policy)]
+            assert find_matches(corpus, rs, policy) == want, trial
+
+    def test_cases_reach_what_they_are_meant_to(self):
+        filler = total = 0
+        many_components = ends_last = ends_short = overlaps = 0
+        for corpus, rs in self._cases():
+            for sent in corpus.sentences:
+                total += 1
+                filler += set(sent.tokens) <= set(self.FILLER)
+                many_components += any(len(token_components(t)) >= 3 for t in sent.tokens)
+            for policy in self.POLICIES:
+                for m in find_matches(corpus, rs, policy):
+                    n = len(corpus.sentences[m.sentence])
+                    ends_last += m.first < m.last == n - 1
+                    ends_short += m.first < m.last == n - 2
+                for sent in corpus.sentences:
+                    cands = sorted(naive_candidates(sent.texts(), rs.names, policy))
+                    overlaps += any(b[0] <= a[1] for a, b in zip(cands, cands[1:]))
+        assert filler > total / 2
+        assert min(many_components, ends_last, ends_short, overlaps) > 0
+
+
+# The matcher walks a set of token texts, whose order follows the string
+# hash. This pipeline prints a digest of everything it produces.
+HASH_SEED_PIPELINE = """
+import hashlib, sys
+from weakner import (Dataset, SyntheticSpec, TagSet, TrainConfig, filtered_policy,
+                     find_matches, generate_synthetic, predict_dataset_hard, relabel, train)
+gold, refset, dictionary = generate_synthetic(SyntheticSpec(n_sentences=200, rng_seed=5))
+corpus = Dataset(gold.sentences, [None] * len(gold))
+matches = find_matches(corpus, refset, filtered_policy(dictionary, 4))
+model = train(gold, TagSet(("PROT",)), TrainConfig(epochs=1))
+labeled = relabel(corpus, model, matches)
+hard = predict_dataset_hard(model, corpus)
+model.save(sys.argv[1])
+digest = hashlib.sha256(repr(matches).encode() + repr(hard.labels).encode())
+for soft in labeled.labels:
+    digest.update(soft.dist.tobytes() + soft.provenance.tobytes())
+with open(sys.argv[1], "rb") as fh:
+    digest.update(fh.read())
+print(len(matches), digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PIPELINE, str(tmp_path / f"seed{seed}.model")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        digests.append(done.stdout.split())
+    assert int(digests[0][0]) > 0
+    assert digests[0] == digests[1]
 
 
 class TestTokenComponents:

@@ -861,6 +861,23 @@ def token_features(sentence):
 ODD_VOCAB = VOCAB + ["<s>", "</s>", "a", "Xy", "é", "Grün", "ΔN", "42"]
 
 
+def per_token_gather_emissions(model, sentences):
+    """Reference emissions over the same type table: the own-text sums per
+    type, then for each neighbour template a per-token id array
+    table[source[d], c] and its rows, added in template order."""
+    table, source, starts = model._type_table(sentences)
+    R = np.vstack([model.weights, np.zeros((1, len(model.tags)))])
+    own = np.zeros((len(table), len(model.tags)))
+    for c, d in enumerate(model.extractor.offsets):
+        if d == 0:
+            own += R[table[:, c]]
+    E = own[source[0]]
+    for c, d in enumerate(model.extractor.offsets):
+        if d:
+            E += R[table[source[d], c]]
+    return E, starts
+
+
 def odd_sentence(rng, max_len=9):
     n = int(rng.integers(1, max_len + 1))
     return sentence_from_texts([ODD_VOCAB[int(rng.integers(len(ODD_VOCAB)))] for _ in range(n)])
@@ -933,7 +950,23 @@ class TestFactoredFeatures:
         E, starts = model.emissions(data)
         assert len(E) == sum(map(len, data))
         for sent, start in zip(data, starts):
-            assert np.array_equal(E[start:start + len(sent)], naive_emissions(model, sent))
+            assert E[start:start + len(sent)].tobytes() == naive_emissions(model, sent).tobytes()
+
+    @pytest.mark.parametrize("draw", [0, 1, 2, 3])
+    def test_emissions_equal_per_token_gather(self, draw):
+        rng = np.random.default_rng(60 + draw)
+        seen = [odd_sentence(rng) for _ in range(12)]
+        model = TaggerModel(TWO)
+        model._feature_ids(seen, grow=True)
+        model.weights = rng.normal(scale=1e3, size=model.weights.shape)
+        model.weights[::5] = -0.0
+        # unseen sentences bring unknown features; 1 and 2 tokens reach the pads
+        vocab = np.array(ODD_VOCAB, dtype=object)
+        short = [sentence_from_texts(rng.choice(vocab, size=n).tolist()) for n in (1, 2, 1, 2)]
+        data = [*seen[:6], *short, *(odd_sentence(rng) for _ in range(12)), *seen[6:]]
+        E, starts = model.emissions(data)
+        want, want_starts = per_token_gather_emissions(model, data)
+        assert E.tobytes() == want.tobytes() and starts.tolist() == want_starts.tolist()
 
     def test_fresh_model_gives_zero_rows(self):
         rng = np.random.default_rng(52)
