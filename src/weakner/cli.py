@@ -15,7 +15,8 @@ Options can also come from a flat config file, given after the command as
 read as -), placed before the command line's own options, so those win.
 Blank and # lines are skipped. Flags take yes/no values (--grid, --grid=no);
 abbreviated options are rejected. All randomness flows from --rng-seed. Exit
-codes: 0 ok, 1 usage error, 2 data error, 3 internal error.
+codes: 0 ok, 1 usage error, 2 data error, 3 internal error; the message of a
+bad setting starts with the option that set it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def option(self, dest):
+        """The option that stores into dest, or None."""
+        for action in self._actions:
+            if action.dest == dest and action.option_strings:
+                return action.option_strings[0]
+        return None
+
 
 def _yes_no(raw):
     low = raw.lower()
@@ -61,7 +69,8 @@ def _yes_no(raw):
 
 
 def _opt(parser, name, help_text, type=str, default=None, field=None, **kw):
-    """--name, stored under `field`, the config field it fills (else under name)."""
+    """--name, stored under `field`, the config field or parameter it fills
+    (else under name); an error about that field names --name (see _named)."""
     parser.add_argument("--" + name.replace("_", "-"), dest=field or name, type=type,
                         default=default, help=help_text, metavar=name.upper(), **kw)
 
@@ -69,6 +78,14 @@ def _opt(parser, name, help_text, type=str, default=None, field=None, **kw):
 def _flag(parser, name, help_text, default=False):
     parser.add_argument("--" + name.replace("_", "-"), dest=name, type=_yes_no, nargs="?",
                         const=True, default=default, help=help_text, metavar="yes|no")
+
+
+def _named(error, ns):
+    """error's message, led by the option that fills the field it names
+    (error.field is the option's dest), when the command has one."""
+    parser = getattr(ns, "parser", None)
+    option = parser and parser.option(getattr(error, "field", None))
+    return f"{option}: {error}" if option else str(error)
 
 
 def _config(cls, ns):
@@ -151,7 +168,7 @@ def _build_policy(ns):
 def cmd_split(ns) -> int:
     tags = _tags(ns.entity_type)
     dataset = read_conll(ns.input, tags)
-    seed, corpus, gold = split_seed(dataset, ns.seed_frac, ns.rng_seed)
+    seed, corpus, gold = split_seed(dataset, ns.fraction, ns.rng_seed)
     os.makedirs(ns.out_dir, exist_ok=True)
     write_conll(seed, os.path.join(ns.out_dir, "seed.conll"), tags)
     write_conll(corpus, os.path.join(ns.out_dir, "corpus.conll"), tags)
@@ -225,7 +242,7 @@ def cmd_synthetic(ns) -> int:
     try:
         spec = _config(SyntheticSpec, ns)
     except SpecInvalid as e:
-        raise UsageError(str(e)) from None
+        raise UsageError(_named(e, ns)) from None
     grid_cfg = _config(GridConfig, ns) if ns.grid else None    # checked before any file is written
     gold, refset, dictionary = generate_synthetic(spec)
     tags = TagSet((spec.entity_type,))
@@ -290,12 +307,12 @@ def build_parser():
 
     def add_parser(name, help_text, run):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         return p
 
     p = add_parser("split", "split a labeled file into seed/corpus/gold", cmd_split)
     _opt(p, "input", "labeled input file", required=True)
-    _opt(p, "seed_frac", "fraction of sentences kept as seed", float, 0.03)
+    _opt(p, "seed_frac", "fraction of sentences kept as seed", float, 0.03, field="fraction")
     _opt(p, "rng_seed", "random seed", int, 0)
     _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
     _opt(p, "out_dir", "output directory", required=True)
@@ -368,7 +385,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, args = build_parser(), None
     try:
         args = parser.parse_args(_with_config(sys.argv[1:] if argv is None else list(argv)))
         if args.command is None:
@@ -378,7 +395,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (WeaknerError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
+        print(f"data error: {_named(e, args)}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - defensive
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

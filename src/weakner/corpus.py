@@ -24,6 +24,7 @@ from .errors import (
     UnknownTag,
     WeaknerError,
     check_fraction,
+    check_int,
 )
 
 _PUNCT = set(string.punctuation)
@@ -340,12 +341,14 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
     FractionOutOfRange.
     """
     check_fraction("fraction", fraction)
+    check_int("rng_seed", rng_seed, 0)
     if any(lab is None for lab in dataset.labels):
         raise WeaknerError("split_seed needs a fully labeled dataset")
     n = len(dataset)
     n_seed = round(fraction * n)
     if not 0 < n_seed < n:
-        raise FractionOutOfRange(f"fraction {fraction} of {n} sentences leaves a part empty")
+        raise FractionOutOfRange(f"fraction {fraction} of {n} sentences leaves a part empty",
+                                 field="fraction")
     order = np.random.default_rng(rng_seed).permutation(n)
     seed_idx = sorted(order[:n_seed].tolist())
     corpus_idx = sorted(order[n_seed:].tolist())

@@ -8,7 +8,12 @@ import numbers
 
 
 class WeaknerError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. `field` names the setting at
+    fault, when one setting is."""
+
+    def __init__(self, *args, field=None):
+        super().__init__(*args)
+        self.field = field
 
 
 class EmptySentence(WeaknerError):
@@ -64,10 +69,10 @@ def check_int(name, value, minimum, error=WeaknerError):
     """Raise error (a WeaknerError type) unless value is an integer (not a
     bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise error(f"{name} must be an integer >= {minimum}, not {value!r}")
+        raise error(f"{name} must be an integer >= {minimum}, not {value!r}", field=name)
 
 
 def check_fraction(name, value):
     """Raise FractionOutOfRange unless 0 < value < 1."""
     if not 0.0 < value < 1.0:
-        raise FractionOutOfRange(f"{name} must be in (0, 1), got {value}")
+        raise FractionOutOfRange(f"{name} must be in (0, 1), got {value}", field=name)

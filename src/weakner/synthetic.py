@@ -74,7 +74,7 @@ class SyntheticSpec:
                      "multiword_name_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise SpecInvalid(f"{name} must be in [0, 1], got {v}")
+                raise SpecInvalid(f"{name} must be in [0, 1], got {v}", field=name)
         # the generator draws distractors, and the context words hold the
         # triggers and at least one plain word
         for name, minimum in (("n_sentences", 1), ("n_entity_names", 1),
@@ -86,7 +86,7 @@ class SyntheticSpec:
         try:
             TagSet((self.entity_type,))
         except WeaknerError as e:
-            raise SpecInvalid(str(e)) from None
+            raise SpecInvalid(str(e), field="entity_type") from None
 
 
 class _Vocab:

@@ -20,10 +20,13 @@ each token adds its neighbour templates' rows to its text's sum, in
 template order. A neighbour template's rows are gathered per type, then
 per token with np.take, so no per-token id array is built. An unknown
 feature adds a zero row, so the sums equal, bit for bit, the in-order sums
-over each token's known features. Sentences of equal length then share one
-dynamic program: their rows are gathered position-major into an (n, B, k)
-array, so the per-position work is one numpy call per length, not per
-sentence.
+over each token's known features. Hard prediction sorts a call's sentences
+longest first and packs their rows position-major with no padding: block i
+holds position i of every sentence longer than i, so one Viterbi pass runs
+over the longest length, each step on a prefix of the sentences. Soft
+prediction stacks the sentences of each length position-major into an
+(n, B, k) array and runs one forward-backward per length, the kernel that
+training runs on one sentence.
 
 Two training objectives are supported, both optimized by per-sentence SGD
 with an inverse-time learning-rate decay and L2 regularization:
@@ -42,8 +45,9 @@ with an inverse-time learning-rate decay and L2 regularization:
 Training reads an (n_tokens, n_templates) feature-id matrix built from the
 same per-type tables. Each sentence's rows are a view of it that indexes a
 working copy of the weights with one extra zero row, the row that id -1 (an
-unknown or absent feature) names. A sentence's emissions are one gather and
-sum in template order. Its SGD step is one np.subtract.at over every firing,
+unknown or absent feature) names. A sentence's emissions are one gather,
+template axis first, and one reduce over that leading axis, summing in
+template order. Its SGD step is one np.subtract.at over every firing,
 token by token in template order, after which the zero row is reset to zero.
 
 All dynamic programs run in log space. In each step's scores the tag being
@@ -149,11 +153,12 @@ class TrainConfig:
         check_int("epochs", self.epochs, 1)
         check_int("rng_seed", self.rng_seed, 0)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise WeaknerError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}")
+            raise WeaknerError(f"learning_rate must be finite and > 0, not {self.learning_rate!r}",
+                               field="learning_rate")
         for name in ("decay", "l2"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
-                raise WeaknerError(f"{name} must be finite and >= 0, not {value!r}")
+                raise WeaknerError(f"{name} must be finite and >= 0, not {value!r}", field=name)
         if self.learning_rate * self.l2 >= 1.0:  # the decayed rate is never larger
             raise WeaknerError("learning_rate * l2 must be < 1 (the L2 step would zero the model)")
 
@@ -244,40 +249,45 @@ class TaggerModel:
 
     # -- inference ----------------------------------------------------------
 
-    def _length_batches(self, sentences):
-        """(indices, rows, E) per sentence length, lengths in first-seen order:
-        rows (n, B) are the dataset-wide emission rows of the sentences at
-        those indices, position-major, and E their emissions (n, B, k)."""
+    def predict_soft(self, sentences) -> list:
+        """Posterior tag marginals per token of each sentence, in input order;
+        provenance PREDICTED. The sentences of each length, lengths in
+        first-seen order, share one forward-backward over their emission
+        rows stacked position-major, (n, B, k); the labelings are views of
+        one dataset-wide array, checked once."""
         E, starts = self.emissions(sentences)
+        mu = np.empty_like(E)
         groups = {}
         for i, sentence in enumerate(sentences):
             groups.setdefault(len(sentence), []).append(i)
         for n, group in groups.items():
             rows = starts[group] + np.arange(n)[:, None]
-            yield group, rows, E[rows]
-
-    def predict_soft(self, sentences) -> list:
-        """Posterior tag marginals per token of each sentence, in input order;
-        provenance PREDICTED. One forward-backward runs per sentence length;
-        the labelings are views of one dataset-wide array, checked once."""
-        mu = np.empty((sum(map(len, sentences)), len(self.tags)))
-        starts = np.empty(len(sentences), dtype=np.intp)
-        for group, rows, E in self._length_batches(sentences):
-            alpha, beta, log_z = _forward_backward(E, self.transitions)
+            alpha, beta, log_z = _forward_backward(E[rows], self.transitions)
             batch = np.exp(alpha + beta - log_z[:, None])
             batch /= batch.sum(axis=-1, keepdims=True)
-            mu[rows], starts[group] = batch, rows[0]
+            mu[rows] = batch
         prov = np.full(len(mu), Provenance.PREDICTED, dtype=np.int8)
         return SoftLabeling.split(mu, prov, starts)
 
     def predict_hard(self, sentences) -> list:
         """Viterbi decode of each sentence, in input order; ties broken by
-        lower tag index. One Viterbi pass runs per sentence length."""
-        out = [None] * len(sentences)
-        for group, _, E in self._length_batches(sentences):
-            for i, path in zip(group, _viterbi(E, self.transitions).T.tolist()):
-                out[i] = path
-        return out
+        lower tag index. The sentences are sorted longest first (a stable
+        sort) and their emission rows packed position-major with no padding,
+        so one Viterbi pass runs over the longest length (see _viterbi)."""
+        if not sentences:
+            return []
+        E, starts = self.emissions(sentences)
+        lens = np.diff(starts, append=len(E))
+        order = np.argsort(-lens, kind="stable")
+        sizes = len(lens) - np.bincount(lens).cumsum()[:-1]    # sentences longer than i
+        # packed row r holds position i[r] of the j[r]-th longest sentence
+        i = np.repeat(np.arange(len(sizes)), sizes)
+        j = np.arange(len(E)) - np.repeat(sizes.cumsum() - sizes, sizes)
+        packed = starts[order][j] + i
+        tags = np.empty(len(E), dtype=np.intp)
+        tags[packed] = _viterbi(np.take(E, packed, axis=0), self.transitions, sizes.tolist())
+        flat = tags.tolist()
+        return [flat[s:s + n] for s, n in zip(starts.tolist(), lens.tolist())]
 
     # -- serialization ------------------------------------------------------
 
@@ -385,26 +395,36 @@ def _back(E, T, alpha):
     return np.exp(alpha[:-1, :, None] + T - (alpha[1:] - E[1:])[:, None, :])
 
 
-def _viterbi(E, T):
-    """Best tag paths (n, B) of equal-length sentences E (n, B, k). A step's
-    scores put the previous tag first, (k, B, k), so its max and argmax are
-    reduces over axis 0; the first max, i.e. the lowest previous tag, wins
-    ties."""
-    n, b, k = E.shape
-    back = np.empty((n, b, k), dtype=np.intp)     # row 0 is never read
-    delta = E[0].copy()
-    scores = np.empty((k, b, k))
-    prev, T = delta.T[:, :, None], T[:, None, :]
-    for row, e in zip(back[1:], E[1:]):
-        np.add(prev, T, out=scores)
-        scores.argmax(axis=0, out=row)
-        np.maximum.reduce(scores, axis=0, out=delta)
-        delta += e
-    paths = np.empty((n, b), dtype=np.intp)
-    paths[-1] = delta.argmax(axis=1)
-    batch = np.arange(b)
-    for i in range(n - 1, 0, -1):
-        paths[i - 1] = back[i, batch, paths[i]]
+def _viterbi(E, T, sizes):
+    """Best tag paths of sentences sorted longest first, their emission rows
+    packed position-major, E (n_tokens, k): block i holds position i of the
+    sizes[i] sentences longer than i, in sentence order, so the list sizes
+    never grows. Returns the tags in the same packed layout. Step i works on the
+    prefix of sizes[i] sentences; the others have ended and keep their last
+    delta. A step's scores put the previous tag first, (k, B, k), so its max
+    and argmax are reduces over axis 0; the first max, i.e. the lowest
+    previous tag, wins ties."""
+    k = E.shape[1]
+    starts = np.cumsum([0] + sizes).tolist()
+    back = np.empty(E.shape, dtype=np.intp)     # block 0 is never read
+    delta = E[:sizes[0]].copy()
+    buffer = np.empty(k * sizes[0] * k)
+    T = T[:, None, :]
+    for b, lo in zip(sizes[1:], starts[1:]):
+        scores = buffer[:k * b * k].reshape(k, b, k)
+        cur = delta[:b]
+        np.add(cur.T[:, :, None], T, out=scores)
+        scores.argmax(axis=0, out=back[lo:lo + b])
+        np.maximum.reduce(scores, axis=0, out=cur)
+        cur += E[lo:lo + b]
+    # a sentence's tag at its last position is the argmax of its last delta
+    tags = delta.argmax(axis=1)
+    paths = np.empty(len(E), dtype=np.intp)
+    rows = np.arange(sizes[0])
+    for b, lo in zip(sizes[:0:-1], starts[-2:0:-1]):
+        paths[lo:lo + b] = tags[:b]
+        tags[:b] = back[lo:lo + b][rows[:b], tags[:b]]
+    paths[:sizes[0]] = tags
     return paths
 
 
@@ -552,7 +572,7 @@ def train(
         order = np.random.default_rng([cfg.rng_seed, epoch]).permutation(len(rows))
         for si in order.tolist():
             m = rows[si]
-            E = np.take(W, m, axis=0).sum(axis=1)
+            E = np.add.reduce(np.take(W, m.T, axis=0), axis=0)
             _, gE, gT = _sentence_loss_grad(E, T, targets[si], cfg.objective)
             # one step per firing, in token then template order; what lands
             # on the zero row is wiped

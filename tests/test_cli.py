@@ -573,6 +573,77 @@ class TestOptionsFillConfigs:
         assert f"initial seed model (default: {BootstrapConfig.seed_epochs})" in helps["synthetic"]
 
 
+class TestBadNumberNamesItsOption:
+    """A bad value of any numeric option keeps its exit code, and the
+    message names the option typed, not only the config field it fills."""
+
+    # option -> (bad value, exit code); the grid options need --grid
+    SYNTHETIC = {
+        "--sentences": ("0", 1), "--entity-names": ("0", 1), "--context-words": ("12", 1),
+        "--distractors": ("0", 1), "--ambiguity": ("1.5", 1), "--hyphenation": ("-0.1", 1),
+        "--short-rate": ("2", 1), "--multiword-rate": ("-1", 1), "--rng-seed": ("-1", 1),
+        "--seed-frac": ("0", 2), "--test-frac": ("1", 2), "--iterations": ("-1", 2),
+        "--full-epochs": ("0", 2), "--min-name-len": ("0", 2), "--epochs": ("0", 2),
+        "--seed-epochs": ("0", 2), "--final-epochs": ("0", 2), "--learning-rate": ("0", 2),
+        "--decay": ("-1", 2), "--l2": ("nan", 2),
+    }
+    BOOTSTRAP = {
+        "--iterations": "-1", "--rng-seed": "-1", "--min-name-len": "0", "--epochs": "0",
+        "--seed-epochs": "0", "--final-epochs": "0", "--learning-rate": "inf", "--decay": "nan",
+        "--l2": "-1",
+    }
+    SPLIT = {"--seed-frac": "1.5", "--rng-seed": "-1"}
+
+    @pytest.mark.parametrize("command, table", [
+        (["synthetic", "--out-dir", "o"], SYNTHETIC),
+        (["bootstrap", "--seed", "s", "--corpus", "c", "--refset", "r", "--out-dir", "o"],
+         BOOTSTRAP),
+        (["split", "--input", "i", "--out-dir", "o"], SPLIT),
+    ])
+    def test_every_numeric_option_is_listed(self, command, table):
+        sub = cli.build_parser().parse_args(command).parser
+        numeric = {a.option_strings[0] for a in sub._actions if a.type in (int, float)}
+        assert numeric == set(table)
+
+    @pytest.mark.parametrize("option", list(SYNTHETIC))
+    def test_synthetic(self, tmp_path, capsys, monkeypatch, option):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_experiment_grid", no_grid)
+        value, code = self.SYNTHETIC[option]
+        rc = main(["synthetic", "--out-dir", str(tmp_path / "out"), "--sentences", "10",
+                   "--grid", option, value])
+        assert rc == code
+        kind = "usage" if code == 1 else "data"
+        assert capsys.readouterr().err.startswith(f"{kind} error: {option}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", list(BOOTSTRAP))
+    def test_bootstrap(self, synth_dir, split_dir, tmp_path, capsys, monkeypatch, option):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the loop ran")
+
+        monkeypatch.setattr(cli, "iterative_train", no_loop)
+        rc = main([
+            "bootstrap", "--seed", str(split_dir / "seed.conll"),
+            "--corpus", str(split_dir / "corpus.conll"), "--refset", str(synth_dir / "refset.txt"),
+            option, self.BOOTSTRAP[option], "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {option}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", list(SPLIT))
+    def test_split(self, synth_dir, tmp_path, capsys, option):
+        # --rng-seed -1 used to exit 3 on a bare ValueError from numpy
+        rc = main(["split", "--input", str(synth_dir / "gold.conll"), option, self.SPLIT[option],
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {option}: ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -470,24 +470,77 @@ def ref_viterbi(E, T):
     return path[::-1], ties
 
 
+def pack_longest_first(blocks):
+    """Rows (n_i, k) of several sentences packed as _viterbi reads them:
+    sorted longest first (stable), position-major. Returns the packed rows,
+    the block sizes and, per sentence, its packed row numbers."""
+    order = sorted(range(len(blocks)), key=lambda j: -len(blocks[j]))
+    rows, sizes, where = [], [], [[] for _ in blocks]
+    for i in range(max(map(len, blocks))):
+        alive = [j for j in order if len(blocks[j]) > i]
+        for j in alive:
+            where[j].append(len(rows))
+            rows.append(blocks[j][i])
+        sizes.append(len(alive))
+    return np.array(rows), sizes, where
+
+
 class TestViterbi:
     @pytest.mark.parametrize("b", [1, 6, 170])
     @pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (13, 3), (13, 5), (46, 5)])
     def test_stacked_equals_one_sentence_at_a_time(self, n, k, b):
         # integer scores from a narrow range tie often; the lowest previous
-        # tag must win every tie, in a stack as for one sentence
+        # tag must win every tie, in a stack as for one sentence. b sentences
+        # of one length pack as (n, b, k) read row by row.
         rng = np.random.default_rng(100 * n + k + b)
         E = rng.integers(-1, 2, size=(n, b, k)).astype(float)
         T = rng.integers(-1, 2, size=(k, k)).astype(float)
-        paths = _viterbi(E, T)
-        assert paths.shape == (n, b)
+        paths = _viterbi(E.reshape(n * b, k), T, [b] * n)
+        assert paths.shape == (n * b,)
+        paths = paths.reshape(n, b)
         ties = 0
         for j in range(b):
             want, tied = ref_viterbi(E[:, j], T)
             ties += tied
             assert paths[:, j].tolist() == want
-            assert _viterbi(E[:, j:j + 1], T)[:, 0].tolist() == want
+            assert _viterbi(E[:, j], T, [1] * n).tolist() == want
         assert ties > 0 or n == 1
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_one_packed_call_over_mixed_lengths(self, k):
+        # lengths on and either side of each power of two up to 128, in a
+        # shuffled order; a sentence that ends early must keep its last delta
+        lengths = [1, 2, 13, 46] + [2 ** j + d for j in range(1, 8) for d in (-1, 0, 1)]
+        rng = np.random.default_rng(k)
+        rng.shuffle(lengths)
+        blocks = [rng.integers(-1, 2, size=(n, k)).astype(float) for n in lengths]
+        T = rng.integers(-1, 2, size=(k, k)).astype(float)
+        E, sizes, where = pack_longest_first(blocks)
+        assert sizes[0] == len(lengths) and len(sizes) == 129
+        paths = _viterbi(E, T, sizes)
+        ties = 0
+        for block, rows in zip(blocks, where):
+            want, tied = ref_viterbi(block, T)
+            ties += tied
+            assert paths[rows].tolist() == want
+        assert ties > 0
+
+    def test_mixed_lengths_equal_one_sentence_at_a_time(self):
+        # integer weights tie paths through the whole model, too
+        rng = np.random.default_rng(47)
+        lengths = [5, 1, 130, 2, 46, 5, 13, 1, 64, 65, 63, 2, 129, 13]
+        sents = [sentence_from_texts([ODD_VOCAB[int(rng.integers(len(ODD_VOCAB)))]
+                                      for _ in range(n)]) for n in lengths]
+        for tags in (PROT, TWO):
+            model = random_model(rng, tags, sents)
+            model.weights = rng.integers(-1, 2, size=model.weights.shape).astype(float)
+            model.transitions = rng.integers(-1, 2, size=model.transitions.shape).astype(float)
+            hard = model.predict_hard(sents)
+            assert [len(path) for path in hard] == lengths
+            for sent, got in zip(sents, hard):
+                assert got == model.predict_hard([sent])[0]
+                assert all(type(t) is int for t in got)
+        assert model.predict_hard([]) == []
 
 
 class TestKernelsBitIdentical:
@@ -842,6 +895,29 @@ class TestSgdStep:
             assert np.abs(got.weights - ref.weights).max() <= 1e-12
             assert np.abs(got.transitions - ref.transitions).max() <= 1e-12
         assert np.abs(base.weights).max() > 0.01
+
+
+class TestTrainingGather:
+    @pytest.mark.parametrize("n", [1, 10, 46])
+    def test_template_axis_first_keeps_the_bits(self, n):
+        # train gathers a sentence's rows with the template axis first and
+        # reduces over it; the additions and their order must be those of
+        # the middle-axis sum it replaced, on every numpy. A sum of -0.0
+        # weights reads -0.0 or +0.0 by where it starts; id -1 names the
+        # extra zero row
+        rng = np.random.default_rng(n)
+        for k in (3, 5):
+            W = rng.normal(size=(41, k))
+            W[::4] = -0.0
+            W[-1] = 0.0
+            M = rng.integers(-1, 40, size=(n + 7, 13)).astype(np.int32)
+            M[:, 5:9] = -1
+            M[3] = 0            # every firing on a -0.0 row
+            m = M[3:3 + n]      # a sentence's rows, a view as in train
+            got = np.add.reduce(np.take(W, m.T, axis=0), axis=0)
+            want = np.take(W, m, axis=0).sum(axis=1)
+            assert got.shape == want.shape == (n, k)
+            assert got.tobytes() == want.tobytes()
 
 
 def sentence_emissions(model, sentence):
