@@ -13,6 +13,7 @@ from .corpus import (
     bio_decode,
     bio_encode,
     bio_repair,
+    harden,
     read_conll,
     sentence_from_texts,
     soften,
@@ -37,7 +38,6 @@ from .tagger import (
     Objective,
     TaggerModel,
     TrainConfig,
-    harden,
     predict_dataset_hard,
     predict_dataset_soft,
     train,

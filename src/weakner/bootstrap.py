@@ -175,6 +175,6 @@ def finalize(model: TaggerModel, seed: Dataset, corpus: Dataset, cfg: BootstrapC
     """Relabel the corpus with the loop's last model and the same pins, and
     train a fresh sequence-mode model on seed + that labeling (the CRF-style
     finishing step). The result carries the model's tag set; SEQUENCE
-    training hardens the soft labels itself (tagger.harden)."""
+    training hardens the soft labels itself (corpus.harden)."""
     sequence = cfg.train_cfg(cfg.final_epochs, Objective.SEQUENCE)
     return train(_combine(seed, relabel(corpus, model, pins)), model.tags, sequence)

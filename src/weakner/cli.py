@@ -27,7 +27,7 @@ import sys
 from dataclasses import fields, replace
 
 from .bootstrap import BootstrapConfig, finalize, iterative_train
-from .corpus import TagSet, gold_spans, read_conll, split_seed, text_lines, write_conll
+from .corpus import TagSet, gold_spans, read_conll, split_seed, text_lines, write_conll, write_lines
 from .errors import EmptyDataset, SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
 from .metrics import evaluate_model, write_tsv
@@ -248,20 +248,15 @@ def cmd_synthetic(ns) -> int:
     tags = TagSet((spec.entity_type,))
     os.makedirs(ns.out_dir, exist_ok=True)
     write_conll(gold, os.path.join(ns.out_dir, "gold.conll"), tags)
-    with open(os.path.join(ns.out_dir, "refset.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for name in sorted(refset.names):
-            fh.write(name + "\n")
-    with open(os.path.join(ns.out_dir, "dictionary.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for word in sorted(dictionary):
-            fh.write(word + "\n")
+    write_lines(os.path.join(ns.out_dir, "refset.txt"), sorted(refset.names))
+    write_lines(os.path.join(ns.out_dir, "dictionary.txt"), sorted(dictionary))
     print(f"{len(gold)} sentences, {len(refset)} names -> {ns.out_dir}")
 
     if grid_cfg is not None:
         rows = run_experiment_grid(gold, tags, refset, dictionary, cfg=grid_cfg)
         write_grid_tsv(rows, os.path.join(ns.out_dir, "report.tsv"))
         table = format_grid_table(rows)
-        with open(os.path.join(ns.out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table + "\n")
+        write_lines(os.path.join(ns.out_dir, "report.txt"), [table])
         models_dir = os.path.join(ns.out_dir, "models")
         os.makedirs(models_dir, exist_ok=True)
         for row in rows:

@@ -330,6 +330,11 @@ def soften(labels, tags: TagSet) -> SoftLabeling:
     return SoftLabeling(dist, prov)
 
 
+def harden(soft: SoftLabeling, tags: TagSet) -> list:
+    """Per-token argmax (lowest index wins ties) followed by BIO repair."""
+    return bio_repair(soft.dist.argmax(axis=1).tolist(), tags)
+
+
 def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
     """Randomly split a fully-labeled dataset into a labeled seed part and an
     unlabeled corpus part.
@@ -377,6 +382,12 @@ def text_lines(path):
             raise WeaknerError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
+def write_lines(path, lines):
+    """Write each string of lines and a LF after it to a UTF-8 text file."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def read_conll(path, tags: TagSet) -> Dataset:
     """Read a two-column (token, tag) file, blank lines separating sentences.
     Equal token texts share one string object."""
@@ -392,11 +403,10 @@ def read_conll(path, tags: TagSet) -> Dataset:
             cur_tags.clear()
 
     for line_no, line in enumerate(text_lines(path), start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
+        cols = line.split()
+        if not cols:
             flush()
             continue
-        cols = line.split()
         if len(cols) != 2:
             raise MalformedLine(path, line_no, f"expected 2 columns, got {len(cols)}")
         cur_toks.append(texts.setdefault(cols[0], cols[0]))
@@ -423,9 +433,12 @@ def write_conll(dataset: Dataset, path, tags: TagSet):
         tags.check(labels)
         rows.append(labels)
     tag_names = tags.tags
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def lines():
         for s, (sent, labels) in enumerate(zip(dataset.sentences, rows)):
             if s:
-                fh.write("\n")
+                yield ""
             for tok, t in zip(sent.tokens, labels):
-                fh.write(f"{tok}\t{tag_names[t]}\n")
+                yield f"{tok}\t{tag_names[t]}"
+
+    write_lines(path, lines())

@@ -5,9 +5,9 @@ Each condition controls three things: how many true labels are available
 policy provides pins (none, exact C1, filtered C2, or "gold" partial
 labels; seed conditions only), and the output mode (softmax-style marginal
 argmax vs CRF-style Viterbi after a sequence-mode retrain). The seed
-conditions, and only they, run the bootstrap loop, so they are the ones
-that use model predictions and iterative refinement. Seed conditions with
-the same pin source share one loop, whose model their heads only read.
+conditions, and only they, run the bootstrap loop, so they use model
+predictions and iterative refinement. Seed conditions with the same pin
+source share one loop, run before any row; their heads only read its model.
 
 Rows E1/E2 are the fully-supervised upper bound, E3/E4 the partial-label
 baseline, E5/E6 iterative refinement with perfect-precision partial pins,
@@ -125,9 +125,9 @@ def run_experiment_grid(
     conditions=None,
     cfg: GridConfig | None = None,
 ):
-    """Split gold into train/test, derive the seed/corpus partition, run
-    every condition, and return the rows (in condition order). A test split
-    that corpus.gold_spans rejects raises EmptyDataset before any training."""
+    """Split gold into train/test and seed/corpus, run one loop per seed-row pin
+    source, then return every condition's row, in order. A test split that
+    corpus.gold_spans rejects raises EmptyDataset before any training."""
     cfg = cfg or GridConfig()
     conditions = conditions if conditions is not None else default_conditions()
     train_gold, _, test = split_seed(gold, 1.0 - cfg.test_fraction, cfg.rng_seed)
@@ -135,6 +135,11 @@ def run_experiment_grid(
     seed_ds, corpus, corpus_gold = split_seed(train_gold, cfg.seed_fraction, cfg.rng_seed + 1)
     masked, kept = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
     loops = {}  # ref_policy -> (pins, matcher P, matcher R, loop model, trace)
+    for policy in dict.fromkeys(c.ref_policy for c in conditions if c.true_labels == "seed"):
+        pins = _pins_for(policy, corpus, kept, refset, dictionary, cfg)
+        audit = audit_matcher(pins, corpus_gold, tags) if pins else (None, None)
+        model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
+        loops[policy] = (pins, *audit, model, trace)
     rows = []
     for cond in conditions:
         if cond.true_labels != "seed":
@@ -143,11 +148,6 @@ def run_experiment_grid(
             model = train(data, tags, cfg.train_cfg(cfg.full_epochs, objective))
             seed_report = match_p = match_r = None
         else:
-            if cond.ref_policy not in loops:
-                pins = _pins_for(cond.ref_policy, corpus, kept, refset, dictionary, cfg)
-                audit = audit_matcher(pins, corpus_gold, tags) if pins else (None, None)
-                model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
-                loops[cond.ref_policy] = (pins, *audit, model, trace)
             pins, match_p, match_r, model, trace = loops[cond.ref_policy]
             seed_report = trace[0].report
             if cond.output == "crf":

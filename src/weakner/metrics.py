@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, gold_spans
+from .corpus import Dataset, SoftLabeling, TagSet, bio_decode, gold_spans, harden, write_lines
 from .errors import WeaknerError
 from .tagger import TaggerModel, predict_dataset_hard, predict_dataset_soft
 
@@ -52,12 +52,8 @@ def tsv_cell(value) -> str:
 
 
 def write_tsv(path, header, rows):
-    """A UTF-8, LF-ended TSV file: the header names, then one line of
-    tsv_cell cells per row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(map(tsv_cell, row)) + "\n")
+    """A TSV file: the header names, then one line of tsv_cell cells per row."""
+    write_lines(path, ["\t".join(header), *("\t".join(map(tsv_cell, row)) for row in rows)])
 
 
 def score_entities(pred, gold) -> EvalReport:
@@ -69,8 +65,8 @@ def score_entities(pred, gold) -> EvalReport:
 
 def score_datasets(pred: Dataset, gold: Dataset, tags: TagSet) -> EvalReport:
     """Entity P/R/F1 of a predicted labeling vs gold, which must pass
-    corpus.gold_spans. A soft prediction is hardened by argmax; decoding
-    repairs a BIO-invalid one."""
+    corpus.gold_spans. A soft prediction is hardened by corpus.harden; decoding
+    repairs a BIO-invalid hard one."""
     if len(pred) != len(gold):
         raise WeaknerError("datasets differ in sentence count")
     gold_set = gold_spans(gold, tags)
@@ -79,7 +75,7 @@ def score_datasets(pred: Dataset, gold: Dataset, tags: TagSet) -> EvalReport:
         if labels is None:
             raise WeaknerError("evaluation needs a predicted labeling on every sentence")
         if isinstance(labels, SoftLabeling):
-            labels = labels.dist.argmax(axis=1).tolist()
+            labels = harden(labels, tags)
         if len(labels) != len(sent):
             raise WeaknerError(f"sentence {s}: labelings differ in length")
         pred_spans.extend(bio_decode(labels, tags, sentence=s))

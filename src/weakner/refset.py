@@ -234,11 +234,10 @@ def audit_matcher(matches, gold: Dataset, tags: TagSet, criterion: str = "exact"
         report = score_entities(spans, gold_set)
         return report.precision, report.recall
 
-    def overlaps(m, sp):
-        same = (m.sentence, m.entity_type) == (sp.sentence, sp.entity_type)
-        return same and m.first <= sp.last and sp.first <= m.last
-
-    tp = sum(any(overlaps(m, sp) for sp in gold_set) for m in matches)
-    recall_hits = sum(any(overlaps(m, sp) for m in matches) for sp in gold_set)
-    precision = tp / len(matches) if matches else 0.0
-    return precision, recall_hits / len(gold_set)
+    # gold spans never share a token, so a (sentence, token, type) has one owner
+    owner = {(sp.sentence, i, sp.entity_type): sp
+             for sp in gold_set for i in range(sp.first, sp.last + 1)}
+    hits = [{owner.get((m.sentence, i, m.entity_type)) for i in range(m.first, m.last + 1)} - {None}
+            for m in matches]
+    precision = sum(map(bool, hits)) / len(matches) if matches else 0.0
+    return precision, len(set().union(*hits)) / len(gold_set)

@@ -81,19 +81,27 @@ class SyntheticSpec:
                               ("n_context_words", _N_TRIGGERS + 1), ("n_distractors", 1),
                               ("rng_seed", 0)):
             check_int(name, getattr(self, name), minimum, SpecInvalid)
-        if self.ambiguity_rate * self.n_entity_names > self.n_context_words - _N_TRIGGERS:
+        n_amb, _, _, n_plain = self.name_counts()
+        if n_plain < 0:
+            raise SpecInvalid("ambiguous, short and multiword names outnumber n_entity_names")
+        if n_amb > self.n_context_words - _N_TRIGGERS:
             raise SpecInvalid("not enough context words to plant that much ambiguity")
         try:
             TagSet((self.entity_type,))
         except WeaknerError as e:
             raise SpecInvalid(str(e), field="entity_type") from None
 
+    def name_counts(self):
+        """(ambiguous, short, multiword, plain) entity-name counts: each rate
+        times n_entity_names, rounded, and the plain names the rest."""
+        rates = (self.ambiguity_rate, self.short_name_rate, self.multiword_name_rate)
+        counts = [round(rate * self.n_entity_names) for rate in rates]
+        return (*counts, self.n_entity_names - sum(counts))
+
 
 class _Vocab:
-    __slots__ = (
-        "context", "triggers", "names", "single_names", "amb_surfaces",
-        "short_surfaces", "distractors", "modifiers",
-    )
+    __slots__ = ("context", "triggers", "names", "amb_surfaces", "short_surfaces",
+                 "distractors", "modifiers")
 
 
 def _pseudo_word(rng) -> str:
@@ -122,10 +130,7 @@ def _build_vocab(spec: SyntheticSpec, rng) -> _Vocab:
     v.context = [_fresh(rng, used, _pseudo_word) for _ in range(spec.n_context_words)]
     v.triggers = v.context[:_N_TRIGGERS]
 
-    n_amb = round(spec.ambiguity_rate * spec.n_entity_names)
-    n_short = round(spec.short_name_rate * spec.n_entity_names)
-    n_multi = round(spec.multiword_name_rate * spec.n_entity_names)
-    n_plain = max(spec.n_entity_names - n_amb - n_short - n_multi, 0)
+    n_amb, n_short, n_multi, n_plain = spec.name_counts()
 
     # ambiguous names: uppercase forms of (non-trigger) dictionary words
     amb_pool = v.context[_N_TRIGGERS:]
@@ -147,7 +152,6 @@ def _build_vocab(spec: SyntheticSpec, rng) -> _Vocab:
     ]
 
     v.names = plain_names + amb_names + short_names + multi_names
-    v.single_names = [n for n in v.names if " " not in n]
     v.amb_surfaces = amb_names
     v.short_surfaces = short_names
     v.distractors = [_fresh(rng, used, lambda r: _upper_core(r, 3, 6)) for _ in range(spec.n_distractors)]

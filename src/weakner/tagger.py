@@ -75,7 +75,7 @@ from .corpus import (
     Provenance,
     SoftLabeling,
     TagSet,
-    bio_repair,
+    harden,
     soften,
 )
 from .errors import EmptyDataset, LabelLengthMismatch, ModelTagSetMismatch
@@ -588,12 +588,6 @@ def train(
         model.epochs_trained += 1
     model.weights = W[:-1]
     return model
-
-
-def harden(soft: SoftLabeling, tags: TagSet) -> list:
-    """Per-token argmax (lowest index wins ties) followed by BIO repair."""
-    idx = [int(i) for i in np.argmax(soft.dist, axis=1)]
-    return bio_repair(idx, tags)
 
 
 def predict_dataset_soft(model: TaggerModel, data: Dataset) -> Dataset:

@@ -44,6 +44,7 @@ from weakner.refset import (
 )
 from weakner.synthetic import SyntheticSpec, generate_synthetic
 from weakner.tagger import Objective, TaggerModel, TrainConfig, train
+from test_refset import naive_matches
 from test_tagger import dataset_loss_and_gradient
 
 PROT = TagSet(("PROT",))
@@ -159,33 +160,6 @@ def test_criterion_2_gradient_checks():
 
 # -- criterion 3: matcher vs naive scan --------------------------------------
 
-def _naive_matches(corpus, names, policy):
-    def fold(s, sensitive):
-        return s if sensitive else s.casefold()
-
-    out = []
-    for s, sent in enumerate(corpus.sentences):
-        texts = sent.texts()
-        cands = set()
-        for i in range(len(texts)):
-            for j in range(i, len(texts)):
-                window = " ".join(texts[i:j + 1])
-                for name in names:
-                    if fold(window, policy.case_sensitive) == fold(name, policy.case_sensitive):
-                        cands.add((i, j, name))
-            if policy.allow_partial:
-                comps = [c for chunk in texts[i].split("-") for c in chunk.split("/") if c]
-                for name in names:
-                    if any(c.casefold() == name.casefold() for c in comps):
-                        cands.add((i, i, name))
-        free = 0
-        for i, j, name in sorted(cands, key=lambda c: (c[0], -(c[1] - c[0]), -len(c[2]), c[2])):
-            if i >= free:
-                out.append((s, i, j, name))
-                free = j + 1
-    return out
-
-
 def test_criterion_3_matcher_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
@@ -216,7 +190,7 @@ def test_criterion_3_matcher_oracle():
         refset = ReferenceSet(frozenset(names), "PROT")
         for policy in (c1, c2):
             got = [(m.sentence, m.first, m.last, m.name) for m in find_matches(corpus, refset, policy)]
-            assert got == _naive_matches(corpus, names, policy), trial
+            assert got == naive_matches(corpus, names, policy), trial
 
     # the hand-built 20-name filter fixture, including the dictionary-homograph case
     dictionary = frozenset({"anova", "set", "mask", "flag", "cycle"})

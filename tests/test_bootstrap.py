@@ -15,12 +15,13 @@ from weakner.corpus import (
     Provenance,
     SoftLabeling,
     TagSet,
+    harden,
     sentence_from_texts,
 )
 from weakner.errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
 from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy, find_matches
 from weakner.synthetic import SyntheticSpec, generate_synthetic
-from weakner.tagger import Objective, TaggerModel, TrainConfig, harden, train
+from weakner.tagger import Objective, TaggerModel, TrainConfig, train
 
 from test_tagger import naive_emissions, naive_sgd_epoch, ref_forward_backward
 

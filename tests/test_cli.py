@@ -97,6 +97,7 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("option", [
         ["--rng-seed", "-1"], ["--distractors", "-5"], ["--distractors", "0"],
+        ["--short-rate", "0.8"],    # used to exit 0 with 345 names for --entity-names 300
     ])
     def test_bad_count_is_usage_error(self, tmp_path, option):
         # used to exit 3 with a ValueError from inside the generator
@@ -648,7 +649,7 @@ class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "input={}\nseed_frac=0.2\nrng_seed=9\nout_dir={}\n".format(
+            "# split settings\n\ninput={}\n  \nseed_frac=0.2\nrng_seed=9\nout_dir={}\n".format(
                 synth_dir / "gold.conll", tmp_path / "out_a"
             ),
             encoding="utf-8",

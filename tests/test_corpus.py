@@ -20,6 +20,7 @@ from weakner.corpus import (
     bio_encode,
     bio_repair,
     gold_spans,
+    harden,
     read_conll,
     sentence_from_texts,
     soften,
@@ -31,12 +32,12 @@ from weakner.errors import (
     EmptyDataset,
     EmptySentence,
     FractionOutOfRange,
+    LabelLengthMismatch,
     MalformedLine,
     OverlappingSpans,
     UnknownTag,
     WeaknerError,
 )
-from weakner.tagger import harden
 
 PROT = TagSet(("PROT",))
 TWO = TagSet(("PROT", "CELL"))
@@ -141,6 +142,8 @@ class TestTagSet:
     def test_unknown_tag(self):
         with pytest.raises(UnknownTag):
             PROT.index("B-XYZ")
+        with pytest.raises(UnknownTag, match="unknown entity type"):
+            PROT.b_index("CELL")
 
     def test_index_table_is_no_field(self):
         assert [TWO.index(t) for t in TWO.tags] == list(range(len(TWO)))
@@ -178,6 +181,22 @@ class TestTagSet:
             write_conll(ds, tmp_path / "out.conll", PROT)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("labels", [[], [[0, 1]], [[0, 1]] * 3],
+                             ids=["none", "short", "long"])
+    def test_one_labeling_slot_per_sentence(self, labels):
+        sents = [sentence_from_texts(["p53", "binds"])] * 2
+        with pytest.raises(LabelLengthMismatch, match="one labeling slot per sentence"):
+            Dataset(sents, labels)
+
+    @pytest.mark.parametrize("labeling", [[0], [0, 1, 0], soften([0, 1, 2], PROT)],
+                             ids=["short", "long", "soft"])
+    def test_labeling_length_must_equal_token_count(self, labeling):
+        sents = [sentence_from_texts(["p53", "binds"])]
+        with pytest.raises(LabelLengthMismatch, match="!= token count 2"):
+            Dataset(sents, [labeling])
+
+
 class TestBioCodec:
     def test_simple_span(self):
         spans = bio_decode([1, 2, 0], PROT)
@@ -198,6 +217,16 @@ class TestBioCodec:
     def test_encode_simple(self):
         assert bio_encode([EntitySpan(0, 0, 1, "PROT")], 3, PROT) == [1, 2, 0]
         assert bio_encode([], 2, PROT) == [0, 0]
+        # another sentence's span is skipped, even one out of this one's bounds
+        other = [EntitySpan(1, 0, 0, "PROT"), EntitySpan(0, 1, 1, "PROT"),
+                 EntitySpan(2, 5, 9, "PROT")]
+        assert bio_encode(other, 3, PROT) == [0, 1, 0]
+        assert bio_encode(other, 1, PROT, sentence=1) == [1]
+
+    @pytest.mark.parametrize("first, last", [(-1, 0), (2, 3), (1, 0), (3, 3)])
+    def test_span_out_of_bounds_rejected(self, first, last):
+        with pytest.raises(WeaknerError, match="out of bounds"):
+            bio_encode([EntitySpan(0, first, last, "PROT")], 3, PROT)
 
     def test_adjacent_same_type_round_trip(self):
         spans = [EntitySpan(0, 0, 0, "PROT"), EntitySpan(0, 1, 1, "PROT")]

@@ -11,7 +11,7 @@ from weakner.corpus import (
     sentence_from_texts,
     soften,
 )
-from weakner.errors import EmptyDataset, UnknownTag
+from weakner.errors import EmptyDataset, UnknownTag, WeaknerError
 from weakner.metrics import (
     EvalReport,
     evaluate_model,
@@ -140,6 +140,24 @@ class TestScoreDatasets:
         for mode in ("hard", "soft"):
             with pytest.raises(EmptyDataset, match="no gold entities"):
                 evaluate_model(model, gold, mode=mode)
+
+    @pytest.mark.parametrize("pred_texts, pred_labels, message", [
+        ([["a", "b"]] * 2, [[1, 0]] * 2, "differ in sentence count"),
+        ([["a", "b"]], [None], "a predicted labeling on every sentence"),
+        ([["a", "b", "c"]], [[1, 0, 0]], "sentence 0: labelings differ in length"),
+    ], ids=["count", "missing", "length"])
+    def test_pred_that_does_not_fit_gold_rejected(self, pred_texts, pred_labels, message):
+        pred = Dataset([sentence_from_texts(texts) for texts in pred_texts], pred_labels)
+        gold = Dataset([sentence_from_texts(["a", "b"])], [[1, 0]])
+        with pytest.raises(WeaknerError, match=message):
+            score_datasets(pred, gold, PROT)
+
+    def test_unknown_evaluation_mode_rejected(self):
+        sents = [sentence_from_texts(["a", "b"])]
+        gold = Dataset(sents, [[1, 0]])
+        model = train(gold, PROT, TrainConfig(epochs=1))
+        with pytest.raises(WeaknerError, match="unknown evaluation mode 'viterbi'"):
+            evaluate_model(model, gold, mode="viterbi")
 
     @pytest.mark.parametrize("gold_labels", [soften([1, 0], PROT), None], ids=["soft", "none"])
     def test_gold_without_hard_labels_rejected(self, gold_labels):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from weakner.corpus import Dataset, TagSet, bio_encode, sentence_from_texts
+from weakner.corpus import Dataset, TagSet, bio_encode, gold_spans, sentence_from_texts
 from weakner.errors import EmptyDataset, EmptyReferenceSet, WeaknerError
 from weakner.refset import (
     MatchPolicy,
@@ -26,6 +26,7 @@ from weakner.refset import (
 )
 
 PROT = TagSet(("PROT",))
+TWO = TagSet(("PROT", "CELL"))
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,10 @@ class TestLoadReferenceSet:
         path.write_text("\n\n", encoding="utf-8")
         with pytest.raises(EmptyReferenceSet):
             load_reference_set(path, "PROT")
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(WeaknerError, match="empty name"):
+            ReferenceSet(frozenset({"TIGAR", ""}), "PROT")
 
     def test_bom_stripped(self, tmp_path):
         path = tmp_path / "names.txt"
@@ -513,6 +518,43 @@ class TestAuditMatcher:
         matches = [RefMatch(0, 2, 2, "n", "PROT")]
         assert audit_matcher(matches, gold, PROT, criterion="exact") == (0.0, 0.0)
         assert audit_matcher(matches, gold, PROT, criterion="overlap") == (1.0, 1.0)
+
+    def test_overlap_equals_nested_scan(self):
+        """300 random cases of several sentences and two types, matches
+        overlapping gold spans and one another, against the nested scan that
+        defines the overlap criterion."""
+
+        def nested_scan(matches, gold_set):
+            def overlaps(m, sp):
+                same = (m.sentence, m.entity_type) == (sp.sentence, sp.entity_type)
+                return same and m.first <= sp.last and sp.first <= m.last
+
+            tp = sum(any(overlaps(m, sp) for sp in gold_set) for m in matches)
+            recall_hits = sum(any(overlaps(m, sp) for m in matches) for sp in gold_set)
+            return tp / len(matches) if matches else 0.0, recall_hits / len(gold_set)
+
+        rng = np.random.default_rng(237)
+        tested = 0
+        while tested < 300:
+            n_tokens = int(rng.integers(1, 9))
+            sents, labels = [], []
+            for _ in range(int(rng.integers(1, 5))):
+                sents.append(sentence_from_texts([f"t{i}" for i in range(n_tokens)]))
+                labels.append([int(t) for t in rng.integers(0, len(TWO), size=n_tokens)])
+            gold = Dataset(sents, labels)
+            try:
+                gold_set = gold_spans(gold, TWO)
+            except EmptyDataset:
+                continue
+            matches = []
+            for _ in range(int(rng.integers(0, 8))):
+                first = int(rng.integers(n_tokens))
+                last = int(rng.integers(first, n_tokens))
+                matches.append(RefMatch(int(rng.integers(len(sents))), first, last, "n",
+                                        TWO.entity_types[int(rng.integers(2))]))
+            got = audit_matcher(matches, gold, TWO, criterion="overlap")
+            assert got == nested_scan(matches, gold_set), (tested, matches)
+            tested += 1
 
     def test_unknown_criterion(self):
         with pytest.raises(WeaknerError, match="criterion"):

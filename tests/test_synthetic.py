@@ -86,6 +86,25 @@ class TestGenerator:
         with pytest.raises(SpecInvalid):
             SyntheticSpec(n_sentences=0)
 
+    def test_names_outnumbering_the_vocabulary_rejected(self):
+        # short_name_rate=0.8 used to be accepted and to generate 345 names for
+        # n_entity_names=300, the plain count clamped at 0
+        with pytest.raises(SpecInvalid, match="outnumber n_entity_names"):
+            SyntheticSpec(short_name_rate=0.8)
+        assert SyntheticSpec(short_name_rate=0.65).name_counts() == (90, 195, 15, 0)
+
+    def test_ambiguity_checked_on_the_rounded_count(self):
+        # 0.3 * 7 = 2.1 ambiguous names round to 2, which 2 non-trigger
+        # context words hold; the unrounded 2.1 used to be rejected
+        spec = small_spec(n_entity_names=7, n_context_words=14, short_name_rate=0.0,
+                          multiword_name_rate=0.0, ambiguity_rate=0.3)
+        assert spec.name_counts() == (2, 0, 0, 5)
+        _, refset, dictionary = generate_synthetic(spec)
+        assert len(refset) == 7
+        assert sum(n.lower() in dictionary for n in refset.names) == 2
+        with pytest.raises(SpecInvalid, match="not enough context words"):
+            small_spec(n_entity_names=7, n_context_words=13, ambiguity_rate=0.3)
+
     @pytest.mark.parametrize("field,value", [
         ("rng_seed", -1), ("rng_seed", 1.0), ("n_distractors", -5), ("n_distractors", 0),
         ("n_sentences", 2.5), ("n_sentences", True), ("n_entity_names", 80.0),

@@ -12,6 +12,7 @@ from weakner.corpus import (
     Provenance,
     SoftLabeling,
     TagSet,
+    harden,
     sentence_from_texts,
     soften,
 )
@@ -37,7 +38,6 @@ from weakner.tagger import (
     _shape,
     _targets_for,
     _viterbi,
-    harden,
     train,
 )
 
