@@ -16,7 +16,6 @@ from .corpus import (
     harden,
     read_conll,
     sentence_from_texts,
-    soften,
     split_seed,
     tokenize,
     write_conll,

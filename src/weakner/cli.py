@@ -81,11 +81,13 @@ def _flag(parser, name, help_text, default=False):
 
 
 def _named(error, ns):
-    """error's message, led by the option that fills the field it names
-    (error.field is the option's dest), when the command has one."""
-    parser = getattr(ns, "parser", None)
-    option = parser and parser.option(getattr(error, "field", None))
-    return f"{option}: {error}" if option else str(error)
+    """error's message, led by the options that fill the fields it names
+    (error.field is an option's dest or a tuple of them), when the command
+    has them all."""
+    parser, field = getattr(ns, "parser", None), getattr(error, "field", None)
+    dests = field if isinstance(field, tuple) else (field,)
+    options = [parser and parser.option(dest) for dest in dests]
+    return f"{'/'.join(options)}: {error}" if all(options) else str(error)
 
 
 def _config(cls, ns):
@@ -293,6 +295,7 @@ def _train_opts(p, seed_epochs=None):
 
 
 _UNUSED_TAGS = "token and tag columns as in a label file; tags unused but must be in the tag set"
+_REFSET_TYPES = "comma-separated entity type names; reference-set names take the first"
 
 
 def build_parser():
@@ -315,7 +318,7 @@ def build_parser():
     p = add_parser("match", "find gazetteer mentions in a corpus", cmd_match)
     _opt(p, "corpus", f"corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set, one name per line", required=True)
-    _opt(p, "entity_type", "entity type of the reference set", default="PROT")
+    _opt(p, "entity_type", _REFSET_TYPES, default="PROT")
     _opt(p, "gold", "gold file for a matcher audit")
     _opt(p, "criterion", "audit criterion", default="exact", choices=["exact", "overlap"])
     _opt(p, "out_dir", "output directory", required=True)
@@ -325,7 +328,7 @@ def build_parser():
     _opt(p, "seed", "labeled seed file", required=True)
     _opt(p, "corpus", f"unlabeled corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set file", required=True)
-    _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
+    _opt(p, "entity_type", _REFSET_TYPES, default="PROT")
     _opt(p, "heldout", "labeled file for per-round evaluation")
     _opt(p, "iterations", "number of refinement rounds", int, BootstrapConfig.iterations)
     _opt(p, "rng_seed", "random seed", int, 0)

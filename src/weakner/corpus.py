@@ -20,6 +20,7 @@ from .errors import (
     FractionOutOfRange,
     LabelLengthMismatch,
     MalformedLine,
+    ModelTagSetMismatch,
     OverlappingSpans,
     UnknownTag,
     WeaknerError,
@@ -120,21 +121,26 @@ class TagSet:
         return tag_index != 0 and (tag_index - 1) % 2 == 0
 
     def check(self, labels):
-        """Raise UnknownTag unless every hard tag index lies in 0..k-1."""
-        if len(labels) and not 0 <= min(labels) <= max(labels) < len(self):
-            raise UnknownTag(f"tag index outside 0..{len(self) - 1}")
+        """Raise unless a labeling fits this tag set: ModelTagSetMismatch for
+        soft rows not len(self) wide, UnknownTag for a hard tag index outside
+        0..k-1."""
+        k = len(self)
+        if isinstance(labels, SoftLabeling):
+            if labels.dist.shape[1] != k:
+                raise ModelTagSetMismatch(f"soft rows of width {labels.dist.shape[1]} for {k} tags")
+        elif len(labels) and not 0 <= min(labels) <= max(labels) < k:
+            raise UnknownTag(f"tag index outside 0..{k - 1}")
 
 
 class Provenance(enum.IntEnum):
-    SEED = 0
     REFERENCE = 1
     PREDICTED = 2
 
 
 def _check_soft(dist, provenance):
     """Reject soft rows that are non-finite, negative or do not sum to 1
-    (within 1e-9), provenance codes outside Provenance, and SEED or
-    REFERENCE rows that are not one-hot."""
+    (within 1e-9), provenance codes outside Provenance, and REFERENCE rows
+    that are not one-hot."""
     if dist.ndim != 2 or provenance.shape != (len(dist),):
         raise WeaknerError("soft labeling shape mismatch")
     if not np.isfinite(dist).all():
@@ -146,18 +152,18 @@ def _check_soft(dist, provenance):
     err = np.abs(dist.sum(axis=1) - 1.0).max()
     if err > 1e-9:
         raise WeaknerError(f"soft labeling rows must sum to 1 (off by {err:g})")
-    if not 0 <= provenance.min() <= provenance.max() <= max(Provenance):
-        raise WeaknerError(f"provenance codes must lie in 0..{max(Provenance):d}")
-    pinned = provenance != Provenance.PREDICTED
+    if not min(Provenance) <= provenance.min() <= provenance.max() <= max(Provenance):
+        raise WeaknerError(f"provenance codes must lie in {min(Provenance):d}..{max(Provenance):d}")
+    pinned = provenance == Provenance.REFERENCE
     if pinned.any() and not np.all(dist[pinned].max(axis=1) == 1.0):
-        raise WeaknerError("SEED/REFERENCE rows must be one-hot")
+        raise WeaknerError("REFERENCE rows must be one-hot")
 
 
 @dataclass
 class SoftLabeling:
     """Per-token probability rows over a tag set, with per-token provenance.
 
-    Rows must sum to 1 (within 1e-9); SEED and REFERENCE rows are one-hot.
+    Rows must sum to 1 (within 1e-9); REFERENCE rows are one-hot.
     """
 
     dist: np.ndarray            # (n_tokens, n_tags) float64
@@ -321,17 +327,9 @@ def bio_encode(spans, n_tokens: int, tags: TagSet, sentence: int = 0):
     return labels
 
 
-def soften(labels, tags: TagSet) -> SoftLabeling:
-    """Turn a hard labeling into one-hot rows with SEED provenance."""
-    tags.check(labels)
-    dist = np.zeros((len(labels), len(tags)))
-    dist[np.arange(len(labels)), labels] = 1.0
-    prov = np.full(len(labels), Provenance.SEED, dtype=np.int8)
-    return SoftLabeling(dist, prov)
-
-
 def harden(soft: SoftLabeling, tags: TagSet) -> list:
-    """Per-token argmax (lowest index wins ties) followed by BIO repair."""
+    """Per-token argmax (lowest index wins ties) then BIO repair, of rows tags.check accepts."""
+    tags.check(soft)
     return bio_repair(soft.dist.argmax(axis=1).tolist(), tags)
 
 

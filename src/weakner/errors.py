@@ -9,7 +9,7 @@ import numbers
 
 class WeaknerError(Exception):
     """Base class for all toolkit errors. `field` names the setting at
-    fault, when one setting is."""
+    fault, or is a tuple naming the settings that are jointly at fault."""
 
     def __init__(self, *args, field=None):
         super().__init__(*args)

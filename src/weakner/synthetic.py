@@ -83,9 +83,12 @@ class SyntheticSpec:
             check_int(name, getattr(self, name), minimum, SpecInvalid)
         n_amb, _, _, n_plain = self.name_counts()
         if n_plain < 0:
-            raise SpecInvalid("ambiguous, short and multiword names outnumber n_entity_names")
+            raise SpecInvalid("ambiguous, short and multiword names outnumber n_entity_names",
+                              field=("ambiguity_rate", "short_name_rate", "multiword_name_rate",
+                                     "n_entity_names"))
         if n_amb > self.n_context_words - _N_TRIGGERS:
-            raise SpecInvalid("not enough context words to plant that much ambiguity")
+            raise SpecInvalid("not enough context words to plant that much ambiguity",
+                              field=("ambiguity_rate", "n_context_words"))
         try:
             TagSet((self.entity_type,))
         except WeaknerError as e:

@@ -70,14 +70,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import (
-    Dataset,
-    Provenance,
-    SoftLabeling,
-    TagSet,
-    harden,
-    soften,
-)
+from .corpus import Dataset, Provenance, SoftLabeling, TagSet, harden
 from .errors import EmptyDataset, LabelLengthMismatch, ModelTagSetMismatch
 from .errors import TrainingDiverged, WeaknerError, check_int
 
@@ -160,7 +153,8 @@ class TrainConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise WeaknerError(f"{name} must be finite and >= 0, not {value!r}", field=name)
         if self.learning_rate * self.l2 >= 1.0:  # the decayed rate is never larger
-            raise WeaknerError("learning_rate * l2 must be < 1 (the L2 step would zero the model)")
+            raise WeaknerError("learning_rate * l2 must be < 1 (the L2 step would zero the model)",
+                               field=("learning_rate", "l2"))
 
 
 class TaggerModel:
@@ -507,18 +501,17 @@ def _sequence_loss_grad(E, T, y):
 # ---------------------------------------------------------------------------
 
 def _targets_for(labels, tags: TagSet, objective: Objective):
-    """Training targets of one labeling: soft rows (n, k) for MARGINAL, a
-    tag-index array for SEQUENCE. Rejects rows or tags outside the tag set."""
-    k = len(tags)
+    """Training targets of a labeling tags.check accepts: soft rows (n, k) for
+    MARGINAL (one-hot for hard labels), a tag-index array for SEQUENCE."""
+    tags.check(labels)
     if isinstance(labels, SoftLabeling):
-        if labels.dist.shape[1] != k:
-            raise ModelTagSetMismatch(f"soft label rows of width {labels.dist.shape[1]} for {k} tags")
         if objective is Objective.MARGINAL:
             return labels.dist
         labels = harden(labels, tags)
     if objective is Objective.MARGINAL:
-        return soften(labels, tags).dist
-    tags.check(labels)
+        target = np.zeros((len(labels), len(tags)))
+        target[np.arange(len(labels)), labels] = 1.0
+        return target
     return np.asarray(labels, dtype=np.intp)
 
 

@@ -645,6 +645,38 @@ class TestBadNumberNamesItsOption:
         assert not (tmp_path / "out").exists()
 
 
+class TestJointCheckNamesItsOptions:
+    """A check on several options together keeps its exit code, writes
+    nothing, and its message leads with every option it reads."""
+
+    LR_L2 = ["--learning-rate", "50", "--l2", "0.1"]
+
+    @pytest.mark.parametrize("args, options, code", [
+        (["--context-words", "20", "--ambiguity", "0.5"], "--ambiguity/--context-words", 1),
+        (["--short-rate", "0.8", "--ambiguity", "0.5"],
+         "--ambiguity/--short-rate/--multiword-rate/--entity-names", 1),
+        (["--grid", *LR_L2], "--learning-rate/--l2", 2),
+    ], ids=["ambiguity", "name-counts", "grid-learning-rate"])
+    def test_synthetic(self, tmp_path, capsys, args, options, code):
+        # each message used to start with the check alone, naming no option
+        rc = main(["synthetic", "--out-dir", str(tmp_path / "out"), "--sentences", "50", *args])
+        assert rc == code
+        kind = "usage" if code == 1 else "data"
+        assert capsys.readouterr().err.startswith(f"{kind} error: {options}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_bootstrap_learning_rate(self, synth_dir, split_dir, tmp_path, capsys):
+        rc = main([
+            "bootstrap", "--seed", str(split_dir / "seed.conll"),
+            "--corpus", str(split_dir / "corpus.conll"), "--refset", str(synth_dir / "refset.txt"),
+            *self.LR_L2, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "data error: --learning-rate/--l2: learning_rate * l2 must be < 1")
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

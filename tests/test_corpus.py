@@ -23,7 +23,6 @@ from weakner.corpus import (
     harden,
     read_conll,
     sentence_from_texts,
-    soften,
     split_seed,
     tokenize,
     write_conll,
@@ -34,6 +33,7 @@ from weakner.errors import (
     FractionOutOfRange,
     LabelLengthMismatch,
     MalformedLine,
+    ModelTagSetMismatch,
     OverlappingSpans,
     UnknownTag,
     WeaknerError,
@@ -41,6 +41,11 @@ from weakner.errors import (
 
 PROT = TagSet(("PROT",))
 TWO = TagSet(("PROT", "CELL"))
+
+
+def one_hot(labels, tags=PROT):
+    """The one-hot rows of a hard labeling, as reference pins."""
+    return SoftLabeling(np.eye(len(tags))[labels], np.full(len(labels), Provenance.REFERENCE))
 
 
 def brute_force_decode(labels, tags):
@@ -138,6 +143,16 @@ class TestTagSet:
         assert len(TWO) == 5
         assert TWO.index("I-CELL") == 4
         assert TWO.type_of(3) == "CELL"
+        assert TWO.type_of(0) is None
+
+    @pytest.mark.parametrize("labeling, error", [
+        ([0, 4], UnknownTag), (one_hot([0, 4], TWO), ModelTagSetMismatch),
+    ], ids=["hard", "soft"])
+    def test_check_fits_either_labeling_to_the_tag_set(self, labeling, error):
+        # soft rows used to fail in min() on a bare TypeError
+        TWO.check(labeling)
+        with pytest.raises(error):
+            PROT.check(labeling)
 
     def test_unknown_tag(self):
         with pytest.raises(UnknownTag):
@@ -175,7 +190,7 @@ class TestTagSet:
         with pytest.raises(UnknownTag):
             bio_repair(labels, PROT)
         with pytest.raises(UnknownTag):
-            soften(labels, PROT)
+            PROT.check(labels)
         ds = Dataset([sentence_from_texts(["p53", "binds"])], [labels])
         with pytest.raises(UnknownTag):
             write_conll(ds, tmp_path / "out.conll", PROT)
@@ -189,7 +204,7 @@ class TestDataset:
         with pytest.raises(LabelLengthMismatch, match="one labeling slot per sentence"):
             Dataset(sents, labels)
 
-    @pytest.mark.parametrize("labeling", [[0], [0, 1, 0], soften([0, 1, 2], PROT)],
+    @pytest.mark.parametrize("labeling", [[0], [0, 1, 0], one_hot([0, 1, 2])],
                              ids=["short", "long", "soft"])
     def test_labeling_length_must_equal_token_count(self, labeling):
         sents = [sentence_from_texts(["p53", "binds"])]
@@ -264,7 +279,7 @@ class TestGoldSpans:
     @pytest.mark.parametrize("labels, message", [
         ([[0, 0], [0]], "no gold entities"),
         ([[1, 0], None], "hard gold labels"),
-        ([[1, 0], soften([1], PROT)], "hard gold labels"),
+        ([[1, 0], one_hot([1])], "hard gold labels"),
     ], ids=["all-O", "unlabeled", "soft"])
     def test_unscorable_gold_rejected(self, labels, message):
         sents = [sentence_from_texts(["a", "b"]), sentence_from_texts(["c"])]
@@ -293,24 +308,18 @@ class TestSoftLabeling:
         with pytest.raises(WeaknerError, match="non-finite"):
             SoftLabeling(np.array([[1.0, 0.0, 0.0], row]), np.full(2, Provenance.PREDICTED))
 
-    @pytest.mark.parametrize("code", [7, -1, 3])
+    @pytest.mark.parametrize("code", [7, -1, 0, 3])
     def test_provenance_outside_enum_rejected(self, code):
         # such a labeling used to be accepted, and reading its codes back as
         # Provenance values then failed on a bare ValueError
         with pytest.raises(WeaknerError, match="provenance"):
             SoftLabeling(np.array([[1.0, 0.0, 0.0]]), [code])
 
-    def test_soften_examples(self):
-        soft = soften([1, 0], PROT)
-        assert np.array_equal(soft.dist, [[0, 1, 0], [1, 0, 0]])
-        assert all(p == Provenance.SEED for p in soft.provenance)
-        assert len(soften([], PROT)) == 0
-
     @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
-    def test_harden_inverts_soften(self, labels):
+    def test_harden_inverts_one_hot_rows(self, labels):
         labels = bio_repair(labels, PROT)  # harden applies repair, so compare on valid input
-        assert harden(soften(labels, PROT), PROT) == labels
+        assert harden(one_hot(labels), PROT) == labels
 
 
 class TestSoftLabelingSplit:
@@ -320,7 +329,7 @@ class TestSoftLabelingSplit:
 
     def _rows(self, last_row, last_code):
         dist = np.array(self.GOOD + [[0.5, 0.5, 0.0], last_row])
-        prov = np.array([2, 0, 1, 2, last_code], dtype=np.int8)
+        prov = np.array([2, 1, 1, 2, last_code], dtype=np.int8)
         return dist, prov
 
     def test_sentences_are_views_of_the_rows(self):
@@ -339,13 +348,13 @@ class TestSoftLabelingSplit:
             ([np.nan, 0.5, 0.5], Provenance.PREDICTED),
             ([1.5, -0.5, 0.0], Provenance.PREDICTED),
             ([0.5, 0.4, 0.0], Provenance.PREDICTED),
-            ([0.5, 0.5, 0.0], Provenance.SEED),
             ([0.5, 0.5, 0.0], Provenance.REFERENCE),
+            ([1.0, 0.0, 0.0], 0),
             ([0.5, 0.5, 0.0], 3),
             ([1.0, 0.0, 0.0], -1),
         ],
-        ids=["nan", "negative", "off-sum", "seed-not-one-hot", "reference-not-one-hot",
-             "code-3", "code-minus-1"],
+        ids=["nan", "negative", "off-sum", "reference-not-one-hot", "code-0", "code-3",
+             "code-minus-1"],
     )
     def test_bad_last_sentence_raises_like_the_constructor(self, row, code):
         dist, prov = self._rows(row, code)
@@ -464,7 +473,7 @@ class TestConllIo:
         write_conll(read_conll(src, PROT), out, PROT)
         assert out.read_bytes() == normalized.encode("utf-8")
 
-    @pytest.mark.parametrize("second", [soften([0], PROT), [3]], ids=["soft", "outside"])
+    @pytest.mark.parametrize("second", [one_hot([0]), [3]], ids=["soft", "outside"])
     def test_rejected_labeling_leaves_no_file(self, second, tmp_path):
         # the first sentence used to be on disk by the time the second raised
         ds = Dataset([sentence_from_texts(["a", "b"]), sentence_from_texts(["c"])],

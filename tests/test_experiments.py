@@ -182,6 +182,28 @@ class TestLoopSharing:
             assert shared.read_bytes() == single.read_bytes()
 
 
+def test_self_training_row_has_no_pins(tmp_path):
+    """A seed row with no pin source runs the loop on model predictions
+    alone: no matcher scores, "none" in the report, and the model of
+    iterative_train with no pins on the grid's own split."""
+    gold, refset, dictionary = generate_synthetic(SyntheticSpec(
+        n_sentences=120, n_entity_names=60, n_context_words=120, n_distractors=20, rng_seed=3))
+    cfg = GridConfig(iterations=1, seed_fraction=0.1)
+    row, = run_experiment_grid(gold, PROT, refset, dictionary,
+                               [Condition("S", "seed", None, "softmax")], cfg)
+    assert (row.matcher_precision, row.matcher_recall) == (None, None)
+    write_grid_tsv([row], tmp_path / "report.tsv")
+    cells = (tmp_path / "report.tsv").read_text(encoding="utf-8").splitlines()[1].split("\t")
+    assert cells[2:8] == ["none", "yes", "yes", "softmax", "", ""]
+
+    train_gold, _, test = split_seed(gold, 1.0 - cfg.test_fraction, cfg.rng_seed)
+    seed_ds, corpus, _ = split_seed(train_gold, cfg.seed_fraction, cfg.rng_seed + 1)
+    alone, _ = iterative_train(seed_ds, corpus, PROT, cfg, pins=[], heldout=test)
+    assert row.model.feature_index == alone.feature_index
+    assert row.model.weights.tobytes() == alone.weights.tobytes()
+    assert row.model.transitions.tobytes() == alone.transitions.tobytes()
+
+
 class TestFinalizeDirection:
     def test_crf_final_close_to_softmax_on_gold_pins(self):
         """With perfect-precision partial pins, the from-scratch CRF retrain

@@ -9,9 +9,8 @@ from weakner.corpus import (
     TagSet,
     bio_encode,
     sentence_from_texts,
-    soften,
 )
-from weakner.errors import EmptyDataset, UnknownTag, WeaknerError
+from weakner.errors import EmptyDataset, ModelTagSetMismatch, UnknownTag, WeaknerError
 from weakner.metrics import (
     EvalReport,
     evaluate_model,
@@ -22,6 +21,8 @@ from weakner.metrics import (
     write_tsv,
 )
 from weakner.tagger import TrainConfig, train
+
+from test_corpus import one_hot
 
 PROT = TagSet(("PROT",))
 TWO = TagSet(("PROT", "CELL"))
@@ -126,9 +127,19 @@ class TestScoreDatasets:
     def test_soft_pred_hardened_by_argmax_then_repaired(self):
         sents = [sentence_from_texts(["a", "b", "c"])]
         gold = Dataset(sents, [[1, 0, 1]])
-        pred = Dataset(sents, [soften([2, 0, 1], PROT)])     # leading I-PROT
+        pred = Dataset(sents, [one_hot([2, 0, 1])])     # leading I-PROT
         report = score_datasets(pred, gold, PROT)
         assert (report.tp, report.fp, report.fn) == (2, 0, 0)
+
+    @pytest.mark.parametrize("tags", [TagSet(("CELL",)), TagSet(("PROT", "CELL", "GENE"))],
+                             ids=["narrow", "wide"])
+    def test_soft_pred_of_another_tag_set_rejected(self, tags):
+        # the narrow CELL rows used to read as B-PROT, and this pair scored F1 100
+        sents = [sentence_from_texts(["a", "b"])]
+        gold = Dataset(sents, [[1, 0]])
+        pred = Dataset(sents, [one_hot([1, 0], tags)])
+        with pytest.raises(ModelTagSetMismatch, match="width"):
+            score_datasets(pred, gold, TWO)
 
     def test_gold_without_entities_rejected(self):
         # both used to score P = R = F1 = 0.00, as if the prediction had failed
@@ -159,7 +170,7 @@ class TestScoreDatasets:
         with pytest.raises(WeaknerError, match="unknown evaluation mode 'viterbi'"):
             evaluate_model(model, gold, mode="viterbi")
 
-    @pytest.mark.parametrize("gold_labels", [soften([1, 0], PROT), None], ids=["soft", "none"])
+    @pytest.mark.parametrize("gold_labels", [one_hot([1, 0]), None], ids=["soft", "none"])
     def test_gold_without_hard_labels_rejected(self, gold_labels):
         # soft gold used to be hardened by argmax and scored
         sents = [sentence_from_texts(["a", "b"])]

@@ -14,7 +14,6 @@ from weakner.corpus import (
     TagSet,
     harden,
     sentence_from_texts,
-    soften,
 )
 from weakner.errors import (
     EmptyDataset,
@@ -40,6 +39,8 @@ from weakner.tagger import (
     _viterbi,
     train,
 )
+
+from test_corpus import one_hot
 
 PROT = TagSet(("PROT",))
 TWO = TagSet(("PROT", "CELL"))
@@ -650,7 +651,7 @@ class TestTraining:
         data = Dataset(
             sents,
             [[1, 0], SoftLabeling(np.array([[0.0, 1.0, 0.0]]),
-                                  np.array([Provenance.SEED], dtype=np.int8))],
+                                  np.array([Provenance.REFERENCE], dtype=np.int8))],
         )
         model = train(data, PROT, TrainConfig(epochs=3))
         assert len(model.feature_index) > 0
@@ -750,6 +751,11 @@ class TestTraining:
         with pytest.raises(UnknownTag):
             dataset_loss_and_gradient(TaggerModel(PROT), data, cfg)
 
+    def test_hard_labels_train_marginal_on_one_hot_rows(self):
+        target = _targets_for([0, 2, 1], TWO, Objective.MARGINAL)
+        assert target.dtype == np.float64
+        assert target.tobytes() == np.eye(len(TWO))[[0, 2, 1]].tobytes()
+
     @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
     def test_soft_rows_of_wrong_width_rejected(self, objective):
         rows = SoftLabeling(np.array([[0.5, 0.5], [1.0, 0.0]]),
@@ -848,7 +854,7 @@ def naive_sgd_epoch(model, data, cfg):
         sent, lab = data.sentences[si], data.labels[si]
         E = naive_emissions(model, sent)
         if cfg.objective is Objective.MARGINAL:
-            q = lab.dist if isinstance(lab, SoftLabeling) else soften(lab, model.tags).dist
+            q = lab.dist if isinstance(lab, SoftLabeling) else np.eye(len(model.tags))[lab]
             _, gE, gT = _marginal_loss_grad(E, T, q)
         else:
             _, gE, gT = _sequence_loss_grad(E, T, np.asarray(lab))
@@ -1090,8 +1096,15 @@ class TestHarden:
         assert harden(soft, PROT) == [1, 0]
 
     def test_one_hot_identity(self):
-        soft = soften([0, 1, 2], PROT)
-        assert harden(soft, PROT) == [0, 1, 2]
+        assert harden(one_hot([0, 1, 2]), PROT) == [0, 1, 2]
+
+    @pytest.mark.parametrize("soft, tags", [(one_hot([1, 0]), TWO), (one_hot([3, 4], TWO), PROT)],
+                             ids=["narrow", "wide"])
+    def test_rows_of_another_tag_set_rejected(self, soft, tags):
+        # narrow rows used to harden to [B-PROT, O] under TWO; wide rows
+        # raised UnknownTag only when an argmax fell outside the tag set
+        with pytest.raises(ModelTagSetMismatch, match="width"):
+            harden(soft, tags)
 
     def test_leading_inside_repaired(self):
         soft = SoftLabeling(
