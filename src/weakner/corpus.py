@@ -122,14 +122,17 @@ class TagSet:
 
     def check(self, labels):
         """Raise unless a labeling fits this tag set: ModelTagSetMismatch for
-        soft rows not len(self) wide, UnknownTag for a hard tag index outside
+        soft rows not len(self) wide, UnknownTag for a hard tag index that is
+        not an int (a numpy integer will do, a bool or float will not) in
         0..k-1."""
         k = len(self)
         if isinstance(labels, SoftLabeling):
             if labels.dist.shape[1] != k:
                 raise ModelTagSetMismatch(f"soft rows of width {labels.dist.shape[1]} for {k} tags")
-        elif len(labels) and not 0 <= min(labels) <= max(labels) < k:
-            raise UnknownTag(f"tag index outside 0..{k - 1}")
+            return
+        for t in labels:
+            if (type(t) is not int and not isinstance(t, np.integer)) or not 0 <= t < k:
+                raise UnknownTag(f"tag index {t!r} is not an int in 0..{k - 1}")
 
 
 class Provenance(enum.IntEnum):

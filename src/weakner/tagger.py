@@ -49,6 +49,12 @@ unknown or absent feature) names. A sentence's emissions are one gather,
 template axis first, and one reduce over that leading axis, summing in
 template order. Its SGD step is one np.subtract.at over every firing,
 token by token in template order, after which the zero row is reset to zero.
+The step scatters into the flat (1-D) view of the weights, at element
+f * k + t for feature f and tag t, so id -1 names the zero row's k elements:
+numpy's ufunc.at runs its fast indexed loop on a 1-D operand with 1-D
+indices and values, but its generic per-row path when it indexes rows of a
+2-D array. Each weight takes the same subtractions in the same order, so the
+bits are those of the row scatter.
 
 All dynamic programs run in log space. In each step's scores the tag being
 summed out (or maximised over) comes first, (k, k) for one sentence and
@@ -559,6 +565,11 @@ def train(
     rows = [M[s:s + len(x)] for s, x in zip(starts.tolist(), data.sentences)]
     targets = [_targets_for(lab, tags, cfg.objective) for lab in data.labels]
     T = model.transitions
+    # the step scatters into the flat weights: firing (token, template) of
+    # feature f writes elements f * k + t, t = 0..k-1, and id -1 the last k
+    k, n_templates = len(tags), M.shape[1]
+    flat = W.reshape(-1)
+    tag_of = np.tile(np.arange(k), max(map(len, data.sentences)) * n_templates)
     for _ in range(cfg.epochs):
         epoch = model.epochs_trained
         rate = cfg.learning_rate / (1.0 + cfg.decay * epoch)
@@ -569,7 +580,8 @@ def train(
             _, gE, gT = _sentence_loss_grad(E, T, targets[si], cfg.objective)
             # one step per firing, in token then template order; what lands
             # on the zero row is wiped
-            np.subtract.at(W, m, rate * gE[:, None, :])
+            np.subtract.at(flat, (m * k).repeat(k) + tag_of[:m.size * k],
+                           (rate * gE).repeat(n_templates, axis=0).ravel())
             W[-1] = 0.0
             T -= rate * gT
         if cfg.l2 > 0.0:

@@ -154,6 +154,12 @@ class TestTagSet:
         with pytest.raises(error):
             PROT.check(labeling)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(1.0), True, "1", None])
+    def test_hard_tag_that_is_no_int_rejected(self, bad):
+        with pytest.raises(UnknownTag):
+            TWO.check([0, bad])
+        TWO.check([0, np.int64(1), np.int32(2)])
+
     def test_unknown_tag(self):
         with pytest.raises(UnknownTag):
             PROT.index("B-XYZ")

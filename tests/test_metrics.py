@@ -124,6 +124,15 @@ class TestScoreDatasets:
         with pytest.raises(UnknownTag):
             score_datasets(pred, gold, PROT)
 
+    def test_non_integer_tag_rejected(self):
+        # a predicted 1.5 used to decode to no span, and this pair scored
+        # F1 0.00 with no error
+        sents = [sentence_from_texts(["a", "b"])]
+        gold = Dataset(sents, [[1, 0]])
+        pred = Dataset(sents, [[1.5, 0]])
+        with pytest.raises(UnknownTag, match="1.5"):
+            score_datasets(pred, gold, PROT)
+
     def test_soft_pred_hardened_by_argmax_then_repaired(self):
         sents = [sentence_from_texts(["a", "b", "c"])]
         gold = Dataset(sents, [[1, 0, 1]])

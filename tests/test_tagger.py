@@ -751,6 +751,14 @@ class TestTraining:
         with pytest.raises(UnknownTag):
             dataset_loss_and_gradient(TaggerModel(PROT), data, cfg)
 
+    @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
+    def test_non_integer_hard_tag_rejected(self, objective):
+        # 1.5 passed the tag-set check: SEQUENCE trained on [1, 0] with no
+        # error and MARGINAL failed on a bare numpy IndexError
+        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1.5, 0]])
+        with pytest.raises(UnknownTag, match="1.5"):
+            train(data, PROT, TrainConfig(epochs=1, objective=objective))
+
     def test_hard_labels_train_marginal_on_one_hot_rows(self):
         target = _targets_for([0, 2, 1], TWO, Objective.MARGINAL)
         assert target.dtype == np.float64
@@ -901,6 +909,40 @@ class TestSgdStep:
             assert np.abs(got.weights - ref.weights).max() <= 1e-12
             assert np.abs(got.transitions - ref.transitions).max() <= 1e-12
         assert np.abs(base.weights).max() > 0.01
+
+    @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
+    @pytest.mark.parametrize("tags", [PROT, TWO], ids=["k3", "k5"])
+    def test_flat_step_keeps_the_row_scatter_bits(self, tags, objective):
+        # train scatters each step into the flat weights; every weight must
+        # take the same subtractions in the same order as the row scatter
+        # below, so the bits match on every numpy. Words and shapes repeat
+        # within a sentence, short texts fire id -1, and the longest
+        # sentence uses the whole tag-offset tile
+        rng = np.random.default_rng(len(tags))
+        data = Dataset([sentence_from_texts(t) for t in self.TEXTS],
+                       [[int(t) for t in rng.integers(0, len(tags), size=len(x))] for x in self.TEXTS])
+        init = random_model(rng, tags, data.sentences)
+        init.epochs_trained = 3
+        cfg = TrainConfig(epochs=1, learning_rate=0.3, decay=0.1, l2=0.0, rng_seed=4,
+                          objective=objective)
+        got = train(data, tags, cfg, init=init)
+
+        M, starts = init._feature_ids(data.sentences)
+        assert (M == -1).any()
+        W = np.vstack([init.weights, np.zeros((1, len(tags)))])
+        T = init.transitions.copy()
+        rate = cfg.learning_rate / (1.0 + cfg.decay * init.epochs_trained)
+        for si in np.random.default_rng([cfg.rng_seed, init.epochs_trained]).permutation(len(data)):
+            m = M[starts[si]:starts[si] + len(data.sentences[si])]
+            E = np.add.reduce(np.take(W, m.T, axis=0), axis=0)
+            target = _targets_for(data.labels[si], tags, objective)
+            _, gE, gT = _sentence_loss_grad(E, T, target, objective)
+            step = rate * gE
+            np.subtract.at(W, m, step[:, None, :])
+            W[-1] = 0.0
+            T -= rate * gT
+        assert got.weights.tobytes() == W[:-1].tobytes()
+        assert got.transitions.tobytes() == T.tobytes()
 
 
 class TestTrainingGather:
