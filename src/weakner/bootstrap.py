@@ -38,17 +38,18 @@ class BootstrapConfig:
     shuffle seed) shared by its three kinds of training call, each with its
     own epoch count: the seed model and every fine-tuning round (MARGINAL
     objective), and the optional from-scratch retrain of ``finalize``
-    (SEQUENCE objective). The seed is small, so it gets more epochs.
+    (SEQUENCE objective). The seed is small, so it gets more epochs. The
+    schedule's defaults are TrainConfig's.
     """
 
     iterations: int = 10
     seed_epochs: int = 12
     round_epochs: int = 3
     final_epochs: int = 6
-    learning_rate: float = 0.25
-    decay: float = 0.08
-    l2: float = 1e-4
-    rng_seed: int = 0
+    learning_rate: float = TrainConfig.learning_rate
+    decay: float = TrainConfig.decay
+    l2: float = TrainConfig.l2
+    rng_seed: int = TrainConfig.rng_seed
 
     def __post_init__(self):
         # check each epoch count under its own name and the shared schedule,

@@ -32,8 +32,8 @@ from .errors import EmptyDataset, SpecInvalid, WeaknerError
 from .experiments import GridConfig, run_experiment_grid, format_grid_table, write_grid_tsv
 from .metrics import evaluate_model, write_tsv
 from .refset import (
-    MatchPolicy,
     audit_matcher,
+    exact_policy,
     filtered_policy,
     find_matches,
     load_dictionary,
@@ -144,16 +144,14 @@ def _read_gold(path, tags: TagSet):
 
 
 def _build_policy(ns):
-    """Policy from the --policy preset; an option given explicitly (yes or
-    no for a flag) overrides the preset's value, one not given keeps it."""
+    """Policy from the --policy preset, C1 (exact_policy) unless c2 is given;
+    an option given explicitly (--dictionary, or yes or no for a flag)
+    overrides the preset's value, one not given keeps it."""
     dictionary = load_dictionary(ns.dictionary) if ns.dictionary else None
-    if ns.policy == "c2":
-        if dictionary is None:
-            raise UsageError("--policy c2 needs --dictionary")
-        base = filtered_policy(dictionary)
-    else:
-        base = MatchPolicy(dictionary_filter=dictionary)
-    changes = {}
+    if ns.policy == "c2" and dictionary is None:
+        raise UsageError("--policy c2 needs --dictionary")
+    base = filtered_policy(dictionary) if ns.policy == "c2" else exact_policy()
+    changes = {} if dictionary is None else {"dictionary_filter": dictionary}
     if ns.min_name_length is not None:
         changes["min_name_length"] = ns.min_name_length
     if ns.case_insensitive is not None:
@@ -205,8 +203,6 @@ def cmd_bootstrap(ns) -> int:
     refset = load_reference_set(ns.refset, tags.entity_types[0])
     heldout = _read_gold(ns.heldout, tags) if ns.heldout else None
 
-    if ns.seed_epochs is None:
-        ns.seed_epochs = ns.round_epochs
     cfg = _config(BootstrapConfig, ns)
     pins = find_matches(corpus, refset, policy)
     model, trace = iterative_train(
@@ -279,14 +275,10 @@ def _policy_opts(p):
     _flag(p, "partial", "allow hyphen/slash component matches", default=None)
 
 
-def _train_opts(p, seed_epochs=None):
-    """The loop's training options; seed_epochs is --seed-epochs's default,
-    None for the value of --epochs."""
+def _train_opts(p):
     _opt(p, "epochs", "training epochs per round", int, BootstrapConfig.round_epochs,
          field="round_epochs")
-    seed_default = "the value of --epochs" if seed_epochs is None else seed_epochs
-    _opt(p, "seed_epochs", f"epochs for the initial seed model (default: {seed_default})", int,
-         seed_epochs)
+    _opt(p, "seed_epochs", "epochs for the initial seed model", int, BootstrapConfig.seed_epochs)
     _opt(p, "final_epochs", "epochs for the final sequence-mode retrain", int,
          BootstrapConfig.final_epochs)
     _opt(p, "learning_rate", "initial SGD learning rate", float, BootstrapConfig.learning_rate)
@@ -310,15 +302,16 @@ def build_parser():
 
     p = add_parser("split", "split a labeled file into seed/corpus/gold", cmd_split)
     _opt(p, "input", "labeled input file", required=True)
-    _opt(p, "seed_frac", "fraction of sentences kept as seed", float, 0.03, field="fraction")
+    _opt(p, "seed_frac", "fraction of sentences kept as seed", float, GridConfig.seed_fraction,
+         field="fraction")
     _opt(p, "rng_seed", "random seed", int, 0)
-    _opt(p, "entity_type", "comma-separated entity type names", default="PROT")
+    _opt(p, "entity_type", "comma-separated entity type names", default=SyntheticSpec.entity_type)
     _opt(p, "out_dir", "output directory", required=True)
 
     p = add_parser("match", "find gazetteer mentions in a corpus", cmd_match)
     _opt(p, "corpus", f"corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set, one name per line", required=True)
-    _opt(p, "entity_type", _REFSET_TYPES, default="PROT")
+    _opt(p, "entity_type", _REFSET_TYPES, default=SyntheticSpec.entity_type)
     _opt(p, "gold", "gold file for a matcher audit")
     _opt(p, "criterion", "audit criterion", default="exact", choices=["exact", "overlap"])
     _opt(p, "out_dir", "output directory", required=True)
@@ -328,10 +321,10 @@ def build_parser():
     _opt(p, "seed", "labeled seed file", required=True)
     _opt(p, "corpus", f"unlabeled corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set file", required=True)
-    _opt(p, "entity_type", _REFSET_TYPES, default="PROT")
+    _opt(p, "entity_type", _REFSET_TYPES, default=SyntheticSpec.entity_type)
     _opt(p, "heldout", "labeled file for per-round evaluation")
     _opt(p, "iterations", "number of refinement rounds", int, BootstrapConfig.iterations)
-    _opt(p, "rng_seed", "random seed", int, 0)
+    _opt(p, "rng_seed", "random seed", int, BootstrapConfig.rng_seed)
     _flag(p, "no_final", "skip the final sequence-mode retrain")
     _opt(p, "out_dir", "output directory", required=True)
     _policy_opts(p)
@@ -377,7 +370,7 @@ def build_parser():
     _opt(p, "full_epochs", "epochs for the fully-supervised rows", int, GridConfig.full_epochs)
     _opt(p, "min_name_len", "minimum name length for the C2 rows", int,
          GridConfig.min_name_length, field="min_name_length")
-    _train_opts(p, BootstrapConfig.seed_epochs)
+    _train_opts(p)
 
     return parser
 
@@ -395,7 +388,7 @@ def main(argv=None) -> int:
     except (WeaknerError, OSError) as e:
         print(f"data error: {_named(e, args)}", file=sys.stderr)
         return 2
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:  # any other error is a bug: exit 3
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

@@ -28,13 +28,14 @@ _COMPONENT_SPLIT = re.compile(r"[-/]")
 
 @dataclass(frozen=True)
 class ReferenceSet:
-    """A deduplicated set of entity surface forms for one entity type."""
+    """A deduplicated set of entity surface forms for one entity type, each
+    stored as its words joined by single spaces, as token windows are."""
 
     names: frozenset
     entity_type: str
 
     def __post_init__(self):
-        object.__setattr__(self, "names", frozenset(self.names))
+        object.__setattr__(self, "names", frozenset(" ".join(n.split()) for n in self.names))
         if any(not n for n in self.names):
             raise WeaknerError("reference set contains an empty name")
 
@@ -46,9 +47,9 @@ class ReferenceSet:
 class MatchPolicy:
     """Configuration of the filtering and matching rules.
 
-    dictionary_filter words are lowercased on construction; a name is
-    dropped when its lowercased form is in the dictionary or when it is
-    shorter than min_name_length characters.
+    dictionary_filter words are single-spaced as reference names are, then
+    lowercased, on construction; a name is dropped when its lowercased form
+    is in the dictionary or when it is shorter than min_name_length characters.
     """
 
     case_sensitive: bool = True
@@ -59,7 +60,7 @@ class MatchPolicy:
     def __post_init__(self):
         check_int("min_name_length", self.min_name_length, 1)
         if self.dictionary_filter is not None:
-            words = frozenset(w.lower() for w in self.dictionary_filter)
+            words = frozenset(" ".join(w.split()).lower() for w in self.dictionary_filter)
             object.__setattr__(self, "dictionary_filter", words)
 
     def keeps(self, name: str) -> bool:

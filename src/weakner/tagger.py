@@ -142,8 +142,8 @@ class TrainConfig:
     """
 
     epochs: int = 10
-    learning_rate: float = 0.2
-    decay: float = 0.05
+    learning_rate: float = 0.25
+    decay: float = 0.08
     l2: float = 1e-4
     rng_seed: int = 0
     objective: Objective = Objective.MARGINAL

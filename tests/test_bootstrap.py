@@ -403,6 +403,11 @@ class TestBootstrapConfig:
         for c in (seed, round_, final):
             assert (c.learning_rate, c.decay, c.l2, c.rng_seed) == (0.3, 0.1, 1e-3, 7)
 
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_default_schedule_is_train_configs(self, objective):
+        # the loop's schedule used to default to 0.25/0.08, a bare TrainConfig's to 0.2/0.05
+        assert BootstrapConfig().train_cfg(4, objective) == TrainConfig(4, objective=objective)
+
 
 def reference_relabel(corpus, model, pins):
     """The README's relabeling, one token at a time: per-token marginals of

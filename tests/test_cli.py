@@ -222,12 +222,15 @@ class TestMatch:
         corpus = tmp_path / "corpus.conll"
         corpus.write_text("the\tO\nassay\tO\n\nMDM2\tO\nbinds\tO\np53\tO\n", encoding="utf-8")
         refset = tmp_path / "names.txt"
-        refset.write_text("binds p53\nMDM2\n", encoding="utf-8")
-        rc = main(["match", "--corpus", str(corpus), "--refset", str(refset),
-                   "--out-dir", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "matches.tsv").read_bytes() == (
-            b"sentence\tfirst\tlast\tname\n1\t0\t0\tMDM2\n1\t1\t2\tbinds p53\n")
+        # a name split by a TAB used to match nothing
+        for names in ("binds p53\nMDM2\n", "binds\tp53\nMDM2\n"):
+            refset.write_text(names, encoding="utf-8")
+            rc = main(["match", "--corpus", str(corpus), "--refset", str(refset),
+                       "--out-dir", str(tmp_path)])
+            assert rc == 0
+            out = (tmp_path / "matches.tsv").read_bytes()
+            assert out == b"sentence\tfirst\tlast\tname\n1\t0\t0\tMDM2\n1\t1\t2\tbinds p53\n"
+            assert all(len(row.split(b"\t")) == 4 for row in out.splitlines())
 
     @pytest.mark.parametrize("policy, flags, changes", [
         ("c2", [], {}),
@@ -331,17 +334,19 @@ class TestBootstrap:
         checkpoints = [n for n in names if n.startswith("model_iter_")]
         assert len(checkpoints) == 3  # K + 1
 
-    def test_k_zero_is_seed_only(self, synth_dir, split_dir, tmp_path):
+    def test_k_zero_is_seed_only(self, synth_dir, split_dir, tmp_path, capsys):
         rc = main([
             "bootstrap", "--seed", str(split_dir / "seed.conll"),
             "--corpus", str(split_dir / "corpus.conll"),
             "--refset", str(synth_dir / "refset.txt"),
+            "--heldout", str(split_dir / "gold.conll"),
             "--iterations", "0", "--epochs", "2", "--no-final",
             "--out-dir", str(tmp_path),
         ])
         assert rc == 0
         checkpoints = [n for n in os.listdir(tmp_path) if n.startswith("model_iter_")]
         assert checkpoints == ["model_iter_00.model"]
+        assert "\nheld-out P=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [("--l2", "nan"), ("--rng-seed", "-1")])
     def test_bad_training_setting_is_data_error(self, synth_dir, split_dir, tmp_path, flag, value):
@@ -523,9 +528,10 @@ class TestOptionsFillConfigs:
                            (GridConfig, self.GRID_FIELDS)):
             assert all(getattr(cls, k) != v for k, v in given.items())
 
-    @pytest.mark.parametrize("seed_epochs, expected", [(["--seed-epochs", "11"], 11), ([], 5)])
+    @pytest.mark.parametrize("seed_epochs, expected",
+                             [(["--seed-epochs", "11"], 11), ([], BootstrapConfig.seed_epochs)])
     def test_bootstrap(self, synth_dir, split_dir, tmp_path, monkeypatch, seed_epochs, expected):
-        # without --seed-epochs, the seed model trains for --epochs
+        # without --seed-epochs, the seed model trains for the library's default, not --epochs
         configs = []
 
         def capture(seed, corpus, tags, cfg, pins, **kw):
@@ -561,17 +567,6 @@ class TestOptionsFillConfigs:
         assert rc == 2
         assert specs == [SyntheticSpec(**self.CORPUS_FIELDS)]
         assert configs == [GridConfig(seed_epochs=expected, **self.GRID_FIELDS, **self.LOOP_FIELDS)]
-
-    def test_help_states_each_seed_epochs_default(self, capsys):
-        # the two defaults above differ, so each command's help names its own
-        helps = {}
-        for command in ("bootstrap", "synthetic"):
-            with pytest.raises(SystemExit) as exit_:
-                main([command, "--help"])
-            assert exit_.value.code == 0
-            helps[command] = " ".join(capsys.readouterr().out.split())
-        assert "initial seed model (default: the value of --epochs)" in helps["bootstrap"]
-        assert f"initial seed model (default: {BootstrapConfig.seed_epochs})" in helps["synthetic"]
 
 
 class TestBadNumberNamesItsOption:
@@ -763,3 +758,13 @@ class TestConfigFile:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["split", "--does-not-exist", "1"]) == 1
+
+
+def test_unexpected_error_is_internal_error(synth_dir, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "split_seed", fail)
+    rc = main(["split", "--input", str(synth_dir / "gold.conll"), "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err

@@ -120,6 +120,12 @@ class TestFilterNames:
         policy = MatchPolicy(dictionary_filter={"Anova"})
         assert filter_names(rs, policy).names == frozenset({"TIGAR"})
 
+    def test_dictionary_words_single_spaced(self):
+        # a dictionary word with a double space used to filter nothing
+        rs = ReferenceSet(frozenset({"Cell Line", "TIGAR"}), "PROT")
+        policy = filtered_policy({"cell  line"}, 4)
+        assert filter_names(rs, policy).names == frozenset({"TIGAR"})
+
     def test_length_rule(self):
         rs = ReferenceSet(frozenset({"AB", "ABCD"}), "PROT")
         policy = MatchPolicy(min_name_length=4)
@@ -172,6 +178,14 @@ class TestFindMatches:
         rs = ReferenceSet(frozenset({"GAMMA ACTIN"}), "PROT")
         matches = find_matches(corpus, rs, exact_policy())
         assert [(m.first, m.last) for m in matches] == [(1, 2)]
+
+    def test_names_with_irregular_whitespace(self):
+        # a name that was not single-spaced used to match nothing
+        corpus = corpus_of(["the", "MDM2", "binds", "p53", "."])
+        rs = ReferenceSet(frozenset({"binds  p53", " MDM2"}), "PROT")
+        assert rs.names == frozenset({"binds p53", "MDM2"})
+        matches = find_matches(corpus, rs, exact_policy())
+        assert [(m.first, m.last, m.name) for m in matches] == [(1, 1, "MDM2"), (2, 3, "binds p53")]
 
     def test_leftmost_longest(self):
         corpus = corpus_of(["A", "B", "C"])

@@ -17,6 +17,7 @@ from weakner.corpus import (
 )
 from weakner.errors import (
     EmptyDataset,
+    LabelLengthMismatch,
     ModelTagSetMismatch,
     TrainingDiverged,
     UnknownTag,
@@ -677,6 +678,13 @@ class TestTraining:
     def test_unlabeled_sentence_rejected(self):
         data = Dataset([sentence_from_texts(["a"])], [None])
         with pytest.raises(EmptyDataset):
+            train(data, PROT, TrainConfig())
+
+    def test_label_length_mismatch_rejected(self):
+        # a Dataset checks lengths when built; train checks a labeling replaced after that
+        data = Dataset([sentence_from_texts(["a", "b"])], [[0, 0]])
+        data.labels[0] = [0]
+        with pytest.raises(LabelLengthMismatch, match="1 labels for 2 tokens"):
             train(data, PROT, TrainConfig())
 
     def test_tag_set_mismatch_on_init(self):
