@@ -20,7 +20,7 @@ from weakner import (
 # compound like "Flag-tagged-TIGAR" remains one matchable token.
 for text in ["p53 binds MDM2.", "The (Flag-tagged-TIGAR) construct works."]:
     sent = tokenize(text)
-    print(f"{text!r:45} -> {sent.texts()}")
+    print(f"{text!r:45} -> {list(sent.tokens)}")
 
 # -- a tiny labeled dataset --------------------------------------------------
 tags = TagSet(("PROT",))
@@ -45,7 +45,7 @@ model = train(data, tags, TrainConfig(epochs=20, learning_rate=0.3, rng_seed=0))
 # -- soft mode: per-token posterior marginals --------------------------------
 probe = tokenize("MDM2 binds TIGAR.")
 soft = model.predict_soft([probe])[0]
-print(f"\nmarginals for {probe.texts()}:")
+print(f"\nmarginals for {list(probe.tokens)}:")
 with np.printoptions(precision=3, suppress=True):
     for tok, row in zip(probe.tokens, soft.dist):
         print(f"  {tok:8} {row}")

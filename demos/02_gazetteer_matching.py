@@ -38,8 +38,9 @@ for m in find_matches(corpus, refset, exact_policy()):
 print("  -> hits the spurious ANOVA, misses the embedded TIGAR\n")
 
 dictionary = frozenset({"anova", "we", "ran", "on", "the", "assay", "binds", "today"})
-policy = filtered_policy(dictionary, min_name_length=4)
-print(f"filtered names (dictionary + length>=4): {sorted(filter_names(refset, policy).names)}")
+policy = filtered_policy(dictionary)
+kept = sorted(filter_names(refset, policy).names)
+print(f"filtered names (dictionary + length>={policy.min_name_length}): {kept}")
 print("filtered, case-insensitive, partial search:")
 for m in find_matches(corpus, refset, policy):
     print(f"  sentence {m.sentence}, tokens [{m.first},{m.last}]: {m.name}")
@@ -53,7 +54,7 @@ m_exact = find_matches(gold, refset, exact_policy())
 p, r = audit_matcher(m_exact, gold, tags)
 print(f"exact search      : P={100 * p:5.2f} R={100 * r:5.2f}  ({len(m_exact)} matches)")
 
-policy = filtered_policy(dictionary, 4)
+policy = filtered_policy(dictionary)
 m_filt = find_matches(gold, refset, policy)
 p, r = audit_matcher(m_filt, gold, tags)
 print(f"filtered + partial: P={100 * p:5.2f} R={100 * r:5.2f}  ({len(m_filt)} matches)")

@@ -27,7 +27,7 @@ seed, corpus, corpus_gold = split_seed(train_gold, 0.05, rng_seed=1)
 print(f"{len(seed)} labeled seed sentences, {len(corpus)} unlabeled, {len(test)} test")
 
 # -- high-precision pins from the filtered gazetteer ---------------------------
-policy = filtered_policy(dictionary, 4)
+policy = filtered_policy(dictionary)
 pins = find_matches(corpus, refset, policy)
 print(f"{len(pins)} pinned mentions in the corpus\n")
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, Provenance, TagSet, gold_spans
-from .errors import ModelTagSetMismatch, WeaknerError, check_int
+from .corpus import Dataset, Provenance, TagSet, check_spans_in, gold_spans
+from .errors import ModelTagSetMismatch, check_int
 from .metrics import EvalReport, evaluate_model, prf, write_tsv
 from .tagger import Objective, TaggerModel, TrainConfig, predict_dataset_soft, train
 
@@ -95,9 +95,7 @@ def relabel(corpus: Dataset, model: TaggerModel, matches) -> Dataset:
             raise ModelTagSetMismatch(
                 f"match type {m.entity_type!r} not in model tags {tags.entity_types}"
             )
-        if not (0 <= m.sentence < len(corpus)
-                and 0 <= m.first <= m.last < len(corpus.sentences[m.sentence])):
-            raise WeaknerError(f"match {m} out of bounds")
+    check_spans_in(matches, corpus)
     labeled = predict_dataset_soft(model, corpus)
     for m in matches:
         soft = labeled.labels[m.sentence]

@@ -5,7 +5,7 @@ Subcommands wire the library into reproducible pipelines:
     weakner synthetic  generate a gold corpus + gazetteer + dictionary
                        (optionally run the full experiment grid)
     weakner split      seed/corpus/hidden-gold split of a labeled file
-    weakner match      gazetteer search over a corpus file
+    weakner match      gazetteer search (the paper's C1 or C2) over a corpus file
     weakner bootstrap  the iterative training loop, with checkpoints
     weakner predict    Viterbi-decode a file with a saved model
     weakner eval       entity-level P/R/F1 of a model on a gold file
@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .bootstrap import BootstrapConfig, finalize, iterative_train
 from .corpus import TagSet, gold_spans, read_conll, split_seed, text_lines, write_conll, write_lines
@@ -75,9 +75,9 @@ def _opt(parser, name, help_text, type=str, default=None, field=None, **kw):
                         default=default, help=help_text, metavar=name.upper(), **kw)
 
 
-def _flag(parser, name, help_text, default=False):
+def _flag(parser, name, help_text):
     parser.add_argument("--" + name.replace("_", "-"), dest=name, type=_yes_no, nargs="?",
-                        const=True, default=default, help=help_text, metavar="yes|no")
+                        const=True, default=False, help=help_text, metavar="yes|no")
 
 
 def _named(error, ns):
@@ -144,21 +144,14 @@ def _read_gold(path, tags: TagSet):
 
 
 def _build_policy(ns):
-    """Policy from the --policy preset, C1 (exact_policy) unless c2 is given;
-    an option given explicitly (--dictionary, or yes or no for a flag)
-    overrides the preset's value, one not given keeps it."""
-    dictionary = load_dictionary(ns.dictionary) if ns.dictionary else None
-    if ns.policy == "c2" and dictionary is None:
+    """The paper's C1, exact_policy(), for --policy c1 (the default), or its C2,
+    filtered_policy over the --dictionary words, for c2. Other policies are
+    built from refset.MatchPolicy in Python."""
+    if ns.policy == "c2" and not ns.dictionary:
         raise UsageError("--policy c2 needs --dictionary")
-    base = filtered_policy(dictionary) if ns.policy == "c2" else exact_policy()
-    changes = {} if dictionary is None else {"dictionary_filter": dictionary}
-    if ns.min_name_length is not None:
-        changes["min_name_length"] = ns.min_name_length
-    if ns.case_insensitive is not None:
-        changes["case_sensitive"] = not ns.case_insensitive
-    if ns.partial is not None:
-        changes["allow_partial"] = ns.partial
-    return replace(base, **changes)
+    if ns.policy != "c2" and ns.dictionary:
+        raise UsageError("--dictionary needs --policy c2")
+    return filtered_policy(load_dictionary(ns.dictionary)) if ns.dictionary else exact_policy()
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +176,8 @@ def cmd_match(ns) -> int:
     refset = load_reference_set(ns.refset, tags.entity_types[0])
     corpus = read_conll(ns.corpus, tags)
     gold = _read_gold(ns.gold, tags) if ns.gold else None
+    if gold is not None and gold.sentences != corpus.sentences:
+        raise WeaknerError(f"{ns.gold}: its sentences are not those of {ns.corpus}")
     matches = find_matches(corpus, refset, policy)
     os.makedirs(ns.out_dir, exist_ok=True)
     out_path = os.path.join(ns.out_dir, "matches.tsv")
@@ -268,11 +263,8 @@ def cmd_synthetic(ns) -> int:
 # ---------------------------------------------------------------------------
 
 def _policy_opts(p):
-    _opt(p, "policy", "matching policy preset", choices=["c1", "c2"])
-    _opt(p, "dictionary", "dictionary word list (one word per line)")
-    _opt(p, "min_name_len", "minimum name length in characters", int, field="min_name_length")
-    _flag(p, "case_insensitive", "case-insensitive matching", default=None)
-    _flag(p, "partial", "allow hyphen/slash component matches", default=None)
+    _opt(p, "policy", "matching policy: c1 exact, c2 filtered", choices=["c1", "c2"])
+    _opt(p, "dictionary", "dictionary word list for c2 (one word per line)")
 
 
 def _train_opts(p):
@@ -368,8 +360,6 @@ def build_parser():
          field="test_fraction")
     _opt(p, "iterations", "refinement rounds for the grid", int, BootstrapConfig.iterations)
     _opt(p, "full_epochs", "epochs for the fully-supervised rows", int, GridConfig.full_epochs)
-    _opt(p, "min_name_len", "minimum name length for the C2 rows", int,
-         GridConfig.min_name_length, field="min_name_length")
     _train_opts(p)
 
     return parser

@@ -55,6 +55,7 @@ class Sentence:
     def __len__(self):
         return len(self.tokens)
 
+    # an alias of .tokens that only perfbench/workloads.py and tests still use (ROADMAP item 7)
     def texts(self):
         return list(self.tokens)
 
@@ -313,6 +314,14 @@ def gold_spans(gold: Dataset, tags: TagSet):
     return spans
 
 
+def check_spans_in(spans, dataset: Dataset):
+    """Raise WeaknerError unless each span's sentence and token range lie in dataset."""
+    for sp in spans:
+        if not (0 <= sp.sentence < len(dataset)
+                and 0 <= sp.first <= sp.last < len(dataset.sentences[sp.sentence])):
+            raise WeaknerError(f"{sp} out of bounds")
+
+
 def bio_encode(spans, n_tokens: int, tags: TagSet, sentence: int = 0):
     """Encode non-overlapping spans as a BIO hard labeling of length n_tokens."""
     labels = [0] * n_tokens
@@ -368,6 +377,7 @@ def split_seed(dataset: Dataset, fraction: float, rng_seed: int):
 # File I/O
 # ---------------------------------------------------------------------------
 
+# an alias of Sentence that only perfbench/workloads.py and tests still use (ROADMAP item 7)
 def sentence_from_texts(texts):
     """A Sentence holding the given token strings."""
     return Sentence(texts)
@@ -398,7 +408,7 @@ def read_conll(path, tags: TagSet) -> Dataset:
 
     def flush():
         if cur_toks:
-            sentences.append(sentence_from_texts(cur_toks))
+            sentences.append(Sentence(cur_toks))
             labels.append(list(cur_tags))
             cur_toks.clear()
             cur_tags.clear()

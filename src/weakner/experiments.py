@@ -61,20 +61,18 @@ def default_conditions():
 
 @dataclass
 class GridConfig(BootstrapConfig):
-    """The loop settings of the seed conditions, plus the data split, the
-    epochs of the full-label conditions and the C2 name-length floor."""
+    """The loop settings of the seed conditions, plus the data split and the
+    epochs of the full-label conditions (C2 rows run filtered_policy as is)."""
 
     seed_fraction: float = 0.03
     test_fraction: float = 0.2
     full_epochs: int = 6
-    min_name_length: int = 4
 
     def __post_init__(self):
         super().__post_init__()
         check_fraction("seed_fraction", self.seed_fraction)
         check_fraction("test_fraction", self.test_fraction)
         check_int("full_epochs", self.full_epochs, 1)
-        check_int("min_name_length", self.min_name_length, 1)
 
 
 @dataclass
@@ -105,7 +103,7 @@ def mask_to_one_entity(gold_corpus: Dataset, tags: TagSet, rng_seed: int):
     return Dataset(list(gold_corpus.sentences), labels), kept
 
 
-def _pins_for(policy, corpus, kept, refset, dictionary, cfg):
+def _pins_for(policy, corpus, kept, refset, dictionary):
     """The pins a seed-mode reference policy puts on the corpus: the kept
     gold spans for "gold", the matcher's RefMatch list for C1 and C2."""
     if policy == "gold":
@@ -113,7 +111,7 @@ def _pins_for(policy, corpus, kept, refset, dictionary, cfg):
     if policy == "c1":
         return find_matches(corpus, refset, exact_policy())
     if policy == "c2":
-        return find_matches(corpus, refset, filtered_policy(dictionary, cfg.min_name_length))
+        return find_matches(corpus, refset, filtered_policy(dictionary))
     return []
 
 
@@ -136,7 +134,7 @@ def run_experiment_grid(
     masked, kept = mask_to_one_entity(corpus_gold, tags, cfg.rng_seed + 17)
     loops = {}  # ref_policy -> (pins, matcher P, matcher R, loop model, trace)
     for policy in dict.fromkeys(c.ref_policy for c in conditions if c.true_labels == "seed"):
-        pins = _pins_for(policy, corpus, kept, refset, dictionary, cfg)
+        pins = _pins_for(policy, corpus, kept, refset, dictionary)
         audit = audit_matcher(pins, corpus_gold, tags) if pins else (None, None)
         model, trace = iterative_train(seed_ds, corpus, tags, cfg, pins=pins, heldout=test)
         loops[policy] = (pins, *audit, model, trace)

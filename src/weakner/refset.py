@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import Dataset, EntitySpan, TagSet, gold_spans, text_lines
+from .corpus import Dataset, EntitySpan, TagSet, check_spans_in, gold_spans, text_lines
 from .errors import EmptyReferenceSet, WeaknerError, check_int
 from .metrics import score_entities
 
@@ -225,11 +225,13 @@ def audit_matcher(matches, gold: Dataset, tags: TagSet, criterion: str = "exact"
 
     criterion "exact" counts a match only when (sentence, range, type) all
     agree, as score_entities does; "overlap" credits any same-type token
-    overlap. Gold must pass corpus.gold_spans, or EmptyDataset.
+    overlap. Gold must pass corpus.gold_spans, or EmptyDataset, and hold
+    every match's sentence and token range, or WeaknerError.
     """
     if criterion not in ("exact", "overlap"):
         raise WeaknerError(f"unknown audit criterion {criterion!r}")
     gold_set = gold_spans(gold, tags)
+    check_spans_in(matches, gold)
     if criterion == "exact":
         spans = [EntitySpan(m.sentence, m.first, m.last, m.entity_type) for m in matches]
         report = score_entities(spans, gold_set)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset, EntitySpan, TagSet, bio_encode, sentence_from_texts
+from .corpus import Dataset, EntitySpan, Sentence, TagSet, bio_encode
 from .errors import SpecInvalid, WeaknerError, check_int
 from .refset import ReferenceSet
 
@@ -229,7 +229,7 @@ def generate_synthetic(spec: SyntheticSpec):
                 first = len(texts)
                 texts.extend(payload)
                 spans.append(EntitySpan(0, first, len(texts) - 1, spec.entity_type))
-        sentences.append(sentence_from_texts(texts))
+        sentences.append(Sentence(texts))
         labels.append(bio_encode(spans, len(texts), tags))
 
     gold = Dataset(sentences, labels)

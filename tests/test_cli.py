@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from weakner.bootstrap import BootstrapConfig
 from weakner.cli import main
 from weakner.corpus import TagSet, read_conll
 from weakner.errors import WeaknerError
-from weakner.experiments import GridConfig
-from weakner.refset import MatchPolicy, filtered_policy, load_dictionary
+from weakner.experiments import Condition, GridConfig
+from weakner.refset import exact_policy, filtered_policy, load_dictionary, load_reference_set
 from weakner.synthetic import SyntheticSpec, generate_synthetic
 from weakner.tagger import TaggerModel
 
@@ -61,6 +60,14 @@ class TestSynthetic:
         assert (tmp_path / "gold.conll").read_bytes() != (synth_dir / "gold.conll").read_bytes()
         ds = read_conll(tmp_path / "gold.conll", PROT)
         assert len(ds) == 120
+
+    def test_grid_has_no_name_length_option(self, tmp_path, capsys):
+        # --min-name-len used to set a C2 floor of the grid's own
+        rc = main(["synthetic", "--grid", "--min-name-len", "3",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--min-name-len" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_corpus_options_default_to_the_spec(self, tmp_path, monkeypatch):
         specs = []
@@ -232,20 +239,9 @@ class TestMatch:
             assert out == b"sentence\tfirst\tlast\tname\n1\t0\t0\tMDM2\n1\t1\t2\tbinds p53\n"
             assert all(len(row.split(b"\t")) == 4 for row in out.splitlines())
 
-    @pytest.mark.parametrize("policy, flags, changes", [
-        ("c2", [], {}),
-        # explicit "no" used to be dropped, so c2 still matched components
-        ("c2", ["--partial=no", "--case-insensitive=no"],
-         dict(allow_partial=False, case_sensitive=True)),
-        ("c2", ["--partial=yes", "--case-insensitive", "--min-name-len", "2"],
-         dict(min_name_length=2)),
-        ("c1", [], {}),
-        ("c1", ["--partial", "--case-insensitive=yes", "--min-name-len", "3"],
-         dict(allow_partial=True, case_sensitive=False, min_name_length=3)),
-        ("c1", ["--partial=no", "--case-insensitive=no"], {}),
-    ])
-    def test_explicit_policy_options_override_the_preset(self, synth_dir, split_dir, tmp_path,
-                                                         monkeypatch, policy, flags, changes):
+    @pytest.mark.parametrize("policy", ["c1", "c2"])
+    def test_policy_builds_the_papers_preset(self, synth_dir, split_dir, tmp_path, monkeypatch,
+                                             policy):
         policies = []
 
         def capture(corpus, refset, policy):
@@ -253,17 +249,89 @@ class TestMatch:
             raise WeaknerError("stop before matching")
 
         monkeypatch.setattr(cli, "find_matches", capture)
+        dictionary = synth_dir / "dictionary.txt"
+        c2_input = ["--dictionary", str(dictionary)] if policy == "c2" else []
         rc = main([
             "match", "--corpus", str(split_dir / "corpus.conll"),
             "--refset", str(synth_dir / "refset.txt"),
-            "--dictionary", str(synth_dir / "dictionary.txt"),
-            "--policy", policy, *flags, "--out-dir", str(tmp_path),
+            "--policy", policy, *c2_input, "--out-dir", str(tmp_path),
         ])
         assert rc == 2
-        dictionary = load_dictionary(synth_dir / "dictionary.txt")
-        preset = (filtered_policy(dictionary) if policy == "c2"
-                  else MatchPolicy(dictionary_filter=dictionary))
-        assert policies == [replace(preset, **changes)]
+        expected = (filtered_policy(load_dictionary(dictionary)) if policy == "c2"
+                    else exact_policy())
+        assert policies == [expected]
+
+    @pytest.mark.parametrize("policy", [["--policy", "c1"], []], ids=["c1", "default"])
+    def test_dictionary_with_c1_is_usage_error(self, synth_dir, split_dir, tmp_path, capsys,
+                                               policy):
+        # --dictionary used to add the dictionary filter to C1's exact search
+        rc = main([
+            "match", "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"),
+            "--dictionary", str(synth_dir / "dictionary.txt"), *policy,
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--dictionary" in err and "--policy" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--min-name-len=2", "--case-insensitive", "--partial=no"])
+    @pytest.mark.parametrize("command", ["match", "bootstrap"])
+    def test_policy_overrides_are_unknown_options(self, synth_dir, split_dir, tmp_path, capsys,
+                                                  command, option):
+        # each used to override one field of either preset
+        inputs = {"match": ["--corpus", str(split_dir / "corpus.conll")],
+                  "bootstrap": ["--seed", str(split_dir / "seed.conll"),
+                                "--corpus", str(split_dir / "corpus.conll")]}[command]
+        rc = main([command, *inputs, "--refset", str(synth_dir / "refset.txt"),
+                   "--dictionary", str(synth_dir / "dictionary.txt"), "--policy", "c2",
+                   option, "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert option.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_c2_rows_run_the_match_policy(self, synth_dir, split_dir, tmp_path, monkeypatch):
+        # the grid used to build its C2 policy with a name-length floor of its own
+        policies = {"grid": [], "match": []}
+
+        def capture(into):
+            def find_matches(corpus, refset, policy):
+                policies[into].append(policy)
+                raise WeaknerError("stop before matching")
+            return find_matches
+
+        monkeypatch.setattr(experiments, "find_matches", capture("grid"))
+        monkeypatch.setattr(cli, "find_matches", capture("match"))
+        dictionary = synth_dir / "dictionary.txt"
+        with pytest.raises(WeaknerError, match="stop before matching"):
+            experiments.run_experiment_grid(
+                read_conll(synth_dir / "gold.conll", PROT),
+                PROT, load_reference_set(synth_dir / "refset.txt", "PROT"),
+                load_dictionary(dictionary), [Condition("E8", "seed", "c2", "softmax")])
+        rc = main(["match", "--corpus", str(split_dir / "corpus.conll"),
+                   "--refset", str(synth_dir / "refset.txt"), "--dictionary", str(dictionary),
+                   "--policy", "c2", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        c2 = filtered_policy(load_dictionary(dictionary))
+        assert policies["grid"] == policies["match"] == [c2]
+
+    def test_gold_of_other_sentences_is_data_error(self, synth_dir, split_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        # the seed file used to be scored against the corpus's matches: P=1.68 R=11.11, exit 0
+        def no_matching(*args):
+            raise AssertionError("matched before the gold file was checked")
+
+        monkeypatch.setattr(cli, "find_matches", no_matching)
+        rc = main([
+            "match", "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"),
+            "--dictionary", str(synth_dir / "dictionary.txt"), "--policy", "c2",
+            "--gold", str(split_dir / "seed.conll"), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {split_dir / 'seed.conll'}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_tag_names_file_and_line(self, tmp_path, capsys):
         # used to print only "tag 'B-GENE' not in tag set [...]"
@@ -519,9 +587,8 @@ class TestOptionsFillConfigs:
     CORPUS_FIELDS = dict(n_sentences=40, n_entity_names=50, n_context_words=90, n_distractors=7,
                          ambiguity_rate=0.2, hyphenation_rate=0.1, short_name_rate=0.15,
                          multiword_name_rate=0.25, entity_type="GENE", rng_seed=9)
-    GRID = ["--seed-frac", "0.05", "--test-frac", "0.3", "--full-epochs", "2",
-            "--min-name-len", "3"]
-    GRID_FIELDS = dict(seed_fraction=0.05, test_fraction=0.3, full_epochs=2, min_name_length=3)
+    GRID = ["--seed-frac", "0.05", "--test-frac", "0.3", "--full-epochs", "2"]
+    GRID_FIELDS = dict(seed_fraction=0.05, test_fraction=0.3, full_epochs=2)
 
     def test_values_are_not_the_defaults(self):
         for cls, given in ((BootstrapConfig, self.LOOP_FIELDS), (SyntheticSpec, self.CORPUS_FIELDS),
@@ -579,12 +646,12 @@ class TestBadNumberNamesItsOption:
         "--distractors": ("0", 1), "--ambiguity": ("1.5", 1), "--hyphenation": ("-0.1", 1),
         "--short-rate": ("2", 1), "--multiword-rate": ("-1", 1), "--rng-seed": ("-1", 1),
         "--seed-frac": ("0", 2), "--test-frac": ("1", 2), "--iterations": ("-1", 2),
-        "--full-epochs": ("0", 2), "--min-name-len": ("0", 2), "--epochs": ("0", 2),
+        "--full-epochs": ("0", 2), "--epochs": ("0", 2),
         "--seed-epochs": ("0", 2), "--final-epochs": ("0", 2), "--learning-rate": ("0", 2),
         "--decay": ("-1", 2), "--l2": ("nan", 2),
     }
     BOOTSTRAP = {
-        "--iterations": "-1", "--rng-seed": "-1", "--min-name-len": "0", "--epochs": "0",
+        "--iterations": "-1", "--rng-seed": "-1", "--epochs": "0",
         "--seed-epochs": "0", "--final-epochs": "0", "--learning-rate": "inf", "--decay": "nan",
         "--l2": "-1",
     }

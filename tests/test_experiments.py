@@ -28,16 +28,15 @@ PROT = TagSet(("PROT",))
 @pytest.mark.parametrize("setting", [
     {"l2": float("nan")}, {"learning_rate": float("nan")}, {"decay": float("nan")},
     {"round_epochs": 2.5}, {"seed_epochs": 0},
-    {"iterations": -1}, {"iterations": 2.5}, {"iterations": True}, {"min_name_length": 0},
-    {"round_epochs": True}, {"rng_seed": True}, {"min_name_length": 2.5},
-    {"min_name_length": "3"}, {"seed_fraction": 1.5}, {"seed_fraction": float("nan")},
+    {"iterations": -1}, {"iterations": 2.5}, {"iterations": True},
+    {"round_epochs": True}, {"rng_seed": True},
+    {"seed_fraction": 1.5}, {"seed_fraction": float("nan")},
     {"test_fraction": 0.0}, {"test_fraction": 1.0},
 ])
 def test_grid_config_rejects_bad_training_settings(setting):
     # these used to pass and surface mid-grid (2.5 iterations as a bare TypeError),
     # or never (a NaN l2 trains with no L2, round_epochs=True trains one epoch);
-    # min_name_length="3" was a bare TypeError; a test_fraction of 0 failed
-    # in split_seed as "got 1.0"
+    # a test_fraction of 0 failed in split_seed as "got 1.0"
     with pytest.raises(WeaknerError):
         GridConfig(**setting)
 

@@ -131,6 +131,12 @@ class TestFilterNames:
         policy = MatchPolicy(min_name_length=4)
         assert filter_names(rs, policy).names == frozenset({"ABCD"})
 
+    @pytest.mark.parametrize("floor", [0, 2.5, "3", True])
+    def test_bad_name_length_floor_rejected(self, floor):
+        # MatchPolicy alone checks the floor; GridConfig holds no copy of it
+        with pytest.raises(WeaknerError, match="^min_name_length must be an integer >= 1"):
+            MatchPolicy(min_name_length=floor)
+
     def test_no_filters_is_identity(self):
         rs = ReferenceSet(frozenset({"a", "bb"}), "PROT")
         assert filter_names(rs, MatchPolicy()).names == rs.names
@@ -569,6 +575,20 @@ class TestAuditMatcher:
             got = audit_matcher(matches, gold, TWO, criterion="overlap")
             assert got == nested_scan(matches, gold_set), (tested, matches)
             tested += 1
+
+    @pytest.mark.parametrize("criterion", ["exact", "overlap"])
+    @pytest.mark.parametrize("match", [
+        RefMatch(2, 0, 0, "x", "PROT"), RefMatch(-1, 0, 0, "x", "PROT"),
+        RefMatch(1, 5, 6, "x", "PROT"), RefMatch(0, 2, 1, "x", "PROT"),
+    ], ids=["no-sentence", "negative-sentence", "past-end", "reversed"])
+    def test_match_outside_gold_rejected(self, criterion, match):
+        # a match outside gold, as from another corpus, used to score as a miss
+        from weakner.corpus import EntitySpan
+
+        gold = self._gold([[EntitySpan(0, 1, 2, "PROT")], [EntitySpan(1, 0, 0, "PROT")]])
+        with pytest.raises(WeaknerError, match="out of bounds"):
+            audit_matcher([RefMatch(0, 1, 2, "x", "PROT"), match], gold, PROT,
+                          criterion=criterion)
 
     def test_unknown_criterion(self):
         with pytest.raises(WeaknerError, match="criterion"):
