@@ -172,6 +172,11 @@ def cmd_split(ns) -> int:
 
 def cmd_match(ns) -> int:
     tags = _tags(ns.entity_type)
+    if len(tags.entity_types) != 1:
+        raise UsageError(f"--entity-type: match takes the reference set's one type, "
+                         f"not {ns.entity_type!r}")
+    if ns.criterion and not ns.gold:
+        raise UsageError("--criterion needs --gold")
     policy = _build_policy(ns)
     refset = load_reference_set(ns.refset, tags.entity_types[0])
     corpus = read_conll(ns.corpus, tags)
@@ -185,7 +190,7 @@ def cmd_match(ns) -> int:
               ((m.sentence, m.first, m.last, m.name) for m in matches))
     print(f"{len(matches)} matches -> {out_path}")
     if gold is not None:
-        p, r = audit_matcher(matches, gold, tags, criterion=ns.criterion)
+        p, r = audit_matcher(matches, gold, tags, criterion=ns.criterion or "exact")
         print(f"matcher P={100 * p:.2f} R={100 * r:.2f}")
     return 0
 
@@ -279,7 +284,6 @@ def _train_opts(p):
 
 
 _UNUSED_TAGS = "token and tag columns as in a label file; tags unused but must be in the tag set"
-_REFSET_TYPES = "comma-separated entity type names; reference-set names take the first"
 
 
 def build_parser():
@@ -303,9 +307,10 @@ def build_parser():
     p = add_parser("match", "find gazetteer mentions in a corpus", cmd_match)
     _opt(p, "corpus", f"corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set, one name per line", required=True)
-    _opt(p, "entity_type", _REFSET_TYPES, default=SyntheticSpec.entity_type)
+    _opt(p, "entity_type", "entity type of the reference set", default=SyntheticSpec.entity_type)
     _opt(p, "gold", "gold file for a matcher audit")
-    _opt(p, "criterion", "audit criterion", default="exact", choices=["exact", "overlap"])
+    _opt(p, "criterion", "audit criterion, with --gold (default exact)",
+         choices=["exact", "overlap"])
     _opt(p, "out_dir", "output directory", required=True)
     _policy_opts(p)
 
@@ -313,7 +318,8 @@ def build_parser():
     _opt(p, "seed", "labeled seed file", required=True)
     _opt(p, "corpus", f"unlabeled corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set file", required=True)
-    _opt(p, "entity_type", _REFSET_TYPES, default=SyntheticSpec.entity_type)
+    _opt(p, "entity_type", "comma-separated entity type names; reference-set names take the first",
+         default=SyntheticSpec.entity_type)
     _opt(p, "heldout", "labeled file for per-round evaluation")
     _opt(p, "iterations", "number of refinement rounds", int, BootstrapConfig.iterations)
     _opt(p, "rng_seed", "random seed", int, BootstrapConfig.rng_seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -226,8 +227,7 @@ class Dataset:
         return len(self.sentences)
 
 
-@dataclass(frozen=True, order=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     """An entity mention: sentence index, inclusive token range, type name."""
 
     sentence: int

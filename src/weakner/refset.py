@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Dataset, EntitySpan, TagSet, check_spans_in, gold_spans, text_lines
 from .errors import EmptyReferenceSet, WeaknerError, check_int
@@ -86,9 +87,9 @@ def filtered_policy(dictionary, min_name_length: int = 4) -> MatchPolicy:
     )
 
 
-@dataclass(frozen=True, order=True)
-class RefMatch:
-    """A matched mention: sentence index, inclusive token range, name, type."""
+class RefMatch(NamedTuple):
+    """A matched mention: sentence index, inclusive token range, name, type.
+    Five fields, so it never equals a four-field corpus.EntitySpan."""
 
     sentence: int
     first: int

@@ -15,9 +15,11 @@ of token windows. Two inference modes are exposed:
 Both take a list of sentences and return one labeling per sentence, in
 input order. Every feature template reads one text, the token's own or a
 neighbour's, so feature strings are built and looked up once per distinct
-text. The own-text templates' rows are summed once per distinct text, and
-each token adds its neighbour templates' rows to its text's sum, in
-template order. A neighbour template's rows are gathered per type, then
+text (type). Types are numbered in one np.fromiter pass over the tokens,
+and the strings are built and looked up one template column at a time.
+The own-text templates' rows are summed once per distinct text, and each
+token adds its neighbour templates' rows to its text's sum, in template
+order. A neighbour template's rows are gathered per type, then
 per token with np.take, so no per-token id array is built. An unknown
 feature adds a zero row, so the sums equal, bit for bit, the in-order sums
 over each token's known features. Hard prediction sorts a call's sentences
@@ -71,8 +73,9 @@ import enum
 import json
 import math
 import string
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -113,19 +116,18 @@ class FeatureExtractor:
     offsets = (0,) * 9 + tuple(d for d in range(-WINDOW, WINDOW + 1) if d)
 
     def features(self, texts):
-        """One row per distinct text: each template's string, in template
-        order; None where the text is shorter than an affix."""
-        heads = [f"w[{d}]=" for d in self.offsets if d]
-        rows = []
-        for text in texts:
-            row = [f"w={text}", f"lw={text.lower()}", f"shape={_shape(text)}",
-                   f"pre1={text[:1]}", f"suf1={text[-1:]}", f"pre2={text[:2]}",
-                   f"suf2={text[-2:]}", f"pre3={text[:3]}", f"suf3={text[-3:]}",
-                   *[head + text for head in heads]]
-            if len(text) < 3:
-                row[3 + 2 * len(text):9] = [None] * (6 - 2 * len(text))
-            rows.append(row)
-        return rows
+        """One list per template, in template order, each holding that
+        template's string for every text in turn; None where the text is
+        shorter than the affix (texts are never empty)."""
+        texts = list(texts)
+        columns = [["w=" + t for t in texts], ["lw=" + t.lower() for t in texts],
+                   ["shape=" + shape for shape in map(_shape, texts)]]
+        for n in (1, 2, 3):
+            pre, suf = f"pre{n}=", f"suf{n}="
+            columns += [[pre + t[:n] if len(t) >= n else None for t in texts],
+                        [suf + t[-n:] if len(t) >= n else None for t in texts]]
+        columns += [[head + t for t in texts] for head in [f"w[{d}]=" for d in self.offsets if d]]
+        return columns
 
 
 class Objective(enum.Enum):
@@ -188,21 +190,26 @@ class TaggerModel:
         """A dataset's features by type (distinct text): the (n_types,
         n_templates) id table, -1 where unknown or absent; per offset, the
         type each token reads there, with the sentences concatenated; and
-        each sentence's first token. Strings are built and looked up once
-        per type. With grow=True unseen strings first get the next free ids
-        in first-seen order (sentence, token, template), and zero weight rows.
+        each sentence's first token. Types are numbered <s> 0, </s> 1, then
+        the texts in first-seen order. Strings are built and looked up once
+        per type, one template column at a time. With grow=True unseen
+        strings first get the next free ids in first-seen order (sentence,
+        token, template), and zero weight rows.
         """
         w, offsets = WINDOW, self.extractor.offsets
-        texts = {"<s>": 0, "</s>": 1}   # the pads past a sentence end
-        ids = [texts.setdefault(t, len(texts)) for s in sentences for t in s.tokens]
         lens = np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences))
+        n_tokens = int(lens.sum())
+        # type ids in first-seen order, after the pads past a sentence end
+        texts = defaultdict(count(2).__next__, {"<s>": 0, "</s>": 1})
+        tokens = chain.from_iterable(s.tokens for s in sentences)
+        ids = np.fromiter(map(texts.__getitem__, tokens), dtype=np.intp, count=n_tokens)
         block = w * (2 * np.arange(len(lens)) + 1)     # the pads before each sentence's tokens
-        token = np.arange(len(ids)) + np.repeat(block, lens)
-        padded = np.zeros(len(ids) + 2 * w * len(lens), dtype=np.intp)
+        token = np.arange(n_tokens) + np.repeat(block, lens)
+        padded = np.zeros(n_tokens + 2 * w * len(lens), dtype=np.intp)
         padded[token] = ids
         padded[(lens.cumsum() + block)[:, None] + np.arange(w)] = 1
         source = {d: padded[token + d] for d in set(offsets)}
-        flat = [f for row in self.extractor.features(list(texts)) for f in row]
+        columns = self.extractor.features(texts)
         index = self.feature_index
         if grow:
             # a string first fires with the first of its (type, template)
@@ -210,13 +217,17 @@ class TaggerModel:
             first = {d: np.unique(types, return_index=True) for d, types in source.items()}
             where = np.concatenate([first[d][1] * len(offsets) + c for c, d in enumerate(offsets)])
             pairs = np.concatenate([first[d][0] * len(offsets) + c for c, d in enumerate(offsets)])
-            for p in pairs[np.argsort(where)].tolist():
-                if flat[p] is not None:
-                    index.setdefault(flat[p], len(index))
+            types, templates = np.divmod(pairs[np.argsort(where)], len(offsets))
+            for t, c in zip(types.tolist(), templates.tolist()):
+                f = columns[c][t]
+                if f is not None:
+                    index.setdefault(f, len(index))
             new = np.zeros((len(index) - len(self.weights), len(self.tags)))
             self.weights = np.vstack([self.weights, new])
-        table = np.fromiter(map(index.get, flat, repeat(-1)), dtype=np.intp, count=len(flat))
-        table = table.reshape(len(texts), -1)
+        table = np.empty((len(texts), len(offsets)), dtype=np.intp)
+        for c, column in enumerate(columns):
+            table[:, c] = np.fromiter(map(index.get, column, repeat(-1)), dtype=np.intp,
+                                      count=len(column))
         return table, source, lens.cumsum() - lens
 
     def _feature_ids(self, sentences, grow=False):

@@ -225,6 +225,50 @@ class TestMatch:
         ])
         assert rc == 1
 
+    def test_criterion_without_gold_is_usage_error(self, synth_dir, split_dir, tmp_path, capsys):
+        # used to exit 0, the criterion ignored with nothing to audit
+        rc = main([
+            "match", "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"), "--criterion", "overlap",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--criterion" in err and "--gold" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("criterion", [[], ["--criterion", "exact"], ["--criterion", "overlap"]],
+                             ids=["default", "exact", "overlap"])
+    def test_audit_criterion_defaults_to_exact(self, synth_dir, split_dir, tmp_path, monkeypatch,
+                                               criterion):
+        audits = []
+
+        def audit(matches, gold, tags, criterion):
+            audits.append(criterion)
+            return 1.0, 1.0
+
+        monkeypatch.setattr(cli, "audit_matcher", audit)
+        rc = main([
+            "match", "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"), "--gold", str(split_dir / "gold.conll"),
+            *criterion, "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        assert audits == [criterion[1] if criterion else "exact"]
+
+    @pytest.mark.parametrize("entity_type", ["CELL,PROT", "PROT,CELL"])
+    def test_entity_type_list_is_usage_error(self, synth_dir, split_dir, tmp_path, capsys,
+                                             entity_type):
+        # every name took the first type: CELL,PROT audited P=0.00 R=0.00 and exited 0
+        rc = main([
+            "match", "--corpus", str(split_dir / "corpus.conll"),
+            "--refset", str(synth_dir / "refset.txt"), "--gold", str(split_dir / "gold.conll"),
+            "--entity-type", entity_type, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("usage error: --entity-type: ")
+        assert not (tmp_path / "out").exists()
+
     def test_matches_tsv_rows(self, tmp_path):
         corpus = tmp_path / "corpus.conll"
         corpus.write_text("the\tO\nassay\tO\n\nMDM2\tO\nbinds\tO\np53\tO\n", encoding="utf-8")

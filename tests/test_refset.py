@@ -3,6 +3,7 @@ window-scan oracle that re-implements the matching contract from scratch."""
 
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from weakner.corpus import Dataset, TagSet, bio_encode, gold_spans, sentence_from_texts
 from weakner.errors import EmptyDataset, EmptyReferenceSet, WeaknerError
+from weakner.metrics import score_entities
 from weakner.refset import (
     MatchPolicy,
     RefMatch,
@@ -24,6 +26,7 @@ from weakner.refset import (
     load_reference_set,
     token_components,
 )
+from weakner.synthetic import SyntheticSpec, generate_synthetic
 
 PROT = TagSet(("PROT",))
 TWO = TagSet(("PROT", "CELL"))
@@ -602,6 +605,41 @@ class TestAuditMatcher:
         with pytest.raises(EmptyDataset, match="no gold entities"):
             audit_matcher([RefMatch(0, 1, 2, "x", "PROT")], self._gold([[], []]), PROT,
                           criterion=criterion)
+
+
+class TestMatchIsANamedTuple:
+    """RefMatch and corpus.EntitySpan are named tuples, which compare equal to
+    any tuple of the same values; a match's fifth field keeps it apart."""
+
+    def test_match_never_equals_the_span_it_covers(self):
+        from weakner.corpus import EntitySpan
+
+        match, span = RefMatch(0, 1, 2, "x", "PROT"), EntitySpan(0, 1, 2, "PROT")
+        assert match != span and span != match
+        assert match not in {span} and span not in {match}
+        assert score_entities([match], [span]).tp == 0
+
+    def test_audit_reads_the_same_as_with_dataclasses(self):
+        # P/R of the 200-sentence seed-5 corpus as the dataclass spans scored it
+        gold, refset, dictionary = generate_synthetic(SyntheticSpec(n_sentences=200, rng_seed=5))
+        for policy, n, tp in ((exact_policy(), 325, 173), (filtered_policy(dictionary), 133, 133)):
+            matches = find_matches(gold, refset, policy)
+            assert len(matches) == n
+            for criterion in ("exact", "overlap"):
+                assert audit_matcher(matches, gold, PROT, criterion) == (tp / n, tp / 201)
+            assert score_entities(matches, gold_spans(gold, PROT)).tp == 0
+
+    def test_order_and_repr_follow_the_field_order(self):
+        from weakner.corpus import EntitySpan
+
+        matches = [RefMatch(1, 0, 0, "b", "PROT"), RefMatch(0, 2, 3, "a", "PROT"),
+                   RefMatch(0, 2, 2, "b", "PROT"), RefMatch(0, 2, 2, "a", "PROT")]
+        assert sorted(matches) == [matches[3], matches[2], matches[1], matches[0]]
+        assert repr(matches[0]) == (
+            "RefMatch(sentence=1, first=0, last=0, name='b', entity_type='PROT')")
+        assert repr(EntitySpan(0, 1, 2, "PROT")) == (
+            "EntitySpan(sentence=0, first=1, last=2, entity_type='PROT')")
+        assert pickle.loads(pickle.dumps(matches)) == matches
 
 
 class TestLoadDictionary:

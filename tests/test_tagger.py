@@ -10,6 +10,7 @@ import pytest
 from weakner.corpus import (
     Dataset,
     Provenance,
+    Sentence,
     SoftLabeling,
     TagSet,
     harden,
@@ -1099,6 +1100,43 @@ class TestFactoredFeatures:
         E, starts = model.emissions(data)
         want, want_starts = per_token_gather_emissions(model, data)
         assert E.tobytes() == want.tobytes() and starts.tolist() == want_starts.tolist()
+
+    def test_feature_columns_equal_per_token_rule(self):
+        # every ODD_VOCAB text once as a token, and as each neighbour of the
+        # others: the pad strings, 1- and 2-character texts, non-ASCII text
+        sent = Sentence(ODD_VOCAB)
+        texts = list(dict.fromkeys(["<s>", "</s>", *ODD_VOCAB]))
+        fx = FeatureExtractor()
+        columns = fx.features(texts)
+        assert len(columns) == len(fx.offsets) and {len(col) for col in columns} == {len(texts)}
+        at = {text: t for t, text in enumerate(texts)}
+        w = tagger.WINDOW
+        padded = ["<s>"] * w + list(sent.tokens) + ["</s>"] * w
+        for i, want in enumerate(naive_features(sent)):
+            got = [col[at[padded[w + i + d]]] for col, d in zip(columns, fx.offsets)]
+            assert [f for f in got if f is not None] == want
+        # an affix longer than its text is None, in its own template's column
+        absent = {text: [c for c in range(9) if columns[c][at[text]] is None] for text in texts}
+        assert {text: c for text, c in absent.items() if c} == {
+            "a": [5, 6, 7, 8], "é": [5, 6, 7, 8],
+            **dict.fromkeys(["x1", "y2", "Xy", "ΔN", "42"], [7, 8])}
+
+    def test_types_number_the_pads_then_texts_first_seen(self, monkeypatch):
+        calls = []
+        original = FeatureExtractor.features
+
+        def recording(self, texts):
+            calls.append(list(texts))
+            return original(self, texts)
+
+        monkeypatch.setattr(FeatureExtractor, "features", recording)
+        sentences = [Sentence(["b", "a", "b"]), Sentence(["</s>", "c", "a"]), Sentence(["<s>"])]
+        table, source, starts = TaggerModel(PROT)._type_table(sentences)
+        assert calls == [["<s>", "</s>", "b", "a", "c"]] and len(table) == 5
+        assert source[0].tolist() == [2, 3, 2, 1, 4, 3, 0]
+        assert source[-1].tolist() == [0, 2, 3, 0, 1, 4, 0]
+        assert source[2].tolist() == [2, 1, 1, 3, 1, 1, 1]
+        assert starts.tolist() == [0, 3, 6]
 
     def test_fresh_model_gives_zero_rows(self):
         rng = np.random.default_rng(52)
