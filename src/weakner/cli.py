@@ -14,9 +14,9 @@ Options can also come from a flat config file, given after the command as
 --config PATH: each key=value line is read as the option --key=value (with _
 read as -), placed before the command line's own options, so those win.
 Blank and # lines are skipped. Flags take yes/no values (--grid, --grid=no);
-abbreviated options are rejected. All randomness flows from --rng-seed. Exit
-codes: 0 ok, 1 usage error, 2 data error, 3 internal error; the message of a
-bad setting starts with the option that set it.
+abbreviated options are rejected. --entity-type names one type, and all
+randomness flows from --rng-seed. Exit codes: 0 ok, 1 usage error, 2 data
+error, 3 internal error; a bad setting's message starts with its option.
 """
 
 from __future__ import annotations
@@ -125,9 +125,13 @@ def _with_config(argv):
     return head + from_files + rest
 
 
-def _tags(entity_types: str) -> TagSet:
+def _tags(ns) -> TagSet:
+    """The tag set of the one type --entity-type names; strips ns.entity_type for SyntheticSpec."""
+    name = ns.entity_type = ns.entity_type.strip()
+    if "," in name:
+        raise UsageError(f"--entity-type: one type name, not the list {name!r}")
     try:
-        return TagSet(tuple(t.strip() for t in entity_types.split(",") if t.strip()))
+        return TagSet((name,))
     except WeaknerError as e:
         raise UsageError(f"--entity-type: {e}") from None
 
@@ -159,7 +163,7 @@ def _build_policy(ns):
 # ---------------------------------------------------------------------------
 
 def cmd_split(ns) -> int:
-    tags = _tags(ns.entity_type)
+    tags = _tags(ns)
     dataset = read_conll(ns.input, tags)
     seed, corpus, gold = split_seed(dataset, ns.fraction, ns.rng_seed)
     os.makedirs(ns.out_dir, exist_ok=True)
@@ -171,14 +175,11 @@ def cmd_split(ns) -> int:
 
 
 def cmd_match(ns) -> int:
-    tags = _tags(ns.entity_type)
-    if len(tags.entity_types) != 1:
-        raise UsageError(f"--entity-type: match takes the reference set's one type, "
-                         f"not {ns.entity_type!r}")
+    tags = _tags(ns)
     if ns.criterion and not ns.gold:
         raise UsageError("--criterion needs --gold")
     policy = _build_policy(ns)
-    refset = load_reference_set(ns.refset, tags.entity_types[0])
+    refset = load_reference_set(ns.refset, *tags.entity_types)
     corpus = read_conll(ns.corpus, tags)
     gold = _read_gold(ns.gold, tags) if ns.gold else None
     if gold is not None and gold.sentences != corpus.sentences:
@@ -196,11 +197,11 @@ def cmd_match(ns) -> int:
 
 
 def cmd_bootstrap(ns) -> int:
-    tags = _tags(ns.entity_type)
+    tags = _tags(ns)
     seed = read_conll(ns.seed, tags)
     corpus = read_conll(ns.corpus, tags)
     policy = _build_policy(ns)
-    refset = load_reference_set(ns.refset, tags.entity_types[0])
+    refset = load_reference_set(ns.refset, *tags.entity_types)
     heldout = _read_gold(ns.heldout, tags) if ns.heldout else None
 
     cfg = _config(BootstrapConfig, ns)
@@ -237,13 +238,13 @@ def cmd_eval(ns) -> int:
 
 
 def cmd_synthetic(ns) -> int:
+    tags = _tags(ns)
     try:
         spec = _config(SyntheticSpec, ns)
     except SpecInvalid as e:
         raise UsageError(_named(e, ns)) from None
     grid_cfg = _config(GridConfig, ns) if ns.grid else None    # checked before any file is written
     gold, refset, dictionary = generate_synthetic(spec)
-    tags = TagSet((spec.entity_type,))
     os.makedirs(ns.out_dir, exist_ok=True)
     write_conll(gold, os.path.join(ns.out_dir, "gold.conll"), tags)
     write_lines(os.path.join(ns.out_dir, "refset.txt"), sorted(refset.names))
@@ -301,13 +302,13 @@ def build_parser():
     _opt(p, "seed_frac", "fraction of sentences kept as seed", float, GridConfig.seed_fraction,
          field="fraction")
     _opt(p, "rng_seed", "random seed", int, 0)
-    _opt(p, "entity_type", "comma-separated entity type names", default=SyntheticSpec.entity_type)
+    _opt(p, "entity_type", "the one entity type of the tags", default=SyntheticSpec.entity_type)
     _opt(p, "out_dir", "output directory", required=True)
 
     p = add_parser("match", "find gazetteer mentions in a corpus", cmd_match)
     _opt(p, "corpus", f"corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set, one name per line", required=True)
-    _opt(p, "entity_type", "entity type of the reference set", default=SyntheticSpec.entity_type)
+    _opt(p, "entity_type", "one type, of tags and refset names", default=SyntheticSpec.entity_type)
     _opt(p, "gold", "gold file for a matcher audit")
     _opt(p, "criterion", "audit criterion, with --gold (default exact)",
          choices=["exact", "overlap"])
@@ -318,8 +319,7 @@ def build_parser():
     _opt(p, "seed", "labeled seed file", required=True)
     _opt(p, "corpus", f"unlabeled corpus file, {_UNUSED_TAGS}", required=True)
     _opt(p, "refset", "reference set file", required=True)
-    _opt(p, "entity_type", "comma-separated entity type names; reference-set names take the first",
-         default=SyntheticSpec.entity_type)
+    _opt(p, "entity_type", "one type, of tags and refset names", default=SyntheticSpec.entity_type)
     _opt(p, "heldout", "labeled file for per-round evaluation")
     _opt(p, "iterations", "number of refinement rounds", int, BootstrapConfig.iterations)
     _opt(p, "rng_seed", "random seed", int, BootstrapConfig.rng_seed)
@@ -356,7 +356,7 @@ def build_parser():
          spec.short_name_rate, field="short_name_rate")
     _opt(p, "multiword_rate", "fraction of two-word names", float, spec.multiword_name_rate,
          field="multiword_name_rate")
-    _opt(p, "entity_type", "entity type name", default=spec.entity_type)
+    _opt(p, "entity_type", "one entity type, of tags and reference names", default=spec.entity_type)
     _opt(p, "rng_seed", "random seed", int, spec.rng_seed)
     _opt(p, "out_dir", "output directory", required=True)
     _flag(p, "grid", "run the E1-E9 experiment grid")

@@ -25,11 +25,11 @@ from weakner.cli import main
 from weakner.corpus import (
     Dataset,
     EntitySpan,
+    Sentence,
     TagSet,
     bio_decode,
     bio_encode,
     read_conll,
-    sentence_from_texts,
     split_seed,
     write_conll,
 )
@@ -59,7 +59,7 @@ def _report(criterion, ok, detail):
 
 def _random_sentence(rng, max_len):
     n = int(rng.integers(1, max_len + 1))
-    return sentence_from_texts([VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(n)])
+    return Sentence([VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(n)])
 
 
 def _random_model(rng, tags, sentences, scale=1.0):
@@ -185,7 +185,7 @@ def test_criterion_3_matcher_oracle():
                     toks.append(sorted(names)[int(rng.integers(len(names)))].replace(" ", "-"))
                 else:
                     toks.append(word() + "-" + word())
-            sents.append(sentence_from_texts(toks))
+            sents.append(Sentence(toks))
         corpus = Dataset(sents, [None] * len(sents))
         refset = ReferenceSet(frozenset(names), "PROT")
         for policy in (c1, c2):
@@ -328,14 +328,14 @@ def test_criterion_6_grid_determinism(tmp_path):
 
 def test_criterion_7_degenerate_cases():
     seed = Dataset(
-        [sentence_from_texts(["p53", "binds", "MDM2"]),
-         sentence_from_texts(["the", "assay", "ran"]),
-         sentence_from_texts(["TIGAR", "level", "rose"])],
+        [Sentence(["p53", "binds", "MDM2"]),
+         Sentence(["the", "assay", "ran"]),
+         Sentence(["TIGAR", "level", "rose"])],
         [[1, 0, 1], [0, 0, 0], [1, 0, 0]],
     )
     corpus = Dataset(
-        [sentence_from_texts(["MDM2", "binds", "p53"]),
-         sentence_from_texts(["the", "TIGAR", "assay"])],
+        [Sentence(["MDM2", "binds", "p53"]),
+         Sentence(["the", "TIGAR", "assay"])],
         [None, None],
     )
     kw = dict(seed_epochs=2, round_epochs=2, final_epochs=2,

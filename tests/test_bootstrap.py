@@ -13,10 +13,10 @@ from weakner.bootstrap import BootstrapConfig, finalize, iterative_train, relabe
 from weakner.corpus import (
     Dataset,
     Provenance,
+    Sentence,
     SoftLabeling,
     TagSet,
     harden,
-    sentence_from_texts,
 )
 from weakner.errors import EmptyDataset, ModelTagSetMismatch, WeaknerError
 from weakner.refset import MatchPolicy, RefMatch, ReferenceSet, filtered_policy, find_matches
@@ -30,9 +30,9 @@ PROT = TagSet(("PROT",))
 
 def tiny_seed():
     sents = [
-        sentence_from_texts(["p53", "binds", "MDM2"]),
-        sentence_from_texts(["the", "assay", "ran"]),
-        sentence_from_texts(["TIGAR", "level", "rose"]),
+        Sentence(["p53", "binds", "MDM2"]),
+        Sentence(["the", "assay", "ran"]),
+        Sentence(["TIGAR", "level", "rose"]),
     ]
     labels = [[1, 0, 1], [0, 0, 0], [1, 0, 0]]
     return Dataset(sents, labels)
@@ -40,9 +40,9 @@ def tiny_seed():
 
 def tiny_corpus():
     sents = [
-        sentence_from_texts(["MDM2", "binds", "p53", "again"]),
-        sentence_from_texts(["the", "TIGAR", "assay"]),
-        sentence_from_texts(["nothing", "here"]),
+        Sentence(["MDM2", "binds", "p53", "again"]),
+        Sentence(["the", "TIGAR", "assay"]),
+        Sentence(["nothing", "here"]),
     ]
     return Dataset(sents, [None] * 3)
 
@@ -67,8 +67,8 @@ class TestRelabel:
 
     def test_pin_leaves_equal_length_sentence_untouched(self):
         model = self._model()
-        a = sentence_from_texts(["MDM2", "binds", "p53"])
-        b = sentence_from_texts(["the", "TIGAR", "assay"])
+        a = Sentence(["MDM2", "binds", "p53"])
+        b = Sentence(["the", "TIGAR", "assay"])
         corpus = Dataset([a, b], [None, None])
         out = relabel(corpus, model, [RefMatch(0, 0, 2, "MDM2 binds p53", "PROT")])
         assert list(out.labels[0].provenance) == [Provenance.REFERENCE] * 3
@@ -90,7 +90,7 @@ class TestRelabel:
     def test_pin_overrides_confident_prediction(self):
         model = self._model()
         # drive the model to near-certainty on p53 = B-PROT, then pin it
-        sent = sentence_from_texts(["p53"])
+        sent = Sentence(["p53"])
         model.weights[model.feature_index["w=p53"], 1] += 50.0
         assert model.predict_soft([sent])[0].dist[0, 1] > 0.99
         corpus = Dataset([sent], [None])
@@ -212,6 +212,23 @@ class TestIterativeTrain:
         assert labeled.labels[0].dist[0, 1] == 1.0
         assert labeled.labels[1].dist[1, 1] == 1.0
 
+    def test_tag_set_wider_than_the_pins(self):
+        # the CLI names one type; a library tag set may hold more, the types
+        # without pins learning from the seed alone
+        tags = TagSet(("PROT", "CELL"))
+        seed = Dataset(tiny_seed().sentences, [[1, 0, 1], [0, tags.b_index("CELL"), 0], [1, 0, 0]])
+        corpus = tiny_corpus()
+        pins = [RefMatch(0, 0, 1, "MDM2 binds", "PROT"), RefMatch(1, 1, 1, "TIGAR", "PROT")]
+        cfg = quick_cfg(3)
+        model, trace = iterative_train(seed, corpus, tags, cfg, pins)
+        assert [r.iteration for r in trace] == [0, 1, 2, 3]
+        assert [r.pinned_tokens for r in trace] == [0, 3, 3, 3]
+        labeled = relabel(corpus, model, pins)
+        one_hot = np.eye(len(tags))
+        for sent, token, tag in [(0, 0, "B-PROT"), (0, 1, "I-PROT"), (1, 1, "B-PROT")]:
+            assert np.array_equal(labeled.labels[sent].dist[token], one_hot[tags.index(tag)])
+        assert finalize(model, seed, corpus, cfg, pins).tags == tags
+
     def test_empty_refset_is_classic_self_training(self):
         seed, corpus = tiny_seed(), tiny_corpus()
         empty = ReferenceSet(frozenset(), "PROT")
@@ -261,7 +278,7 @@ class TestIterativeTrain:
         assert all(r.report is not None for r in trace)
 
     def test_unlabeled_seed_rejected(self):
-        bad = Dataset([sentence_from_texts(["a"])], [None])
+        bad = Dataset([Sentence(["a"])], [None])
         with pytest.raises(WeaknerError):
             iterative_train(bad, tiny_corpus(), PROT, quick_cfg(1), pins=[])
 
@@ -297,8 +314,8 @@ class TestIterativeTrain:
         # dictionary word ANOVA and the too-short AB
         corpus = Dataset(
             [
-                sentence_from_texts(["we", "ran", "ANOVA", "on", "AB"]),
-                sentence_from_texts(["the", "Flag-tagged-TIGAR", "construct"]),
+                Sentence(["we", "ran", "ANOVA", "on", "AB"]),
+                Sentence(["the", "Flag-tagged-TIGAR", "construct"]),
             ],
             [None, None],
         )

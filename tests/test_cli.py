@@ -128,6 +128,13 @@ class TestSynthetic:
         assert rc == 1
         assert not (tmp_path / "out" / "gold.conll").exists()
 
+    def test_entity_type_is_stripped(self, synth_dir, tmp_path):
+        rc = main(["synthetic", "--out-dir", str(tmp_path), "--sentences", "120",
+                   "--entity-names", "60", "--context-words", "120", "--distractors", "20",
+                   "--rng-seed", "3", "--entity-type", " PROT "])
+        assert rc == 0
+        assert (tmp_path / "gold.conll").read_bytes() == (synth_dir / "gold.conll").read_bytes()
+
     def test_grid_with_an_empty_seed_is_data_error(self, tmp_path, monkeypatch):
         # used to train the full-label rows E1-E4 before failing on the empty seed
         def no_condition_runs(*args, **kwargs):
@@ -255,19 +262,6 @@ class TestMatch:
         ])
         assert rc == 0
         assert audits == [criterion[1] if criterion else "exact"]
-
-    @pytest.mark.parametrize("entity_type", ["CELL,PROT", "PROT,CELL"])
-    def test_entity_type_list_is_usage_error(self, synth_dir, split_dir, tmp_path, capsys,
-                                             entity_type):
-        # every name took the first type: CELL,PROT audited P=0.00 R=0.00 and exited 0
-        rc = main([
-            "match", "--corpus", str(split_dir / "corpus.conll"),
-            "--refset", str(synth_dir / "refset.txt"), "--gold", str(split_dir / "gold.conll"),
-            "--entity-type", entity_type, "--out-dir", str(tmp_path / "out"),
-        ])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("usage error: --entity-type: ")
-        assert not (tmp_path / "out").exists()
 
     def test_matches_tsv_rows(self, tmp_path):
         corpus = tmp_path / "corpus.conll"
@@ -615,6 +609,33 @@ def test_gold_file_without_entities_is_data_error(command, synth_dir, split_dir,
     err = capsys.readouterr().err
     assert "no gold entities" in err and all_o in err
     assert not out.exists()     # rejected before any matching or training
+
+
+@pytest.mark.parametrize("entity_type", ["CELL,PROT", "PROT,CELL"])
+@pytest.mark.parametrize("command", ["split", "match", "bootstrap", "synthetic"])
+def test_entity_type_list_is_usage_error(command, entity_type, synth_dir, split_dir, tmp_path,
+                                         capsys, monkeypatch):
+    # bootstrap and match gave every reference name the first type (bootstrap
+    # with CELL,PROT exited 0 at soft F1 14.52 against 80.59), and synthetic
+    # wrote B-PROT,CELL tags that split then rejected
+    runs = []
+    monkeypatch.setattr(cli, "iterative_train", lambda *a, **kw: runs.append(a))
+    monkeypatch.setattr(cli, "run_experiment_grid", lambda *a, **kw: runs.append(a))
+    inputs = {
+        "split": ["--input", str(synth_dir / "gold.conll")],
+        "match": ["--corpus", str(split_dir / "corpus.conll"), "--refset",
+                  str(synth_dir / "refset.txt"), "--gold", str(split_dir / "gold.conll")],
+        "bootstrap": ["--seed", str(split_dir / "seed.conll"),
+                      "--corpus", str(split_dir / "corpus.conll"),
+                      "--refset", str(synth_dir / "refset.txt")],
+        "synthetic": ["--sentences", "10", "--grid"],
+    }
+    rc = main([command, *inputs[command], "--entity-type", entity_type,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error: --entity-type: ")
+    assert not (tmp_path / "out").exists()
+    assert runs == []
 
 
 class TestOptionsFillConfigs:

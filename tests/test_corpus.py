@@ -70,10 +70,10 @@ def brute_force_decode(labels, tags):
 
 class TestTokenize:
     def test_whitespace_and_punct_split(self):
-        assert tokenize("p53 binds MDM2.").texts() == ["p53", "binds", "MDM2", "."]
+        assert tokenize("p53 binds MDM2.").tokens == ("p53", "binds", "MDM2", ".")
 
     def test_hyphen_compound_stays_one_token(self):
-        assert tokenize("Flag-tagged-TIGAR").texts() == ["Flag-tagged-TIGAR"]
+        assert tokenize("Flag-tagged-TIGAR").tokens == ("Flag-tagged-TIGAR",)
 
     def test_empty_input(self):
         with pytest.raises(EmptySentence):
@@ -82,10 +82,10 @@ class TestTokenize:
             tokenize("   \t ")
 
     def test_leading_and_trailing_punct(self):
-        assert tokenize("(p53),").texts() == ["(", "p53", ")", ","]
+        assert tokenize("(p53),").tokens == ("(", "p53", ")", ",")
 
     def test_slash_kept_inside(self):
-        assert tokenize("and/or").texts() == ["and/or"]
+        assert tokenize("and/or").tokens == ("and/or",)
 
     def test_tokens_cover_the_non_space_text(self):
         sent = tokenize("The  (Flag-tagged-TIGAR)  assay, twice.")
@@ -110,31 +110,37 @@ class TestTokenize:
 class TestSentence:
     def test_keeps_the_callers_strings(self):
         texts = ["".join(["p5", "3"]), "binds"]
-        sent = sentence_from_texts(texts)
+        sent = Sentence(texts)
         assert all(a is b for a, b in zip(sent.tokens, texts))
-        assert len(sent) == 2 and sent.texts() == texts
+        assert len(sent) == 2 and sent.tokens == tuple(texts)
 
     def test_slotted_and_frozen(self):
-        sent = sentence_from_texts(["p53"])
+        sent = Sentence(["p53"])
         assert not hasattr(sent, "__dict__")
         with pytest.raises(AttributeError):
             sent.tokens = ("MDM2",)
 
     def test_pickle_round_trip(self):
-        sent = sentence_from_texts(["p53", "binds", "MDM2"])
+        sent = Sentence(["p53", "binds", "MDM2"])
         back = pickle.loads(pickle.dumps(sent))
         assert back == sent and back.tokens == sent.tokens and type(back) is Sentence
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySentence):
-            sentence_from_texts([])
+            Sentence([])
+
+    def test_aliases_perfbench_calls_equal_the_sentence(self):
+        texts = ["p53", "binds"]
+        sent = Sentence(texts)
+        assert sentence_from_texts(texts) == sent
+        assert sent.texts() == list(sent.tokens)
 
     @pytest.mark.parametrize("bad", ["", "p53 MDM2", "p53\n", "\tp53", 53, None, b"p53"])
     def test_token_no_label_file_can_carry_rejected(self, bad, tmp_path):
         # "p53 MDM2" used to build, and write_conll wrote a line that
         # read_conll rejects as having 3 columns
         with pytest.raises(WeaknerError):
-            sentence_from_texts(["binds", bad])
+            Sentence(["binds", bad])
 
 
 class TestTagSet:
@@ -197,7 +203,7 @@ class TestTagSet:
             bio_repair(labels, PROT)
         with pytest.raises(UnknownTag):
             PROT.check(labels)
-        ds = Dataset([sentence_from_texts(["p53", "binds"])], [labels])
+        ds = Dataset([Sentence(["p53", "binds"])], [labels])
         with pytest.raises(UnknownTag):
             write_conll(ds, tmp_path / "out.conll", PROT)
 
@@ -206,14 +212,14 @@ class TestDataset:
     @pytest.mark.parametrize("labels", [[], [[0, 1]], [[0, 1]] * 3],
                              ids=["none", "short", "long"])
     def test_one_labeling_slot_per_sentence(self, labels):
-        sents = [sentence_from_texts(["p53", "binds"])] * 2
+        sents = [Sentence(["p53", "binds"])] * 2
         with pytest.raises(LabelLengthMismatch, match="one labeling slot per sentence"):
             Dataset(sents, labels)
 
     @pytest.mark.parametrize("labeling", [[0], [0, 1, 0], one_hot([0, 1, 2])],
                              ids=["short", "long", "soft"])
     def test_labeling_length_must_equal_token_count(self, labeling):
-        sents = [sentence_from_texts(["p53", "binds"])]
+        sents = [Sentence(["p53", "binds"])]
         with pytest.raises(LabelLengthMismatch, match="!= token count 2"):
             Dataset(sents, [labeling])
 
@@ -278,7 +284,7 @@ class TestBioCodec:
 
 class TestGoldSpans:
     def test_spans_of_every_sentence(self):
-        sents = [sentence_from_texts(["a", "b", "c"]), sentence_from_texts(["d", "e"])]
+        sents = [Sentence(["a", "b", "c"]), Sentence(["d", "e"])]
         gold = Dataset(sents, [[0, 0, 0], [2, 2]])      # I-PROT I-PROT is repaired
         assert gold_spans(gold, PROT) == [EntitySpan(1, 0, 1, "PROT")]
 
@@ -288,7 +294,7 @@ class TestGoldSpans:
         ([[1, 0], one_hot([1])], "hard gold labels"),
     ], ids=["all-O", "unlabeled", "soft"])
     def test_unscorable_gold_rejected(self, labels, message):
-        sents = [sentence_from_texts(["a", "b"]), sentence_from_texts(["c"])]
+        sents = [Sentence(["a", "b"]), Sentence(["c"])]
         with pytest.raises(EmptyDataset, match=message):
             gold_spans(Dataset(sents, labels), PROT)
 
@@ -381,7 +387,7 @@ class TestSoftLabelingSplit:
 
 class TestSplitSeed:
     def _dataset(self, n):
-        sents = [sentence_from_texts([f"tok{i}", "x"]) for i in range(n)]
+        sents = [Sentence([f"tok{i}", "x"]) for i in range(n)]
         return Dataset(sents, [[0, 0] for _ in range(n)])
 
     def test_three_percent_of_hundred(self):
@@ -396,16 +402,16 @@ class TestSplitSeed:
     def test_deterministic(self):
         a = split_seed(self._dataset(50), 0.2, 7)
         b = split_seed(self._dataset(50), 0.2, 7)
-        assert [s.texts() for s in a[0].sentences] == [s.texts() for s in b[0].sentences]
-        assert [s.texts() for s in a[1].sentences] == [s.texts() for s in b[1].sentences]
+        assert [s.tokens for s in a[0].sentences] == [s.tokens for s in b[0].sentences]
+        assert [s.tokens for s in a[1].sentences] == [s.tokens for s in b[1].sentences]
 
     def test_partition(self):
         ds = self._dataset(40)
         seed, corpus, gold = split_seed(ds, 0.25, 3)
-        all_texts = sorted(s.texts()[0] for s in seed.sentences) + sorted(
-            s.texts()[0] for s in corpus.sentences
+        all_texts = sorted(s.tokens[0] for s in seed.sentences) + sorted(
+            s.tokens[0] for s in corpus.sentences
         )
-        assert sorted(all_texts) == sorted(s.texts()[0] for s in ds.sentences)
+        assert sorted(all_texts) == sorted(s.tokens[0] for s in ds.sentences)
         # corpus labels stripped, gold retains them
         assert all(lab is None for lab in corpus.labels)
         assert gold.labels == [[0, 0]] * len(corpus)
@@ -436,7 +442,7 @@ class TestConllIo:
         path.write_text("p53\tB-PROT\n.\tO\n\n", encoding="utf-8")
         ds = read_conll(path, PROT)
         assert len(ds) == 1
-        assert ds.sentences[0].texts() == ["p53", "."]
+        assert ds.sentences[0].tokens == ("p53", ".")
         assert ds.labels[0] == [1, 0]
 
     def test_empty_file(self, tmp_path):
@@ -482,7 +488,7 @@ class TestConllIo:
     @pytest.mark.parametrize("second", [one_hot([0]), [3]], ids=["soft", "outside"])
     def test_rejected_labeling_leaves_no_file(self, second, tmp_path):
         # the first sentence used to be on disk by the time the second raised
-        ds = Dataset([sentence_from_texts(["a", "b"]), sentence_from_texts(["c"])],
+        ds = Dataset([Sentence(["a", "b"]), Sentence(["c"])],
                      [[1, 0], second])
         out = tmp_path / "out.conll"
         with pytest.raises(WeaknerError):

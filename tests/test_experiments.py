@@ -6,7 +6,7 @@ import pytest
 
 from weakner import bootstrap, experiments
 from weakner.bootstrap import BootstrapConfig, finalize, iterative_train
-from weakner.corpus import Dataset, TagSet, bio_decode, sentence_from_texts, split_seed
+from weakner.corpus import Dataset, Sentence, TagSet, bio_decode, split_seed
 from weakner.errors import EmptyDataset, WeaknerError
 from weakner.experiments import (
     Condition,
@@ -140,7 +140,7 @@ def test_gold_without_entities_rejected_before_training(monkeypatch):
     trained = []
     for module in (experiments, bootstrap):
         monkeypatch.setattr(module, "train", lambda *a, **kw: trained.append(a))
-    gold = Dataset([sentence_from_texts(["w", str(i)]) for i in range(20)], [[0, 0]] * 20)
+    gold = Dataset([Sentence(["w", str(i)]) for i in range(20)], [[0, 0]] * 20)
     refset = ReferenceSet(frozenset({"w"}), "PROT")
     with pytest.raises(EmptyDataset, match="no gold entities"):
         run_experiment_grid(gold, PROT, refset, frozenset(), cfg=GridConfig(seed_fraction=0.2))

@@ -6,9 +6,9 @@ import pytest
 from weakner.corpus import (
     Dataset,
     EntitySpan,
+    Sentence,
     TagSet,
     bio_encode,
-    sentence_from_texts,
 )
 from weakner.errors import EmptyDataset, ModelTagSetMismatch, UnknownTag, WeaknerError
 from weakner.metrics import (
@@ -102,7 +102,7 @@ class TestScoreEntities:
 
 class TestScoreDatasets:
     def test_spurious_span_is_false_positive(self):
-        sents = [sentence_from_texts(["a", "b", "c", "d"])]
+        sents = [Sentence(["a", "b", "c", "d"])]
         gold = Dataset(sents, [[1, 2, 0, 0]])
         pred = Dataset(sents, [[1, 2, 0, 1]])
         report = score_datasets(pred, gold, PROT)
@@ -110,7 +110,7 @@ class TestScoreDatasets:
         assert report.fp == 1
 
     def test_invalid_pred_repaired_before_scoring(self):
-        sents = [sentence_from_texts(["a", "b"])]
+        sents = [Sentence(["a", "b"])]
         gold = Dataset(sents, [[1, 0]])
         pred = Dataset(sents, [[2, 0]])  # leading I-PROT
         report = score_datasets(pred, gold, PROT)
@@ -118,7 +118,7 @@ class TestScoreDatasets:
 
     def test_tag_outside_tag_set_rejected(self):
         # a predicted -1 used to decode as PROT, and this pair scored F1 100
-        sents = [sentence_from_texts(["a", "b"])]
+        sents = [Sentence(["a", "b"])]
         gold = Dataset(sents, [[0, 1]])
         pred = Dataset(sents, [[0, -1]])
         with pytest.raises(UnknownTag):
@@ -127,14 +127,14 @@ class TestScoreDatasets:
     def test_non_integer_tag_rejected(self):
         # a predicted 1.5 used to decode to no span, and this pair scored
         # F1 0.00 with no error
-        sents = [sentence_from_texts(["a", "b"])]
+        sents = [Sentence(["a", "b"])]
         gold = Dataset(sents, [[1, 0]])
         pred = Dataset(sents, [[1.5, 0]])
         with pytest.raises(UnknownTag, match="1.5"):
             score_datasets(pred, gold, PROT)
 
     def test_soft_pred_hardened_by_argmax_then_repaired(self):
-        sents = [sentence_from_texts(["a", "b", "c"])]
+        sents = [Sentence(["a", "b", "c"])]
         gold = Dataset(sents, [[1, 0, 1]])
         pred = Dataset(sents, [one_hot([2, 0, 1])])     # leading I-PROT
         report = score_datasets(pred, gold, PROT)
@@ -144,7 +144,7 @@ class TestScoreDatasets:
                              ids=["narrow", "wide"])
     def test_soft_pred_of_another_tag_set_rejected(self, tags):
         # the narrow CELL rows used to read as B-PROT, and this pair scored F1 100
-        sents = [sentence_from_texts(["a", "b"])]
+        sents = [Sentence(["a", "b"])]
         gold = Dataset(sents, [[1, 0]])
         pred = Dataset(sents, [one_hot([1, 0], tags)])
         with pytest.raises(ModelTagSetMismatch, match="width"):
@@ -152,7 +152,7 @@ class TestScoreDatasets:
 
     def test_gold_without_entities_rejected(self):
         # both used to score P = R = F1 = 0.00, as if the prediction had failed
-        sents = [sentence_from_texts(["a", "b"])]
+        sents = [Sentence(["a", "b"])]
         gold = Dataset(sents, [[0, 0]])
         with pytest.raises(EmptyDataset, match="no gold entities"):
             score_datasets(Dataset(sents, [[1, 0]]), gold, PROT)
@@ -167,13 +167,13 @@ class TestScoreDatasets:
         ([["a", "b", "c"]], [[1, 0, 0]], "sentence 0: labelings differ in length"),
     ], ids=["count", "missing", "length"])
     def test_pred_that_does_not_fit_gold_rejected(self, pred_texts, pred_labels, message):
-        pred = Dataset([sentence_from_texts(texts) for texts in pred_texts], pred_labels)
-        gold = Dataset([sentence_from_texts(["a", "b"])], [[1, 0]])
+        pred = Dataset([Sentence(texts) for texts in pred_texts], pred_labels)
+        gold = Dataset([Sentence(["a", "b"])], [[1, 0]])
         with pytest.raises(WeaknerError, match=message):
             score_datasets(pred, gold, PROT)
 
     def test_unknown_evaluation_mode_rejected(self):
-        sents = [sentence_from_texts(["a", "b"])]
+        sents = [Sentence(["a", "b"])]
         gold = Dataset(sents, [[1, 0]])
         model = train(gold, PROT, TrainConfig(epochs=1))
         with pytest.raises(WeaknerError, match="unknown evaluation mode 'viterbi'"):
@@ -182,7 +182,7 @@ class TestScoreDatasets:
     @pytest.mark.parametrize("gold_labels", [one_hot([1, 0]), None], ids=["soft", "none"])
     def test_gold_without_hard_labels_rejected(self, gold_labels):
         # soft gold used to be hardened by argmax and scored
-        sents = [sentence_from_texts(["a", "b"])]
+        sents = [Sentence(["a", "b"])]
         with pytest.raises(EmptyDataset, match="hard gold labels"):
             score_datasets(Dataset(sents, [[1, 0]]), Dataset(sents, [gold_labels]), PROT)
 

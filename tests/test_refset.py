@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from weakner.corpus import Dataset, TagSet, bio_encode, gold_spans, sentence_from_texts
+from weakner.corpus import Dataset, Sentence, TagSet, bio_encode, gold_spans
 from weakner.errors import EmptyDataset, EmptyReferenceSet, WeaknerError
 from weakner.metrics import score_entities
 from weakner.refset import (
@@ -63,7 +63,7 @@ def naive_matches(corpus, names, policy):
     contract, separate code."""
     out = []
     for s, sent in enumerate(corpus.sentences):
-        cands = naive_candidates(sent.texts(), names, policy)
+        cands = naive_candidates(sent.tokens, names, policy)
         # greedy leftmost-longest, longer name, lexicographically smaller name
         chosen = []
         free = 0
@@ -83,7 +83,7 @@ def _resplit(token):
 
 
 def corpus_of(*sentences):
-    sents = [sentence_from_texts(toks) for toks in sentences]
+    sents = [Sentence(toks) for toks in sentences]
     return Dataset(sents, [None] * len(sents))
 
 
@@ -304,7 +304,7 @@ class TestFindMatches:
             corpus, rs = self._tricky_case(rng)
             for m in find_matches(corpus, rs, MatchPolicy(case_sensitive=False)):
                 widths.add(m.last - m.first + 1)
-                window = " ".join(corpus.sentences[m.sentence].texts()[m.first:m.last + 1])
+                window = " ".join(corpus.sentences[m.sentence].tokens[m.first:m.last + 1])
                 folded += window != m.name and len(window) != len(m.name)
         assert {1, 2} <= widths and max(widths) >= 4 and folded > 0
 
@@ -422,7 +422,7 @@ class TestMatcherCases:
                     ends_last += m.first < m.last == n - 1
                     ends_short += m.first < m.last == n - 2
                 for sent in corpus.sentences:
-                    cands = sorted(naive_candidates(sent.texts(), rs.names, policy))
+                    cands = sorted(naive_candidates(sent.tokens, rs.names, policy))
                     overlaps += any(b[0] <= a[1] for a, b in zip(cands, cands[1:]))
         assert filler > total / 2
         assert min(many_components, ends_last, ends_short, overlaps) > 0
@@ -477,7 +477,7 @@ class TestAuditMatcher:
     def _gold(self, spans_per_sentence, n_tokens=6):
         sents, labels = [], []
         for s, spans in enumerate(spans_per_sentence):
-            sents.append(sentence_from_texts([f"t{s}{i}" for i in range(n_tokens)]))
+            sents.append(Sentence([f"t{s}{i}" for i in range(n_tokens)]))
             labels.append(bio_encode(spans, n_tokens, PROT, sentence=s))
         return Dataset(sents, labels)
 
@@ -562,7 +562,7 @@ class TestAuditMatcher:
             n_tokens = int(rng.integers(1, 9))
             sents, labels = [], []
             for _ in range(int(rng.integers(1, 5))):
-                sents.append(sentence_from_texts([f"t{i}" for i in range(n_tokens)]))
+                sents.append(Sentence([f"t{i}" for i in range(n_tokens)]))
                 labels.append([int(t) for t in rng.integers(0, len(TWO), size=n_tokens)])
             gold = Dataset(sents, labels)
             try:

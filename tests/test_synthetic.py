@@ -42,7 +42,7 @@ class TestGenerator:
     def test_deterministic(self):
         a_gold, a_ref, a_dict = generate_synthetic(small_spec())
         b_gold, b_ref, b_dict = generate_synthetic(small_spec())
-        assert [s.texts() for s in a_gold.sentences] == [s.texts() for s in b_gold.sentences]
+        assert [s.tokens for s in a_gold.sentences] == [s.tokens for s in b_gold.sentences]
         assert a_gold.labels == b_gold.labels
         assert a_ref.names == b_ref.names
         assert a_dict == b_dict
@@ -50,7 +50,7 @@ class TestGenerator:
     def test_different_seed_different_corpus(self):
         a, _, _ = generate_synthetic(small_spec(rng_seed=1))
         b, _, _ = generate_synthetic(small_spec(rng_seed=2))
-        assert [s.texts() for s in a.sentences] != [s.texts() for s in b.sentences]
+        assert [s.tokens for s in a.sentences] != [s.tokens for s in b.sentences]
 
     def test_sizes(self):
         spec = small_spec()

@@ -14,7 +14,6 @@ from weakner.corpus import (
     SoftLabeling,
     TagSet,
     harden,
-    sentence_from_texts,
 )
 from weakner.errors import (
     EmptyDataset,
@@ -52,7 +51,7 @@ VOCAB = ["p53", "binds", "MDM2", "the", "TIGAR", "assay", "x1", "y2"]
 
 def random_sentence(rng, max_len=6):
     n = int(rng.integers(1, max_len + 1))
-    return sentence_from_texts([VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(n)])
+    return Sentence([VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(n)])
 
 
 def random_model(rng, tags, sentences, scale=1.0):
@@ -154,13 +153,13 @@ class TestInferenceOracles:
             assert sequence_score(model, sent, got) == pytest.approx(best_score)
 
     def test_zero_weights_uniform_marginals(self):
-        sent = sentence_from_texts(["a", "b", "c"])
+        sent = Sentence(["a", "b", "c"])
         model = TaggerModel(PROT)
         soft = model.predict_soft([sent])[0]
         assert np.allclose(soft.dist, 1.0 / 3.0)
 
     def test_zero_weights_decode_all_outside(self):
-        sent = sentence_from_texts(["a", "b", "c", "d", "e", "f"])
+        sent = Sentence(["a", "b", "c", "d", "e", "f"])
         model = TaggerModel(TWO)
         assert model.predict_hard([sent])[0] == [0] * 6
 
@@ -186,7 +185,7 @@ class TestInferenceOracles:
         rng = np.random.default_rng(46)
         lengths = [3, 1, 84, 3, 7, 1, 84, 12, 7, 91, 3, 1]
         sents = [
-            sentence_from_texts([VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(n)])
+            Sentence([VOCAB[int(rng.integers(len(VOCAB)))] for _ in range(n)])
             for n in lengths
         ]
         for tags in (PROT, TWO):
@@ -532,8 +531,8 @@ class TestViterbi:
         # integer weights tie paths through the whole model, too
         rng = np.random.default_rng(47)
         lengths = [5, 1, 130, 2, 46, 5, 13, 1, 64, 65, 63, 2, 129, 13]
-        sents = [sentence_from_texts([ODD_VOCAB[int(rng.integers(len(ODD_VOCAB)))]
-                                      for _ in range(n)]) for n in lengths]
+        sents = [Sentence([ODD_VOCAB[int(rng.integers(len(ODD_VOCAB)))] for _ in range(n)])
+                 for n in lengths]
         for tags in (PROT, TWO):
             model = random_model(rng, tags, sents)
             model.weights = rng.integers(-1, 2, size=model.weights.shape).astype(float)
@@ -565,7 +564,7 @@ class TestKernelsBitIdentical:
 
 class TestTraining:
     def _one_sentence_data(self):
-        sent = sentence_from_texts(["p53", "binds", "MDM2"])
+        sent = Sentence(["p53", "binds", "MDM2"])
         return Dataset([sent], [[1, 0, 1]])
 
     def test_loss_decreases_monotonically(self):
@@ -642,14 +641,14 @@ class TestTraining:
         assert np.array_equal(whole.transitions, stepped.transitions)
 
     def test_constructed_weights_drive_decode(self):
-        sent = sentence_from_texts(["p53", "binds"])
+        sent = Sentence(["p53", "binds"])
         model = TaggerModel(PROT)
         model._feature_ids([sent], grow=True)
         model.weights[model.feature_index["w=p53"], PROT.b_index("PROT")] = 5.0
         assert model.predict_hard([sent])[0] == [1, 0]
 
     def test_mixed_hard_and_soft_labels(self):
-        sents = [sentence_from_texts(["p53", "x1"]), sentence_from_texts(["TIGAR"])]
+        sents = [Sentence(["p53", "x1"]), Sentence(["TIGAR"])]
         data = Dataset(
             sents,
             [[1, 0], SoftLabeling(np.array([[0.0, 1.0, 0.0]]),
@@ -677,19 +676,19 @@ class TestTraining:
             train(Dataset([], []), PROT, TrainConfig())
 
     def test_unlabeled_sentence_rejected(self):
-        data = Dataset([sentence_from_texts(["a"])], [None])
+        data = Dataset([Sentence(["a"])], [None])
         with pytest.raises(EmptyDataset):
             train(data, PROT, TrainConfig())
 
     def test_label_length_mismatch_rejected(self):
         # a Dataset checks lengths when built; train checks a labeling replaced after that
-        data = Dataset([sentence_from_texts(["a", "b"])], [[0, 0]])
+        data = Dataset([Sentence(["a", "b"])], [[0, 0]])
         data.labels[0] = [0]
         with pytest.raises(LabelLengthMismatch, match="1 labels for 2 tokens"):
             train(data, PROT, TrainConfig())
 
     def test_tag_set_mismatch_on_init(self):
-        data = Dataset([sentence_from_texts(["a"])], [[0]])
+        data = Dataset([Sentence(["a"])], [[0]])
         base = train(data, PROT, TrainConfig(epochs=1))
         with pytest.raises(ModelTagSetMismatch):
             train(data, TWO, TrainConfig(epochs=1), init=base)
@@ -744,7 +743,7 @@ class TestTraining:
     @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
     def test_negative_hard_tag_rejected(self, objective):
         # -1 used to index the last tag (I-PROT) and train silently
-        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, -1]])
+        data = Dataset([Sentence(["p53", "binds"])], [[1, -1]])
         cfg = TrainConfig(epochs=1, objective=objective)
         with pytest.raises(UnknownTag):
             train(data, PROT, cfg)
@@ -753,7 +752,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
     def test_hard_tag_past_tag_set_rejected(self, objective):
-        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1, 7]])
+        data = Dataset([Sentence(["p53", "binds"])], [[1, 7]])
         cfg = TrainConfig(epochs=1, objective=objective)
         with pytest.raises(UnknownTag):
             train(data, PROT, cfg)
@@ -764,7 +763,7 @@ class TestTraining:
     def test_non_integer_hard_tag_rejected(self, objective):
         # 1.5 passed the tag-set check: SEQUENCE trained on [1, 0] with no
         # error and MARGINAL failed on a bare numpy IndexError
-        data = Dataset([sentence_from_texts(["p53", "binds"])], [[1.5, 0]])
+        data = Dataset([Sentence(["p53", "binds"])], [[1.5, 0]])
         with pytest.raises(UnknownTag, match="1.5"):
             train(data, PROT, TrainConfig(epochs=1, objective=objective))
 
@@ -777,7 +776,7 @@ class TestTraining:
     def test_soft_rows_of_wrong_width_rejected(self, objective):
         rows = SoftLabeling(np.array([[0.5, 0.5], [1.0, 0.0]]),
                             np.full(2, Provenance.PREDICTED, dtype=np.int8))
-        data = Dataset([sentence_from_texts(["p53", "binds"])], [rows])
+        data = Dataset([Sentence(["p53", "binds"])], [rows])
         cfg = TrainConfig(epochs=1, objective=objective)
         with pytest.raises(ModelTagSetMismatch):
             train(data, PROT, cfg)
@@ -810,7 +809,7 @@ def ref_shape(text):
 def naive_features(sentence):
     """Reference feature strings: the per-token template builder, one list
     per token in template order, neighbours at offsets -2..-1 and 1..2."""
-    texts = sentence.texts()
+    texts = sentence.tokens
     out = []
     for i, text in enumerate(texts):
         feats = [f"w={text}", f"lw={text.lower()}", f"shape={ref_shape(text)}"]
@@ -898,11 +897,11 @@ class TestSgdStep:
     @pytest.mark.parametrize("objective", [Objective.MARGINAL, Objective.SEQUENCE])
     def test_epoch_matches_naive_loop(self, objective):
         rng = np.random.default_rng(60)
-        sents = [sentence_from_texts(t) for t in self.TEXTS]
+        sents = [Sentence(t) for t in self.TEXTS]
         sents += [odd_sentence(rng) for _ in range(8)]
         # long sentences run several doubling steps of the SEQUENCE adjoint;
         # the first two are in both datasets
-        sents[5:5] = [sentence_from_texts([ODD_VOCAB[i] for i in rng.integers(len(ODD_VOCAB), size=n)])
+        sents[5:5] = [Sentence([ODD_VOCAB[i] for i in rng.integers(len(ODD_VOCAB), size=n)])
                       for n in (60, 97, 130)]
         labels = [[int(t) for t in rng.integers(0, len(PROT), size=len(x))] for x in sents]
         first = Dataset(sents[:7], labels[:7])
@@ -928,7 +927,7 @@ class TestSgdStep:
         # within a sentence, short texts fire id -1, and the longest
         # sentence uses the whole tag-offset tile
         rng = np.random.default_rng(len(tags))
-        data = Dataset([sentence_from_texts(t) for t in self.TEXTS],
+        data = Dataset([Sentence(t) for t in self.TEXTS],
                        [[int(t) for t in rng.integers(0, len(tags), size=len(x))] for x in self.TEXTS])
         init = random_model(rng, tags, data.sentences)
         init.epochs_trained = 3
@@ -1013,17 +1012,17 @@ def per_token_gather_emissions(model, sentences):
 
 def odd_sentence(rng, max_len=9):
     n = int(rng.integers(1, max_len + 1))
-    return sentence_from_texts([ODD_VOCAB[int(rng.integers(len(ODD_VOCAB)))] for _ in range(n)])
+    return Sentence([ODD_VOCAB[int(rng.integers(len(ODD_VOCAB)))] for _ in range(n)])
 
 
 class TestEmissions:
     def _p53_model(self):
-        data = Dataset([sentence_from_texts(["p53"])], [[1]])
+        data = Dataset([Sentence(["p53"])], [[1]])
         return train(data, PROT, TrainConfig(epochs=2))
 
     def test_position_without_known_feature_gets_zero_row(self):
         model = self._p53_model()
-        sent = sentence_from_texts(["a", "b", "c", "d", "e"])
+        sent = Sentence(["a", "b", "c", "d", "e"])
         E = sentence_emissions(model, sent)
         # "c" and its +-2 neighbours never occur in training; every other
         # position still sees a sentence-boundary feature
@@ -1037,7 +1036,7 @@ class TestEmissions:
         rng = np.random.default_rng(46)
         model = random_model(rng, TWO, [random_sentence(rng) for _ in range(5)])
         p53 = self._p53_model()
-        unseen = sentence_from_texts(["a", "b", "c", "d", "e"])
+        unseen = Sentence(["a", "b", "c", "d", "e"])
         for _ in range(20):
             sent = random_sentence(rng, max_len=10)
             assert np.array_equal(sentence_emissions(model, sent), naive_emissions(model, sent))
@@ -1062,7 +1061,7 @@ class TestEmissions:
         assert len(calls) == 3
         model.predict_hard(data.sentences)
         assert len(calls) == 4
-        distinct = {t for sent in data.sentences for t in sent.texts()} | {"<s>", "</s>"}
+        distinct = {t for sent in data.sentences for t in sent.tokens} | {"<s>", "</s>"}
         for texts in calls:
             assert len(texts) == len(set(texts)) and set(texts) == distinct
 
@@ -1079,7 +1078,7 @@ class TestFactoredFeatures:
         model.weights = rng.normal(size=model.weights.shape)
         model.weights[::5] = -0.0
         # the unseen half brings unknown features of known and unknown texts
-        data = seen + [odd_sentence(rng) for _ in range(12)] + [sentence_from_texts(["</s>"])]
+        data = seen + [odd_sentence(rng) for _ in range(12)] + [Sentence(["</s>"])]
         E, starts = model.emissions(data)
         assert len(E) == sum(map(len, data))
         for sent, start in zip(data, starts):
@@ -1095,7 +1094,7 @@ class TestFactoredFeatures:
         model.weights[::5] = -0.0
         # unseen sentences bring unknown features; 1 and 2 tokens reach the pads
         vocab = np.array(ODD_VOCAB, dtype=object)
-        short = [sentence_from_texts(rng.choice(vocab, size=n).tolist()) for n in (1, 2, 1, 2)]
+        short = [Sentence(rng.choice(vocab, size=n).tolist()) for n in (1, 2, 1, 2)]
         data = [*seen[:6], *short, *(odd_sentence(rng) for _ in range(12)), *seen[6:]]
         E, starts = model.emissions(data)
         want, want_starts = per_token_gather_emissions(model, data)
@@ -1298,7 +1297,7 @@ class TestFeatureExtractor:
         assert fx.features(texts) == fx.features(texts)
 
     def test_window_and_boundaries(self):
-        sent = sentence_from_texts(["a", "b", "c"])
+        sent = Sentence(["a", "b", "c"])
         feats = token_features(sent)
         assert "w[-1]=<s>" in feats[0]
         assert "w[-2]=<s>" in feats[1]
@@ -1306,7 +1305,7 @@ class TestFeatureExtractor:
         assert any(f.startswith("shape=") for f in feats[0])
 
     def test_shape_feature(self):
-        sent = sentence_from_texts(["MDM2"])
+        sent = Sentence(["MDM2"])
         feats = token_features(sent)[0]
         assert "shape=XXXd" in feats
 
@@ -1319,7 +1318,7 @@ class TestFeatureExtractor:
             "x", "x", "XX", "ǅ", "xd", "d", "<x>"]
 
     def test_unknown_features_ignored_at_prediction(self):
-        data = Dataset([sentence_from_texts(["p53"])], [[1]])
+        data = Dataset([Sentence(["p53"])], [[1]])
         model = train(data, PROT, TrainConfig(epochs=2))
-        out = model.predict_soft([sentence_from_texts(["neverseen", "tokens"])])[0]
+        out = model.predict_soft([Sentence(["neverseen", "tokens"])])[0]
         assert np.abs(out.dist.sum(axis=1) - 1.0).max() < 1e-9

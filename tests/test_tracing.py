@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from weakner import bootstrap, refset, tagger
-from weakner.corpus import Dataset, TagSet, sentence_from_texts
+from weakner.corpus import Dataset, Sentence, TagSet
 
 PROT = TagSet(("PROT",))
 
@@ -41,10 +41,10 @@ def _bindings(spans):
 
 def test_installed_traces_library_calls_and_restores_bindings(spans, tmp_path):
     seed = Dataset(
-        [sentence_from_texts(["p53", "binds", "MDM2"]), sentence_from_texts(["the", "assay"])],
+        [Sentence(["p53", "binds", "MDM2"]), Sentence(["the", "assay"])],
         [[1, 0, 1], [0, 0]],
     )
-    corpus = Dataset([sentence_from_texts(["the", "Flag-tagged-TIGAR", "assay"])], [None])
+    corpus = Dataset([Sentence(["the", "Flag-tagged-TIGAR", "assay"])], [None])
     cfg = bootstrap.BootstrapConfig(iterations=1, seed_epochs=2, round_epochs=2, final_epochs=2,
                                     learning_rate=0.2, decay=0.05)
     before = _bindings(spans)
